@@ -52,8 +52,7 @@ EngineArena::EngineArena() = default;
 // ---------------------------------------------------------------------------
 
 int EngineArena::NewSlot(size_t len) {
-  SHAPCQ_CHECK(cells_.size() + len <=
-               std::numeric_limits<uint32_t>::max());
+  SHAPCQ_CHECK(cells_.size() + len <= std::numeric_limits<uint32_t>::max());
   Slot slot;
   slot.offset = static_cast<uint32_t>(cells_.size());
   slot.len = static_cast<uint32_t>(len);
@@ -66,8 +65,8 @@ int EngineArena::NewSlot(size_t len) {
 int EngineArena::NewSlotFrom(std::vector<BigInt> cells) {
   SHAPCQ_CHECK(cells_.size() + cells.size() <=
                std::numeric_limits<uint32_t>::max());
-  // Bulk move-append (no value-init-then-overwrite pass): compilation calls
-  // this once per node, so it is on the Build critical path.
+  // Bulk move-append (no value-init-then-overwrite pass): Build calls this
+  // once or twice per node, so it is on the Build critical path.
   Slot slot;
   slot.offset = static_cast<uint32_t>(cells_.size());
   slot.len = slot.cap = static_cast<uint32_t>(cells.size());
@@ -154,8 +153,7 @@ void EngineArena::ConvolveWithSlotInto(int32_t& dst_ref, const BigInt* a,
   }
 }
 
-void EngineArena::FillSlotInPlace(int32_t slot_id,
-                                  std::vector<BigInt> cells) {
+void EngineArena::FillSlotInPlace(int32_t slot_id, std::vector<BigInt> cells) {
   SHAPCQ_CHECK(slot_id >= 0);
   // The serial prepass pinned the exact length; the parallel fill must never
   // move the buffer (concurrent readers hold pointers into it).
@@ -165,7 +163,7 @@ void EngineArena::FillSlotInPlace(int32_t slot_id,
 }
 
 // ---------------------------------------------------------------------------
-// Compilation
+// Construction
 // ---------------------------------------------------------------------------
 
 void EngineArena::Reserve(size_t node_count) {
@@ -191,25 +189,26 @@ void EngineArena::Reserve(size_t node_count) {
   slots_.reserve(3 * node_count);
 }
 
-void EngineArena::AppendNode(NodeKind kind, int parent, int child_index,
-                             const std::vector<int>& children,
-                             uint32_t free_endo, bool negated, CountVector sat,
-                             CountVector core_sat) {
+int EngineArena::AppendNode(NodeKind kind, const std::vector<int>& children,
+                            uint32_t free_endo, bool negated) {
+  const int node = static_cast<int>(kind_.size());
   kind_.push_back(static_cast<uint8_t>(kind));
-  parent_.push_back(parent);
-  child_index_.push_back(child_index);
+  parent_.push_back(-1);
+  child_index_.push_back(-1);
   child_first_.push_back(children.empty()
                              ? -1
                              : static_cast<int32_t>(children_.size()));
   child_count_.push_back(static_cast<int32_t>(children.size()));
-  children_.insert(children_.end(), children.begin(), children.end());
+  for (size_t j = 0; j < children.size(); ++j) {
+    children_.push_back(children[j]);
+    parent_[children[j]] = node;
+    child_index_[children[j]] = static_cast<int32_t>(j);
+  }
   free_endo_.push_back(free_endo);
   negated_.push_back(negated ? 1 : 0);
   depth_.push_back(0);
-  sat_slot_.push_back(NewSlotFrom(std::move(sat).TakeCounts()));
-  core_slot_.push_back(kind == NodeKind::kRootVar
-                           ? NewSlotFrom(std::move(core_sat).TakeCounts())
-                           : -1);
+  sat_slot_.push_back(-1);
+  core_slot_.push_back(-1);
   prefix_slots_.emplace_back();
   suffix_slots_.emplace_back();
   prefix_valid_.push_back(0);
@@ -219,9 +218,29 @@ void EngineArena::AppendNode(NodeKind kind, int parent, int child_index,
   r_epoch_.push_back(0);
   rfree_epoch_.push_back(0);
   topo_dirty_ = true;
+  return node;
 }
 
-void EngineArena::SealStructure(int root) {
+int EngineArena::AddGround(bool negated, CountVector sat) {
+  const int node = AppendNode(NodeKind::kGround, {}, 0, negated);
+  sat_slot_[node] = NewSlotFrom(std::move(sat).TakeCounts());
+  return node;
+}
+
+int EngineArena::AddInner(NodeKind kind, const std::vector<int>& children,
+                          uint32_t free_endo) {
+  SHAPCQ_CHECK(kind == NodeKind::kRootVar ||
+               (kind == NodeKind::kComponent && free_endo == 0));
+  const int node = AppendNode(kind, children, free_endo, false);
+  std::vector<BigInt> product = IdentityCells();
+  for (size_t j = 0; j < children.size(); ++j) {
+    product = TimesCombine(product, node, j);
+  }
+  StoreFromProduct(node, std::move(product));
+  return node;
+}
+
+void EngineArena::SetRoot(int root) {
   SHAPCQ_CHECK(root >= 0 && static_cast<size_t>(root) < kind_.size());
   root_ = root;
   RecomputeTopo();
@@ -249,7 +268,7 @@ void EngineArena::RecomputeTopo() {
     }
   }
   SHAPCQ_CHECK_MSG(topo_.size() == n,
-                   "arena tree does not cover every node from the root");
+                   "arena does not cover every node from the root");
   topo_dirty_ = false;
 }
 
@@ -263,20 +282,56 @@ CountVector EngineArena::SatOf(int node) const {
       cells_.begin() + slot.offset, cells_.begin() + slot.offset + slot.len));
 }
 
+CountVector EngineArena::BaselineSat(size_t global_free_endo) const {
+  return SatOf(root_).Convolve(CountVector::All(global_free_endo));
+}
+
 // ---------------------------------------------------------------------------
-// Combine vectors and sibling partial products
+// The combine rules
 // ---------------------------------------------------------------------------
 
 std::vector<BigInt> EngineArena::CombineOf(int parent, size_t j) const {
-  const int32_t child =
-      children_[child_first_[parent] + static_cast<int32_t>(j)];
-  const Slot& slot = slots_[sat_slot_[child]];
+  const Slot& slot = slots_[sat_slot_[child(parent, j)]];
   const BigInt* cells = cells_.data() + slot.offset;
-  if (static_cast<NodeKind>(kind_[parent]) == NodeKind::kRootVar) {
+  if (kind(parent) == NodeKind::kRootVar) {
     return ComplementCells(cells, slot.len);
   }
   return std::vector<BigInt>(cells, cells + slot.len);
 }
+
+std::vector<BigInt> EngineArena::TimesCombine(const std::vector<BigInt>& acc,
+                                              int parent, size_t j) const {
+  const Slot& slot = slots_[sat_slot_[child(parent, j)]];
+  const BigInt* cells = cells_.data() + slot.offset;
+  if (kind(parent) == NodeKind::kRootVar) {
+    const std::vector<BigInt> unsat = ComplementCells(cells, slot.len);
+    return ConvolveCells(acc.data(), acc.size(), unsat.data(), unsat.size());
+  }
+  return ConvolveCells(acc.data(), acc.size(), cells, slot.len);
+}
+
+void EngineArena::StoreFromProduct(int node, std::vector<BigInt> product) {
+  if (kind(node) == NodeKind::kComponent) {
+    StoreSlotAt(sat_slot_[node], std::move(product));
+    return;
+  }
+  SHAPCQ_CHECK(kind(node) == NodeKind::kRootVar);
+  std::vector<BigInt> core = ComplementCells(product.data(), product.size());
+  StoreSlotAt(core_slot_[node], std::move(core));
+  StoreSatFromCore(node);
+}
+
+void EngineArena::StoreSatFromCore(int node) {
+  const std::vector<BigInt> all = Combinatorics::BinomialRow(free_endo_[node]);
+  const Slot& core = slots_[core_slot_[node]];
+  StoreSlotAt(sat_slot_[node],
+              ConvolveCells(cells_.data() + core.offset, core.len, all.data(),
+                            all.size()));
+}
+
+// ---------------------------------------------------------------------------
+// Sibling partial products
+// ---------------------------------------------------------------------------
 
 void EngineArena::EnsurePartialsAllocated(int parent) {
   const size_t m = static_cast<size_t>(child_count_[parent]);
@@ -337,29 +392,21 @@ std::vector<BigInt> EngineArena::SiblingCombine(int parent, size_t j) {
 // Mutation patches
 // ---------------------------------------------------------------------------
 
-void EngineArena::SetLeafSat(int leaf, const CountVector& sat) {
-  SHAPCQ_CHECK(static_cast<NodeKind>(kind_[leaf]) == NodeKind::kGround);
-  std::vector<BigInt> cells;
-  cells.reserve(sat.universe_size() + 1);
-  for (size_t k = 0; k <= sat.universe_size(); ++k) cells.push_back(sat.at(k));
-  StoreSlotAt(sat_slot_[leaf], std::move(cells));
+void EngineArena::SetLeafSat(int leaf, CountVector sat) {
+  SHAPCQ_CHECK(kind(leaf) == NodeKind::kGround);
+  StoreSlotAt(sat_slot_[leaf], std::move(sat).TakeCounts());
 }
 
 void EngineArena::SetFreeEndo(int node, uint32_t free_endo) {
-  SHAPCQ_CHECK(static_cast<NodeKind>(kind_[node]) == NodeKind::kRootVar);
+  SHAPCQ_CHECK(kind(node) == NodeKind::kRootVar);
   free_endo_[node] = free_endo;
-  const std::vector<BigInt> all = Combinatorics::BinomialRow(free_endo);
-  const Slot& core = slots_[core_slot_[node]];
-  StoreSlotAt(sat_slot_[node],
-              ConvolveCells(cells_.data() + core.offset, core.len, all.data(),
-                            all.size()));
+  StoreSatFromCore(node);
 }
 
 void EngineArena::SpliceNewChild(int parent, int child) {
-  SHAPCQ_CHECK(static_cast<NodeKind>(kind_[parent]) == NodeKind::kRootVar);
-  SHAPCQ_CHECK(parent_[child] == parent);
-  const size_t m = static_cast<size_t>(child_count_[parent]);
-  SHAPCQ_CHECK(static_cast<size_t>(child_index_[child]) == m);
+  SHAPCQ_CHECK(kind(parent) == NodeKind::kRootVar);
+  SHAPCQ_CHECK(parent_[child] == -1 && child != root_);
+  const size_t m = child_count(parent);
 
   // Append to the parent's child list by relocating it to the end of the
   // flat array (the old range is a few stranded ints, reclaimed never —
@@ -372,27 +419,15 @@ void EngineArena::SpliceNewChild(int parent, int child) {
   children_.push_back(child);
   child_first_[parent] = new_first;
   child_count_[parent] = static_cast<int32_t>(m + 1);
+  parent_[child] = parent;
+  child_index_[child] = static_cast<int32_t>(m);
   topo_dirty_ = true;
 
-  // Numeric splice, operation-for-operation the tree's: fold the new child's
-  // unsat factor into the parent's core product via complement round-trips.
+  // The old children's unsat product is All − core; fold in the new one.
   const Slot& core = slots_[core_slot_[parent]];
-  const std::vector<BigInt> core_cpl =
-      ComplementCells(cells_.data() + core.offset, core.len);
-  const Slot& child_sat = slots_[sat_slot_[child]];
-  const std::vector<BigInt> child_cpl =
-      ComplementCells(cells_.data() + child_sat.offset, child_sat.len);
-  const std::vector<BigInt> unsat_all =
-      ConvolveCells(core_cpl.data(), core_cpl.size(), child_cpl.data(),
-                    child_cpl.size());
-  std::vector<BigInt> new_core =
-      ComplementCells(unsat_all.data(), unsat_all.size());
-  const std::vector<BigInt> all =
-      Combinatorics::BinomialRow(free_endo_[parent]);
-  std::vector<BigInt> new_sat =
-      ConvolveCells(new_core.data(), new_core.size(), all.data(), all.size());
-  StoreSlotAt(core_slot_[parent], std::move(new_core));
-  StoreSlotAt(sat_slot_[parent], std::move(new_sat));
+  const BigInt* core_cells = cells_.data() + core.offset;
+  const std::vector<BigInt> old_unsat = ComplementCells(core_cells, core.len);
+  StoreFromProduct(parent, TimesCombine(old_unsat, parent, m));
 
   // Partial products: grown prefixes keep their valid entries (they exclude
   // the appended child); every suffix entry misses it, so the suffix side
@@ -408,32 +443,10 @@ void EngineArena::SpliceNewChild(int parent, int child) {
 }
 
 void EngineArena::PatchChildChanged(int parent, size_t j) {
-  const std::vector<BigInt> sibling = SiblingCombine(parent, j);
-  const int32_t child =
-      children_[child_first_[parent] + static_cast<int32_t>(j)];
-  const Slot& child_sat = slots_[sat_slot_[child]];
-  const BigInt* child_cells = cells_.data() + child_sat.offset;
-  if (static_cast<NodeKind>(kind_[parent]) == NodeKind::kComponent) {
-    StoreSlotAt(sat_slot_[parent],
-                ConvolveCells(sibling.data(), sibling.size(), child_cells,
-                              child_sat.len));
-  } else {
-    const std::vector<BigInt> child_cpl =
-        ComplementCells(child_cells, child_sat.len);
-    const std::vector<BigInt> unsat_all =
-        ConvolveCells(sibling.data(), sibling.size(), child_cpl.data(),
-                      child_cpl.size());
-    std::vector<BigInt> new_core =
-        ComplementCells(unsat_all.data(), unsat_all.size());
-    const std::vector<BigInt> all =
-        Combinatorics::BinomialRow(free_endo_[parent]);
-    std::vector<BigInt> new_sat = ConvolveCells(
-        new_core.data(), new_core.size(), all.data(), all.size());
-    StoreSlotAt(core_slot_[parent], std::move(new_core));
-    StoreSlotAt(sat_slot_[parent], std::move(new_sat));
-  }
-  // The tree's MarkChildDirty: shrink the watermarks to exclude entries
-  // embedding child j's replaced combine vector.
+  StoreFromProduct(parent, TimesCombine(SiblingCombine(parent, j), parent, j));
+  // Shrink the watermarks to exclude entries embedding child j's replaced
+  // combine vector: prefix[0..j] and suffix[j+1..] stay warm for the next
+  // patch through the same child.
   if (!prefix_slots_[parent].empty()) {
     prefix_valid_[parent] =
         std::min(prefix_valid_[parent], static_cast<uint32_t>(j));
@@ -442,11 +455,7 @@ void EngineArena::PatchChildChanged(int parent, size_t j) {
   }
 }
 
-void EngineArena::InvalidateValues() {
-  ++epoch_;
-  orbit_ids_valid_ = false;
-  orbit_ids_.clear();
-}
+void EngineArena::InvalidateValues() { ++epoch_; }
 
 // ---------------------------------------------------------------------------
 // Evaluation: the difference-propagation sweep
@@ -456,8 +465,7 @@ void EngineArena::EnsureRFree(int node, size_t global_free_endo) {
   if (rfree_epoch_[node] == epoch_) return;
   EnsureR(node, global_free_endo);
   const bool has_factor =
-      static_cast<NodeKind>(kind_[node]) == NodeKind::kRootVar &&
-      free_endo_[node] > 0;
+      kind(node) == NodeKind::kRootVar && free_endo_[node] > 0;
   if (!has_factor) {
     rfree_slot_[node] = r_slot_[node];  // alias: the factor is the identity
   } else {
@@ -488,7 +496,7 @@ void EngineArena::EnsureR(int node, size_t global_free_endo) {
 
 Rational EngineArena::ValueAtLeaf(int leaf, size_t endo_count,
                                   size_t global_free_endo) {
-  SHAPCQ_CHECK(static_cast<NodeKind>(kind_[leaf]) == NodeKind::kGround);
+  SHAPCQ_CHECK(kind(leaf) == NodeKind::kGround);
   SHAPCQ_CHECK(endo_count >= 1);
   EnsureR(leaf, global_free_endo);
   const Slot& slot = slots_[r_slot_[leaf]];
@@ -630,8 +638,7 @@ bool EngineArena::WarmValuePaths(const std::vector<int>& leaves,
     }
     if (need_rfree[node] != 0) {
       const bool has_factor =
-          static_cast<NodeKind>(kind_[node]) == NodeKind::kRootVar &&
-          free_endo_[node] > 0;
+          kind(node) == NodeKind::kRootVar && free_endo_[node] > 0;
       if (!has_factor) {
         rfree_slot_[node] = r_slot_[node];
       } else {
@@ -725,15 +732,6 @@ bool EngineArena::WarmValuePaths(const std::vector<int>& leaves,
 }
 
 // ---------------------------------------------------------------------------
-// Orbit-id cache
-// ---------------------------------------------------------------------------
-
-void EngineArena::CacheOrbitIds(std::vector<size_t> ids) {
-  orbit_ids_ = std::move(ids);
-  orbit_ids_valid_ = true;
-}
-
-// ---------------------------------------------------------------------------
 // Accounting, compaction, invariants
 // ---------------------------------------------------------------------------
 
@@ -765,7 +763,6 @@ size_t EngineArena::ApproxMemoryBytes() const {
   for (const std::vector<int32_t>& ids : suffix_slots_) {
     bytes += sizeof(ids) + ids.capacity() * sizeof(int32_t);
   }
-  bytes += orbit_ids_.capacity() * sizeof(size_t);
   return bytes;
 }
 
@@ -838,11 +835,9 @@ void EngineArena::CheckInvariants() const {
       SHAPCQ_CHECK(child_index_[child] == t);
     }
     SHAPCQ_CHECK(sat_slot_[node] >= 0);
-    SHAPCQ_CHECK(
-        (core_slot_[node] >= 0) ==
-        (static_cast<NodeKind>(kind_[node]) == NodeKind::kRootVar));
-    SHAPCQ_CHECK(static_cast<NodeKind>(kind_[node]) != NodeKind::kGround ||
-                 m == 0);
+    SHAPCQ_CHECK((core_slot_[node] >= 0) ==
+                 (kind(static_cast<int>(node)) == NodeKind::kRootVar));
+    SHAPCQ_CHECK(kind(static_cast<int>(node)) != NodeKind::kGround || m == 0);
     SHAPCQ_CHECK(prefix_slots_[node].empty() ||
                  prefix_slots_[node].size() == static_cast<size_t>(m) + 1);
     SHAPCQ_CHECK(prefix_slots_[node].size() == suffix_slots_[node].size());
@@ -851,8 +846,7 @@ void EngineArena::CheckInvariants() const {
   }
   for (const Slot& slot : slots_) {
     SHAPCQ_CHECK(slot.len <= slot.cap);
-    SHAPCQ_CHECK(static_cast<size_t>(slot.offset) + slot.cap <=
-                 cells_.size());
+    SHAPCQ_CHECK(static_cast<size_t>(slot.offset) + slot.cap <= cells_.size());
   }
   if (!topo_dirty_) {
     // Topological order: covers every node exactly once, root first,

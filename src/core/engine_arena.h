@@ -1,12 +1,9 @@
-// Flat structure-of-arrays arena for the ShapleyEngine recursion tree.
+// Flat structure-of-arrays arena: the numeric core of ShapleyEngine.
 //
-// The memoized tree (shapley_engine.cc) is pointer-rich: every node owns its
-// |Sat| CountVector (a heap vector of BigInts), its prefix/suffix partial
-// products and a lazily built sibling-context table, plus routing maps. At
-// serving scale the all-facts hot path is therefore cache-miss bound. The
-// arena is the compiled form of that tree:
+// Every node of the CntSat recursion (Lemma 3.2: ground leaves, component
+// nodes, root-variable nodes) lives here, and nowhere else numerically:
 //
-//  * Node metadata lives in index-linked parallel arrays (kind, parent,
+//  * Node structure lives in index-linked parallel arrays (kind, parent,
 //    child ranges into one concatenated child-id array, free-endo counters,
 //    leaf polarity) — no per-node objects, no virtual dispatch.
 //  * Every count-vector cell lives in ONE flat cell buffer. A logical vector
@@ -16,36 +13,44 @@
 //    Replacing a vector reuses its range in place when the new length fits
 //    and appends a fresh range otherwise (the stranded cells are tracked as
 //    slack and reclaimed by CompactCells()).
-//  * Nodes are kept in topological order (parents before children), so the
-//    all-facts evaluation is a batched top-down sweep over dense index
-//    ranges instead of per-fact recursion re-entry.
+//  * ShapleyEngine::Build appends each node the moment its recursion step
+//    finishes, children before parents, and the node's |Sat| cells are
+//    written straight into the buffer. The combine rules are implemented
+//    once, below, and shared by Build and every mutation patch:
 //
-// The evaluation sweep exploits that the with/without perturbation of
-// ValueAtLeaf propagates LINEARLY: at a component ancestor the difference
-// vector picks up a convolution with the sibling context, and at a root-var
-// ancestor the two complement steps cancel, leaving the same convolution
-// (plus the free-fact binomial factor). Hence
+//      component:  sat  = Π child sat
+//      root var:   core = All − Π (All − child sat)
+//                  sat  = core ⊛ All(free_endo)
+//
+//  * A topological order (parents before children) turns the all-facts
+//    evaluation into a batched top-down sweep over dense index ranges.
+//
+// The evaluation sweep exploits that forcing one fact exogenous versus
+// removing it perturbs the recursion LINEARLY along the fact's leaf-to-root
+// path: at a component ancestor the difference vector picks up a
+// convolution with the sibling context, and at a root-var ancestor the two
+// complement steps cancel, leaving the same convolution (plus the free-fact
+// binomial factor). Hence
 //
 //   sat_with - sat_without  =  sign * r[leaf],
 //   r[root]  = All(global_free_endo),
 //   r[child] = r[parent] (* All(parent.free_endo)) * ctx_parent[child],
 //
-// with sign = -1 exactly for negated leaves. One convolution sweep down the
-// shared paths replaces the tree's two full root-to-leaf re-propagations per
-// orbit representative, and r[] is shared across every leaf below a common
-// ancestor. Shapley(leaf) then assembles from r[leaf] alone — the exact
-// same integers the tree oracle subtracts out of its two propagated
-// vectors, so values are bit-identical by construction.
+// with sign = -1 exactly for negated leaves, and Shapley(leaf) assembles
+// from r[leaf] alone. r[] is shared across every leaf below a common
+// ancestor. ctx_parent[j] is the product of every sibling's combine vector
+// (sat for component parents, All − sat for root-var parents), composed
+// from persistent prefix/suffix partial products.
 //
-// Incremental maintenance mirrors the tree patches on arena storage: leaf
-// flips, free-counter moves and new-child splices re-derive the dirtied
-// root-to-leaf path with the same prefix/suffix partial products (and the
-// same watermark invalidation rules) the tree keeps per node.
+// Incremental maintenance patches the same storage: leaf flips, free-counter
+// moves and new-child splices re-derive the dirtied root-to-leaf path from
+// the prefix/suffix partials, invalidating exactly the partials that embed
+// the changed child.
 //
 // The arena does NOT know about queries, routing or orbits: the owning
-// ShapleyEngine keeps the tree's routing metadata (slice maps, stored
-// subqueries, structural signatures) and drives the arena through the calls
-// below. Node ids are the tree's node ids throughout.
+// ShapleyEngine keeps the routing metadata (slice maps, stored subqueries,
+// structural signatures) under the same node ids and drives the arena
+// through the calls below.
 
 #ifndef SHAPCQ_CORE_ENGINE_ARENA_H_
 #define SHAPCQ_CORE_ENGINE_ARENA_H_
@@ -62,33 +67,35 @@ namespace shapcq {
 
 class CancelToken;  // util/cancel.h
 
-/// Compiled SoA form of the memoized CntSat recursion tree. See the file
-/// comment for the layout and the difference-propagation evaluation sweep.
+/// The CntSat recursion as flat arrays plus one cell buffer. See the file
+/// comment for the layout, the combine rules and the difference-propagation
+/// evaluation sweep.
 class EngineArena {
  public:
-  /// Mirrors ShapleyEngine's node kinds (values must stay in sync with the
-  /// tree's enum; asserted at compile sites).
-  enum class NodeKind : uint8_t { kGround = 0, kComponent = 1, kRootVar = 2 };
+  enum class NodeKind : uint8_t { kGround, kComponent, kRootVar };
 
   EngineArena();
 
   // -------------------------------------------------------------------------
-  // Compilation. AppendNode is called once per tree node, in tree-id order
-  // (the arena's arrays are indexed by tree node id); `sat` / `core_sat`
-  // cells are moved into the flat buffer. SealStructure fixes the root and
-  // computes the topological order. After sealing, AppendNode keeps working:
-  // a mutation that grew the tree absorbs its new nodes the same way (the
-  // topological order recomputes lazily).
+  // Construction. Each Add* call appends one node (ids are dense, in call
+  // order), links the given children under it and writes its |Sat| cells
+  // (and, for root-var nodes, its core) straight into the cell buffer,
+  // computed from the children's. Children must be added before their
+  // parent; SetRoot fixes the root and the topological order once the
+  // recursion returns. Mutations keep appending: a fresh subtree is added
+  // the same way and attached by SpliceNewChild (the topological order
+  // recomputes lazily).
   // -------------------------------------------------------------------------
 
   void Reserve(size_t node_count);
-  /// Pre-sizes the flat cell buffer (compilation knows the exact total |Sat|
-  /// cell count up front, so the absorb pass never reallocates it).
-  void ReserveCells(size_t cell_count) { cells_.reserve(cell_count); }
-  void AppendNode(NodeKind kind, int parent, int child_index,
-                  const std::vector<int>& children, uint32_t free_endo,
-                  bool negated, CountVector sat, CountVector core_sat);
-  void SealStructure(int root);
+  /// A ground leaf whose |Sat| vector is `sat` (GroundLeafSat of its state).
+  int AddGround(bool negated, CountVector sat);
+  /// A component node (sat = Π child sat; free_endo must be 0) or a
+  /// root-var node (core = All − Π (All − child sat),
+  /// sat = core ⊛ All(free_endo)) over already-added children.
+  int AddInner(NodeKind kind, const std::vector<int>& children,
+               uint32_t free_endo);
+  void SetRoot(int root);
 
   size_t node_count() const { return kind_.size(); }
   int root() const { return root_; }
@@ -97,31 +104,51 @@ class EngineArena {
   // Reads.
   // -------------------------------------------------------------------------
 
-  /// Materializes the node's memoized |Sat| vector (the root's feeds the
-  /// engine's baseline).
+  NodeKind kind(int node) const { return static_cast<NodeKind>(kind_[node]); }
+  int parent(int node) const { return parent_[node]; }
+  size_t child_index(int node) const {
+    return static_cast<size_t>(child_index_[node]);
+  }
+  size_t child_count(int node) const {
+    return static_cast<size_t>(child_count_[node]);
+  }
+  int child(int node, size_t j) const {
+    return children_[child_first_[node] + static_cast<int32_t>(j)];
+  }
+  uint32_t free_endo(int node) const { return free_endo_[node]; }
+  bool negated(int node) const { return negated_[node] != 0; }
+
+  /// Materializes the node's memoized |Sat| vector.
   CountVector SatOf(int node) const;
 
+  /// |Sat| of the whole database: the root's sat ⊛ All(global_free_endo),
+  /// identical to CountSat(q, db).
+  CountVector BaselineSat(size_t global_free_endo) const;
+
   // -------------------------------------------------------------------------
-  // Mutation patches (bit-identical math to the tree's patch path).
+  // Mutation patches. Each re-derives one node from the same combine rules
+  // Build used; the engine walks them up the dirtied root-to-leaf path.
   // -------------------------------------------------------------------------
 
   /// Replaces a ground leaf's |Sat| after its presence state flipped.
-  void SetLeafSat(int leaf, const CountVector& sat);
+  void SetLeafSat(int leaf, CountVector sat);
 
   /// Updates a root-var node's free-endo counter and re-derives its sat
-  /// (sat = core_sat * All(free_endo)).
+  /// (sat = core ⊛ All(free_endo)).
   void SetFreeEndo(int node, uint32_t free_endo);
 
-  /// Appends `child` (already absorbed via AbsorbNodes) under `parent` and
-  /// folds its unsat factor into the parent's core_sat/sat — the new-slice
-  /// splice of an insert. Prefix partials keep their valid entries (they
-  /// exclude the appended child); suffix partials reset.
+  /// Attaches the freshly added subtree root `child` as the last child of
+  /// the root-var node `parent` and folds its unsat factor into the
+  /// parent's core and sat — the new-slice splice of an insert. Prefix
+  /// partials keep their valid entries (they exclude the appended child);
+  /// suffix partials reset.
   void SpliceNewChild(int parent, int child);
 
-  /// Re-derives `parent`'s sat (and core_sat for root-var nodes) after child
+  /// Re-derives `parent`'s sat (and core for root-var nodes) after child
   /// j's sat changed, convolving the child's new combine vector against the
-  /// prefix/suffix sibling product, then shrinks the watermarks exactly like
-  /// the tree's MarkChildDirty. One step of the root-to-leaf patch walk.
+  /// prefix/suffix sibling product, then shrinks the partial-product
+  /// watermarks to exclude entries embedding the child's old vector. One
+  /// step of the root-to-leaf patch walk.
   void PatchChildChanged(int parent, size_t j);
 
   /// Drops every cached r-vector (the difference-propagation sweep state).
@@ -134,8 +161,8 @@ class EngineArena {
   // -------------------------------------------------------------------------
 
   /// Shapley value of the endogenous fact at `leaf`, assembled from r[leaf]
-  /// (computed and memoized along the path on demand). Bit-identical to the
-  /// tree oracle's two-propagation ValueAtLeaf.
+  /// (computed and memoized along the path on demand): the paper's
+  /// Σ_k k!(n−1−k)!/n! · (|Sat_k with f exogenous| − |Sat_k without f|).
   Rational ValueAtLeaf(int leaf, size_t endo_count, size_t global_free_endo);
 
   /// Warms r[] along the paths of all `leaves` — level-parallel over the
@@ -151,21 +178,12 @@ class EngineArena {
                       size_t num_threads, const CancelToken* cancel = nullptr);
 
   // -------------------------------------------------------------------------
-  // Orbit-id cache (read by ShapleyEngine::OrbitIds and, through it, the
-  // sampling tier's orbit stratification). Dropped by InvalidateValues.
-  // -------------------------------------------------------------------------
-
-  bool HasOrbitIds() const { return orbit_ids_valid_; }
-  const std::vector<size_t>& CachedOrbitIds() const { return orbit_ids_; }
-  void CacheOrbitIds(std::vector<size_t> ids);
-
-  // -------------------------------------------------------------------------
   // Accounting and invariants.
   // -------------------------------------------------------------------------
 
   /// Heap footprint of the arena: a handful of buffer-capacity sums (plus
   /// the heap spill of any cell wider than BigInt's inline storage, i.e.
-  /// only for |Dn| > 192). O(cells) integer reads, no tree walk.
+  /// only for |Dn| > 192). O(cells) integer reads.
   size_t ApproxMemoryBytes() const;
 
   /// Cells stranded by out-of-place vector replacements, in units of cells.
@@ -206,24 +224,37 @@ class EngineArena {
   // cell buffer) straight into `dst_ref` — no temporary vector, no
   // per-cell moves. `dst_ref` must not be `a` (re-ranged on demand; a's
   // cells are resolved after the possible buffer growth). The mirror
-  // overload keeps the scratch range on the left so the accumulation
-  // order matches the tree's Convolve exactly on both operand orders.
+  // overload keeps the scratch range on the left.
   void ConvolveSlotWithInto(int32_t& dst_ref, int32_t a_slot, const BigInt* b,
                             size_t b_len);
   void ConvolveWithSlotInto(int32_t& dst_ref, const BigInt* a, size_t a_len,
                             int32_t b_slot);
-  const BigInt* SlotCells(int32_t slot) const {
-    return cells_.data() + slots_[slot].offset;
-  }
   size_t SlotLen(int32_t slot) const { return slots_[slot].len; }
 
-  // --- combine/partial helpers (all bit-identical to the tree's math) ---
+  // --- structure ---
+  // Appends the node's SoA entries (no cells yet) and links `children`
+  // under it.
+  int AppendNode(NodeKind kind, const std::vector<int>& children,
+                 uint32_t free_endo, bool negated);
+
+  // --- the combine rules (used by Build and the patch path alike) ---
   // Child j's combine vector: its sat for component parents, its complement
   // against All for root-var parents.
   std::vector<BigInt> CombineOf(int parent, size_t j) const;
+  // acc ⊛ combine(parent, j), reading the child's cells in place.
+  std::vector<BigInt> TimesCombine(const std::vector<BigInt>& acc, int parent,
+                                   size_t j) const;
+  // Stores the node's numbers from the product of its children's combine
+  // vectors: a component's sat is the product; a root-var node's core is
+  // All − product and its sat core ⊛ All(free_endo).
+  void StoreFromProduct(int node, std::vector<BigInt> product);
+  // sat = core ⊛ All(free_endo) for a root-var node.
+  void StoreSatFromCore(int node);
+
+  // --- sibling partial products ---
   void EnsurePartialsAllocated(int parent);
   // prefix[j] = combine[0] * ... * combine[j-1]; suffix[i] likewise from the
-  // right. Valid-watermark semantics mirror the tree exactly.
+  // right, each valid up to its watermark.
   void PrefixUpTo(int parent, size_t j);
   void SuffixFrom(int parent, size_t i);
   std::vector<BigInt> SiblingCombine(int parent, size_t j);
@@ -235,7 +266,7 @@ class EngineArena {
   void EnsureTopo();
   void RecomputeTopo();
 
-  // --- node SoA (indexed by tree node id) ---
+  // --- node SoA (indexed by node id) ---
   std::vector<uint8_t> kind_;
   std::vector<int32_t> parent_;
   std::vector<int32_t> child_index_;
@@ -257,9 +288,9 @@ class EngineArena {
   std::vector<int32_t> core_slot_;  // -1 for non-root-var nodes
 
   // Partial-product slot ids, lazily sized child_count+1 per node (empty
-  // until the first sibling product is needed). Watermarks as in the tree:
-  // prefix[0..prefix_valid] and suffix[suffix_valid..m] are built; a splice
-  // grows the lists, keeping the still-valid prefix entries.
+  // until the first sibling product is needed). prefix[0..prefix_valid] and
+  // suffix[suffix_valid..m] are built; a splice grows the lists, keeping the
+  // still-valid prefix entries.
   std::vector<std::vector<int32_t>> prefix_slots_;
   std::vector<std::vector<int32_t>> suffix_slots_;
   std::vector<uint32_t> prefix_valid_;
@@ -272,9 +303,6 @@ class EngineArena {
   std::vector<uint32_t> r_epoch_;
   std::vector<uint32_t> rfree_epoch_;
   uint32_t epoch_ = 1;
-
-  std::vector<size_t> orbit_ids_;
-  bool orbit_ids_valid_ = false;
 };
 
 }  // namespace shapcq

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cstdarg>
 #include <cstdio>
 
 #include "core/brute_force.h"
@@ -9,6 +10,7 @@
 #include "core/shapley.h"
 #include "query/classify.h"
 #include "util/cancel.h"
+#include "util/check.h"
 
 namespace shapcq {
 
@@ -19,6 +21,30 @@ std::string DeadlineExceededMessage(size_t deadline_ms) {
 }
 
 namespace {
+
+// Appends one printf-formatted line of any length. Exact values run to
+// hundreds of digits at a few hundred endogenous facts, so rows are
+// formatted straight into the string's tail: one pass when the line fits
+// the initial guess, a second with the exact length otherwise.
+void AppendFormatted(std::string* out, const char* format, ...) {
+  constexpr size_t kGuess = 256;
+  const size_t at = out->size();
+  va_list args;
+  va_start(args, format);
+  va_list retry;
+  va_copy(retry, args);
+  out->resize(at + kGuess);
+  const int len = std::vsnprintf(&(*out)[at], kGuess, format, args);
+  va_end(args);
+  SHAPCQ_CHECK(len >= 0);
+  const size_t size = static_cast<size_t>(len);
+  if (size >= kGuess) {
+    out->resize(at + size + 1);
+    std::vsnprintf(&(*out)[at], size + 1, format, retry);
+  }
+  va_end(retry);
+  out->resize(at + size);
+}
 
 // Descending by value via the division-free three-way compare: the sign
 // fast path settles most pairs (reports mix positive, zero and negative
@@ -73,7 +99,7 @@ Result<AttributionReport> BuildApproxReport(const CQ& q, const Database& db,
     // The exact engine's orbit partition is at least as coarse as the
     // signature one (it groups by value, not just by automorphism), so
     // forced sampling on tractable queries borrows it for stratification.
-    auto built = ShapleyEngine::Build(q, db, options.engine_core, cancel);
+    auto built = ShapleyEngine::Build(q, db, cancel);
     if (built.ok()) {
       ShapleyEngine engine = std::move(built).value();
       engine_orbits = engine.OrbitIds();
@@ -199,8 +225,7 @@ Result<AttributionReport> BuildAttributionReport(
   ParallelOptions parallel;
   parallel.num_threads = options.num_threads;
   if (report.engine == "CntSat") {
-    auto result = ShapleyAllViaCountSat(q, db, parallel, options.engine_core,
-                                        cancel);
+    auto result = ShapleyAllViaCountSat(q, db, parallel, cancel);
     if (!result.ok()) {
       if (CancelToken::IsCancelled(result.error())) {
         if (options.on_deadline == OnDeadline::kApprox) {
@@ -260,46 +285,36 @@ Result<AttributionReport> BuildAttributionReportFromEngine(
 
 std::string RenderReport(const AttributionReport& report, const Database& db) {
   std::string out = "engine: " + report.engine + "\n";
-  char line[200];
   if (report.approximate) {
     // Provenance first: the parameters that make the table reproducible
     // (seed-pure) and interpretable (joint coverage at 1 - delta).
-    std::snprintf(line, sizeof(line),
-                  "approx: eps=%g delta=%g seed=%" PRIu64
-                  " samples_per_orbit=%zu orbits=%zu/%zu source=%s capped=%s\n",
-                  report.approx.epsilon, report.approx.delta,
-                  report.approx.seed, report.approx.samples_per_orbit,
-                  report.approx.sampled_orbits, report.approx.orbit_count,
-                  report.approx.orbit_source.c_str(),
-                  report.approx.budget_capped ? "yes" : "no");
-    out += line;
-    std::snprintf(line, sizeof(line), "%-30s %14s %10s %10s %9s\n", "fact",
-                  "estimate", "~decimal", "+-ci", "samples");
-    out += line;
+    AppendFormatted(&out,
+                    "approx: eps=%g delta=%g seed=%" PRIu64
+                    " samples_per_orbit=%zu orbits=%zu/%zu source=%s "
+                    "capped=%s\n",
+                    report.approx.epsilon, report.approx.delta,
+                    report.approx.seed, report.approx.samples_per_orbit,
+                    report.approx.sampled_orbits, report.approx.orbit_count,
+                    report.approx.orbit_source.c_str(),
+                    report.approx.budget_capped ? "yes" : "no");
+    AppendFormatted(&out, "%-30s %14s %10s %10s %9s\n", "fact", "estimate",
+                    "~decimal", "+-ci", "samples");
     for (const Attribution& row : report.rows) {
-      std::snprintf(line, sizeof(line), "%-30s %14s %10.4f %10.4f %9zu\n",
-                    db.FactToString(row.fact).c_str(),
-                    row.value.ToString().c_str(), row.value.ToDouble(),
-                    row.ci_radius, row.samples);
-      out += line;
+      AppendFormatted(&out, "%-30s %14s %10.4f %10.4f %9zu\n",
+                      db.FactToString(row.fact).c_str(),
+                      row.value.ToString().c_str(), row.value.ToDouble(),
+                      row.ci_radius, row.samples);
     }
-    std::snprintf(line, sizeof(line), "%-30s %14s\n", "total",
+  } else {
+    AppendFormatted(&out, "%-30s %14s %10s\n", "fact", "Shapley", "~decimal");
+    for (const Attribution& row : report.rows) {
+      AppendFormatted(&out, "%-30s %14s %10.4f\n",
+                      db.FactToString(row.fact).c_str(),
+                      row.value.ToString().c_str(), row.value.ToDouble());
+    }
+  }
+  AppendFormatted(&out, "%-30s %14s\n", "total",
                   report.total.ToString().c_str());
-    out += line;
-    return out;
-  }
-  std::snprintf(line, sizeof(line), "%-30s %14s %10s\n", "fact", "Shapley",
-                "~decimal");
-  out += line;
-  for (const Attribution& row : report.rows) {
-    std::snprintf(line, sizeof(line), "%-30s %14s %10.4f\n",
-                  db.FactToString(row.fact).c_str(),
-                  row.value.ToString().c_str(), row.value.ToDouble());
-    out += line;
-  }
-  std::snprintf(line, sizeof(line), "%-30s %14s\n", "total",
-                report.total.ToString().c_str());
-  out += line;
   return out;
 }
 

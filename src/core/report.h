@@ -86,9 +86,6 @@ struct ReportOptions {
   ApproxSpec approx;              // sampling tier: disabled unless
                                   // approx.enabled(); with approx.force the
                                   // sampler runs even on tractable queries
-  EngineCore engine_core =        // numeric core for ShapleyEngine builds
-      EngineCore::kArena;         // (kTree = the differential oracle;
-                                  // values are bit-identical either way)
   size_t deadline_ms = 0;         // wall-clock budget for the report
                                   // (0 = none). Covers the CntSat build +
                                   // sweep and the sampling tier; expiry

@@ -40,16 +40,15 @@ Result<Rational> ShapleyViaCountSat(const CQ& q, const Database& db, FactId f);
 
 /// Shapley values of every endogenous fact (endo-index order). Runs the
 /// single-pass ShapleyEngine (shapley_engine.h): one shared CntSat index,
-/// per-fact path re-evaluation, one value per symmetry orbit. With
-/// options.num_threads > 1 the orbit re-evaluations run on a worker pool;
-/// the output is bit-identical to the serial default at any thread count —
-/// and to either numeric core (`core` picks the flat arena or the
-/// pointer-linked tree oracle). A non-null `cancel` token covers both the
-/// engine build and the value sweep; on expiry the call returns the
-/// cancellation error (CancelToken::IsCancelled) and nothing is retained.
+/// one shared evaluation sweep, one value per symmetry orbit. With
+/// options.num_threads > 1 the sweep runs on a worker pool; the output is
+/// bit-identical to the serial default at any thread count. A non-null
+/// `cancel` token covers both the engine build and the value sweep; on
+/// expiry the call returns the cancellation error (CancelToken::IsCancelled)
+/// and nothing is retained.
 Result<std::vector<Rational>> ShapleyAllViaCountSat(
     const CQ& q, const Database& db, const ParallelOptions& options = {},
-    EngineCore core = EngineCore::kArena, const CancelToken* cancel = nullptr);
+    const CancelToken* cancel = nullptr);
 
 /// Convenience dispatcher: hierarchical self-join-free queries go through
 /// CntSat; with a non-empty `exo` set, non-hierarchical queries without a

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -12,7 +11,6 @@
 #include "core/atom_pattern.h"
 #include "core/count_sat.h"
 #include "core/engine_arena.h"
-#include "core/shapley.h"
 #include "query/analysis.h"
 #include "util/cancel.h"
 #include "util/check.h"
@@ -34,40 +32,16 @@ using IndexLists = std::vector<std::vector<uint32_t>>;
 // ---------------------------------------------------------------------------
 
 struct ShapleyEngine::Impl {
-  // One node of the memoized CntSat recursion tree. Beyond the memoized
-  // counts, every node carries the routing metadata incremental maintenance
-  // needs to steer an inserted fact from the root to its leaf (or to build a
-  // fresh subtree for a root value the database has not seen before).
-  struct Node {
-    enum class Kind { kGround, kComponent, kRootVar };
-    Kind kind = Kind::kGround;
-    int parent = -1;       // node id, -1 for the root
-    int child_index = -1;  // position within parent's children
-    std::vector<int> children;
-    size_t free_endo = 0;  // kRootVar: endo facts inconsistent at the root var
-    bool negated = false;  // kGround: the atom's polarity
-    CountVector sat = CountVector::Zero(0);  // memoized |Sat| of this subtree
-    int sig = -1;          // hash-consed structural signature
-    // Lazily built: context[j] = convolution of all children's combine
-    // vectors except child j (sat for kComponent, unsat for kRootVar).
-    std::vector<CountVector> context;
-    // Persistent partial products backing both the context table and the
-    // mutation patches: prefix[i] = combine[0] ⊛ … ⊛ combine[i-1], valid for
-    // i <= prefix_valid; suffix[i] = combine[i] ⊛ … ⊛ combine[m-1], valid
-    // for i >= suffix_valid (prefix[0] and suffix[m] are the identity).
-    // A patch of child j consumes prefix[j] ⊛ suffix[j+1] and then shrinks
-    // the watermarks to exclude stale entries embedding j's old vector —
-    // so a steady stream of deltas along one path costs O(1) convolutions
-    // per ancestor instead of O(children).
-    std::vector<CountVector> prefix, suffix;
-    size_t prefix_valid = 0;
-    size_t suffix_valid = 0;
+  using Kind = EngineArena::NodeKind;
 
-    // --- incremental-maintenance state ---
-    // kRootVar: sat before the All(free_endo) factor. Kept so free-count
-    // changes and new-child splices re-derive sat without re-convolving all
-    // children (complementing core recovers the product of child unsats).
-    CountVector core_sat;
+  // Routing metadata of one recursion node; its structure (kind, parent,
+  // children, free-endo counter, polarity) and counts live in the arena
+  // under the same id. Incremental maintenance uses it to steer an inserted
+  // fact from the root to its leaf (or to build a fresh subtree for a root
+  // value the database has not seen before); orbit keys are built from the
+  // signatures.
+  struct Node {
+    int sig = -1;  // hash-consed structural signature
     // kGround: presence state of the leaf's (unique) matching fact.
     GroundFactState leaf_state = GroundFactState::kAbsent;
     // kGround: original atom index this leaf grounds.
@@ -99,18 +73,11 @@ struct ShapleyEngine::Impl {
   const Database* db = nullptr;
   size_t endo_count = 0;
   size_t global_free_endo = 0;  // endo facts matching no atom pattern
-  std::vector<Node> nodes;
-  int root = -1;
-  CountVector baseline = CountVector::Zero(0);
+  std::vector<Node> nodes;      // indexed by arena node id
   std::vector<QueryAtom> atoms;
 
-  // Numeric core. With kArena every count vector (memoized sat/core_sat,
-  // partial products, evaluation state) lives in the flat arena and the tree
-  // nodes above keep routing metadata only — their CountVector members stay
-  // [1] identities after the compile step moves the cells out. With kTree
-  // the arena stays empty and the node vectors are authoritative (the
-  // original implementation, kept as the differential oracle).
-  EngineCore core = EngineCore::kArena;
+  // The numeric core: node structure, every count vector (memoized
+  // sat/core, partial products, evaluation state) and the evaluation sweep.
   EngineArena arena;
 
   // Shared fact arena: matched facts as indices, queried via *db. Append-
@@ -147,46 +114,34 @@ struct ShapleyEngine::Impl {
   const CancelToken* build_cancel = nullptr;
   bool build_cancelled = false;
 
-  // One flag per node, allocated before the first parallel fan-out: workers
-  // racing to EnsureContexts on a shared ancestor serialize through
-  // call_once, which also publishes the built vectors to the losers. Null
-  // until a parallel query happens; the serial path never pays for it.
-  // Mutations reset it (flags are single-use), so the next parallel query
-  // re-allocates flags covering any nodes the mutation added.
-  std::unique_ptr<std::vector<std::once_flag>> context_once;
-
   int Intern(const std::string& canonical) {
     return sig_interner
         .emplace(canonical, static_cast<int>(sig_interner.size()))
         .first->second;
   }
 
-  int AddNode(Node node) {
+  // Registers the routing metadata of the node the arena just appended and
+  // signs it.
+  int AddNode(int id, Node node) {
+    SHAPCQ_CHECK(static_cast<size_t>(id) == nodes.size());
     nodes.push_back(std::move(node));
-    return static_cast<int>(nodes.size()) - 1;
+    ResignNode(id);
+    return id;
   }
 
   int BuildNode(const CQ& q, IndexLists lists,
                 const std::vector<size_t>& atom_ids);
-  void AbsorbNodeIntoArena(int node_id);
   void ResignNode(int node_id);
-  CountVector CombineOf(const Node& parent, int child_id) const;
-  void EnsurePartials(int node_id);
-  const CountVector& PrefixUpTo(int node_id, size_t j);
-  const CountVector& SuffixFrom(int node_id, size_t i);
-  void EnsureContexts(int node_id);
-  void EnsureContextsFor(int node_id);
-  CountVector SiblingCombine(int parent_id, size_t j);
-  void MarkChildDirty(Node& parent, size_t j);
-  CountVector PropagateToRoot(int leaf, CountVector vec);
-  Rational ValueAtLeaf(int leaf);
   const Rational& OrbitValue(size_t endo_index);
   void RefreshOrbitKeysIfDirty();
+  std::vector<size_t> MissingRepresentatives() const;
+  bool WarmRepresentatives(const std::vector<size_t>& rep_endo,
+                           size_t num_threads, const CancelToken* cancel);
   void ApplyInsert(FactId fact);
   void RouteInsert(int node_id, uint32_t arena_index, size_t atom_id);
   void ApplyDelete(FactId fact, bool endo, size_t endo_idx);
   void PatchAncestors(int dirty);
-  void FinishMutation();
+  void RefreshDerivedState();
 };
 
 // ---------------------------------------------------------------------------
@@ -197,32 +152,37 @@ struct ShapleyEngine::Impl {
 // children's (already current) signatures, and interns it. Used both by the
 // initial bottom-up build and by mutation patches walking a dirty path.
 void ShapleyEngine::Impl::ResignNode(int node_id) {
-  Node& node = nodes[node_id];
   std::string canonical;
-  switch (node.kind) {
-    case Node::Kind::kGround:
-      canonical = "G|" + std::to_string(node.negated ? 1 : 0) + "|" +
-                  std::to_string(static_cast<int>(node.leaf_state));
+  switch (arena.kind(node_id)) {
+    case Kind::kGround: {
+      const int negated = arena.negated(node_id) ? 1 : 0;
+      const int state = static_cast<int>(nodes[node_id].leaf_state);
+      canonical = "G|" + std::to_string(negated) + "|" + std::to_string(state);
       break;
-    case Node::Kind::kComponent:
-    case Node::Kind::kRootVar: {
+    }
+    case Kind::kComponent:
+    case Kind::kRootVar: {
+      const size_t m = arena.child_count(node_id);
       std::vector<int> child_sigs;
-      child_sigs.reserve(node.children.size());
-      for (int child : node.children) child_sigs.push_back(nodes[child].sig);
+      child_sigs.reserve(m);
+      for (size_t j = 0; j < m; ++j) {
+        child_sigs.push_back(nodes[arena.child(node_id, j)].sig);
+      }
       std::sort(child_sigs.begin(), child_sigs.end());
-      canonical = node.kind == Node::Kind::kComponent
+      canonical = arena.kind(node_id) == Kind::kComponent
                       ? "C"
-                      : "R|f" + std::to_string(node.free_endo);
+                      : "R|f" + std::to_string(arena.free_endo(node_id));
       for (int sig : child_sigs) canonical += "|" + std::to_string(sig);
       break;
     }
   }
-  node.sig = Intern(canonical);
+  nodes[node_id].sig = Intern(canonical);
 }
 
 // ---------------------------------------------------------------------------
-// Tree construction (mirrors CoreCount in count_sat.cc; runs at Build and,
-// incrementally, whenever an insert opens a subtree for an unseen root value)
+// Recursion (mirrors CoreCount in count_sat.cc; runs at Build and,
+// incrementally, whenever an insert opens a subtree for an unseen root
+// value). Every node goes into the arena as soon as its children exist.
 // ---------------------------------------------------------------------------
 
 int ShapleyEngine::Impl::BuildNode(const CQ& q, IndexLists lists,
@@ -232,24 +192,19 @@ int ShapleyEngine::Impl::BuildNode(const CQ& q, IndexLists lists,
 
   // Cancelled build: synthesize an inert leaf so every pending ancestor
   // finishes constructing with its invariants intact (Build() throws the
-  // whole tree away afterwards). Numeric content is irrelevant — no value
+  // whole engine away afterwards). Numeric content is irrelevant — no value
   // is ever served from a cancelled build.
-  if (build_cancel != nullptr &&
-      (build_cancelled || build_cancel->Expired())) {
+  if (build_cancel != nullptr && (build_cancelled || build_cancel->Expired())) {
     build_cancelled = true;
-    Node node;
-    node.kind = Node::Kind::kGround;
-    node.sat = GroundLeafSat(/*negated=*/false, GroundFactState::kAbsent);
-    const int id = AddNode(std::move(node));
-    ResignNode(id);
-    return id;
+    CountVector inert = GroundLeafSat(false, GroundFactState::kAbsent);
+    return AddNode(arena.AddGround(false, std::move(inert)), Node());
   }
 
   // Disconnected subquery: one child per variable-connected component.
   const auto components = AtomComponents(q);
   if (components.size() > 1) {
     std::vector<int> children;
-    std::unordered_map<size_t, int> child_by_atom;
+    Node node;
     for (const auto& component : components) {
       CQ sub = q.Restrict(component);
       IndexLists sub_lists;
@@ -262,25 +217,12 @@ int ShapleyEngine::Impl::BuildNode(const CQ& q, IndexLists lists,
       }
       const int child = BuildNode(sub, std::move(sub_lists), sub_atom_ids);
       for (size_t index : component) {
-        child_by_atom[atom_ids[index]] = child;
+        node.child_by_atom[atom_ids[index]] = child;
       }
       children.push_back(child);
     }
-    Node node;
-    node.kind = Node::Kind::kComponent;
-    node.children = children;
-    node.child_by_atom = std::move(child_by_atom);
-    node.sat = CountVector();  // identity of Convolve
-    for (int child : children) {
-      node.sat.ConvolveWith(nodes[child].sat);
-    }
-    const int id = AddNode(std::move(node));
-    for (size_t i = 0; i < children.size(); ++i) {
-      nodes[children[i]].parent = id;
-      nodes[children[i]].child_index = static_cast<int>(i);
-    }
-    ResignNode(id);
-    return id;
+    const int id = arena.AddInner(Kind::kComponent, children, 0);
+    return AddNode(id, std::move(node));
   }
 
   if (q.UsedVars().empty()) {
@@ -290,18 +232,16 @@ int ShapleyEngine::Impl::BuildNode(const CQ& q, IndexLists lists,
     const std::vector<uint32_t>& list = lists[0];
     SHAPCQ_CHECK_MSG(list.size() <= 1,
                      "ground atom with more than one matching fact");
+    const bool negated = q.atom(0).negated;
     Node node;
-    node.kind = Node::Kind::kGround;
-    node.negated = q.atom(0).negated;
     node.atom_id = atom_ids[0];
-    node.leaf_state = GroundFactState::kAbsent;
     if (!list.empty()) {
       node.leaf_state = arena_endo[list[0]] ? GroundFactState::kEndogenous
                                             : GroundFactState::kExogenous;
     }
-    node.sat = GroundLeafSat(node.negated, node.leaf_state);
-    const int id = AddNode(std::move(node));
-    ResignNode(id);
+    CountVector sat = GroundLeafSat(negated, node.leaf_state);
+    const int id = arena.AddGround(negated, std::move(sat));
+    AddNode(id, std::move(node));
     if (!list.empty()) {
       const FactId fact = arena_fact[list[0]];
       leaf_of_fact[fact] = id;
@@ -330,7 +270,7 @@ int ShapleyEngine::Impl::BuildNode(const CQ& q, IndexLists lists,
   // Their endogenous members are null players — they stay leaf-less and the
   // node only remembers their count (an All(free_endo) convolution factor).
   std::map<int32_t, IndexLists> slices;
-  size_t free_endo = 0;
+  uint32_t free_endo = 0;
   std::vector<FactId> free_facts;
   for (size_t i = 0; i < q.atom_count(); ++i) {
     for (uint32_t index : lists[i]) {
@@ -356,214 +296,26 @@ int ShapleyEngine::Impl::BuildNode(const CQ& q, IndexLists lists,
   }
 
   std::vector<int> children;
-  std::map<int32_t, int> child_by_value;
-  CountVector unsat_all;  // identity; grows over the slice universes
+  Node node;
   for (auto& [value_id, slice_lists] : slices) {
     CQ sliced = q.Substitute(*rootvar, shapcq::Value{value_id});
     const int child = BuildNode(sliced, std::move(slice_lists), atom_ids);
     children.push_back(child);
-    child_by_value[value_id] = child;
-    unsat_all.ConvolveWith(nodes[child].sat.ComplementAgainstAll());
+    node.child_by_value[value_id] = child;
   }
-
-  Node node;
-  node.kind = Node::Kind::kRootVar;
-  node.children = children;
-  node.free_endo = free_endo;
-  node.core_sat = CountVector::All(unsat_all.universe_size()) - unsat_all;
-  node.sat = node.core_sat.Convolve(CountVector::All(free_endo));
   node.root_var = *rootvar;
   node.root_positions = std::move(root_positions);
-  node.child_by_value = std::move(child_by_value);
   node.subquery = q;
   node.atom_ids = atom_ids;
-  const int id = AddNode(std::move(node));
-  for (size_t i = 0; i < children.size(); ++i) {
-    nodes[children[i]].parent = id;
-    nodes[children[i]].child_index = static_cast<int>(i);
-  }
-  ResignNode(id);
+  const int id = arena.AddInner(Kind::kRootVar, children, free_endo);
+  AddNode(id, std::move(node));
   for (FactId fact : free_facts) free_node_of_fact[fact] = id;
   return id;
 }
 
-// Compile step for one tree node: metadata is copied into the arena's
-// parallel arrays, the numeric vectors are MOVED into the flat cell buffer,
-// and the tree node keeps [1] identities in their place (routing metadata —
-// slice maps, subqueries, signatures — stays authoritative in the tree).
-// Called for every node at Build and for the fresh subtree of an insert.
-void ShapleyEngine::Impl::AbsorbNodeIntoArena(int node_id) {
-  Node& node = nodes[node_id];
-  EngineArena::NodeKind kind = EngineArena::NodeKind::kGround;
-  switch (node.kind) {
-    case Node::Kind::kGround:
-      kind = EngineArena::NodeKind::kGround;
-      break;
-    case Node::Kind::kComponent:
-      kind = EngineArena::NodeKind::kComponent;
-      break;
-    case Node::Kind::kRootVar:
-      kind = EngineArena::NodeKind::kRootVar;
-      break;
-  }
-  // The moves leave hollow CountVectors behind (arena-mode tree nodes are
-  // routing metadata only; numerically they are touched just by destruction,
-  // assignment and ApproxMemoryBytes, all safe on a hollow vector). Not
-  // resetting them to fresh [1] identities keeps the absorb pass free of
-  // per-node allocator traffic.
-  arena.AppendNode(kind, node.parent, node.child_index, node.children,
-                   static_cast<uint32_t>(node.free_endo), node.negated,
-                   std::move(node.sat), std::move(node.core_sat));
-}
-
 // ---------------------------------------------------------------------------
-// Per-fact path re-evaluation
+// Values and orbits
 // ---------------------------------------------------------------------------
-
-// combine(i): the vector child i contributes to the parent's product — its
-// sat for conjunction (kComponent), its unsat for the "no slice holds"
-// product (kRootVar).
-CountVector ShapleyEngine::Impl::CombineOf(const Node& parent,
-                                           int child_id) const {
-  return parent.kind == Node::Kind::kRootVar
-             ? nodes[child_id].sat.ComplementAgainstAll()
-             : nodes[child_id].sat;
-}
-
-// Allocates (or re-sizes after a new-child splice) the partial-product
-// arrays. Fresh entries are the Convolve identity; the watermarks mark
-// everything else as not-yet-built.
-void ShapleyEngine::Impl::EnsurePartials(int node_id) {
-  Node& node = nodes[node_id];
-  const size_t m = node.children.size();
-  if (node.prefix.size() != m + 1) {
-    // A grown prefix keeps its valid entries (they exclude the new last
-    // child by construction); fresh entries default-construct to the
-    // identity, which is exactly prefix[0].
-    node.prefix.resize(m + 1);
-    node.prefix_valid = std::min(node.prefix_valid, m);
-  }
-  if (node.suffix.size() != m + 1) {
-    // Every old suffix entry misses the newly appended child: rebuild lazily
-    // from the identity at the new end.
-    node.suffix.assign(m + 1, CountVector());
-    node.suffix_valid = m;
-  }
-}
-
-const CountVector& ShapleyEngine::Impl::PrefixUpTo(int node_id, size_t j) {
-  Node& node = nodes[node_id];
-  for (size_t i = node.prefix_valid; i < j; ++i) {
-    node.prefix[i + 1] =
-        node.prefix[i].Convolve(CombineOf(node, node.children[i]));
-  }
-  node.prefix_valid = std::max(node.prefix_valid, j);
-  return node.prefix[j];
-}
-
-const CountVector& ShapleyEngine::Impl::SuffixFrom(int node_id, size_t i) {
-  Node& node = nodes[node_id];
-  for (size_t k = node.suffix_valid; k > i; --k) {
-    node.suffix[k - 1] =
-        CombineOf(node, node.children[k - 1]).Convolve(node.suffix[k]);
-  }
-  node.suffix_valid = std::min(node.suffix_valid, i);
-  return node.suffix[i];
-}
-
-void ShapleyEngine::Impl::EnsureContexts(int node_id) {
-  Node& node = nodes[node_id];
-  if (!node.context.empty() || node.children.empty()) return;
-  const size_t m = node.children.size();
-  // prefix[m] and suffix[0] (the full products) are never read by any
-  // context[j]; stopping one short skips the two widest convolutions.
-  EnsurePartials(node_id);
-  PrefixUpTo(node_id, m - 1);
-  SuffixFrom(node_id, 1);
-  node.context.reserve(m);
-  for (size_t j = 0; j < m; ++j) {
-    node.context.push_back(node.prefix[j].Convolve(node.suffix[j + 1]));
-  }
-}
-
-// Thread-aware front door to EnsureContexts: once any parallel query has
-// allocated the per-node once_flags, context construction funnels through
-// call_once (one builder per node, result published to every waiter). Before
-// that, it is the plain serial call.
-void ShapleyEngine::Impl::EnsureContextsFor(int node_id) {
-  if (context_once != nullptr) {
-    std::call_once((*context_once)[node_id],
-                   [this, node_id] { EnsureContexts(node_id); });
-    return;
-  }
-  EnsureContexts(node_id);
-}
-
-// Product of the combine vectors of every child of `parent_id` EXCEPT child
-// j. Reads the memoized context when present (it excludes child j, so it
-// survives child j's own mutation); otherwise composes it from the
-// persistent prefix/suffix partials — both exclude child j, so after one
-// warm-up a steady delta stream along this child costs one convolution here.
-CountVector ShapleyEngine::Impl::SiblingCombine(int parent_id, size_t j) {
-  if (!nodes[parent_id].context.empty()) return nodes[parent_id].context[j];
-  EnsurePartials(parent_id);
-  return PrefixUpTo(parent_id, j).Convolve(SuffixFrom(parent_id, j + 1));
-}
-
-// Invalidates exactly the cached products that embed child j's replaced
-// combine vector: the whole context table, the prefixes past j and the
-// suffixes at or before j. prefix[0..j] and suffix[j+1..] exclude j and
-// stay warm for the next patch through the same child.
-void ShapleyEngine::Impl::MarkChildDirty(Node& parent, size_t j) {
-  parent.context.clear();
-  if (!parent.prefix.empty()) {
-    parent.prefix_valid = std::min(parent.prefix_valid, j);
-    parent.suffix_valid = std::max(parent.suffix_valid, j + 1);
-  }
-}
-
-// Walks a perturbed leaf vector up to the root, re-convolving against the
-// memoized sibling products. The returned vector is the full-database |Sat|
-// with the leaf's fact forced to the given leaf vector (universe n-1).
-CountVector ShapleyEngine::Impl::PropagateToRoot(int leaf, CountVector vec) {
-  for (int node = leaf; nodes[node].parent >= 0;) {
-    const int parent = nodes[node].parent;
-    const int j = nodes[node].child_index;
-    EnsureContextsFor(parent);
-    const Node& pn = nodes[parent];
-    if (pn.kind == Node::Kind::kComponent) {
-      vec = pn.context[j].Convolve(vec);
-    } else {
-      CountVector unsat_all =
-          pn.context[j].Convolve(vec.ComplementAgainstAll());
-      vec = CountVector::All(unsat_all.universe_size()) - unsat_all;
-      if (pn.free_endo > 0) {
-        vec.ConvolveWith(CountVector::All(pn.free_endo));
-      }
-    }
-    node = parent;
-  }
-  if (global_free_endo > 0) {
-    vec.ConvolveWith(CountVector::All(global_free_endo));
-  }
-  return vec;
-}
-
-// Shapley value of the fact at `leaf`: re-evaluates the two perturbed
-// scenarios (fact exogenous / fact removed) along the single path.
-Rational ShapleyEngine::Impl::ValueAtLeaf(int leaf) {
-  if (core == EngineCore::kArena) {
-    return arena.ValueAtLeaf(leaf, endo_count, global_free_endo);
-  }
-  const bool negated = nodes[leaf].negated;
-  // Forced exogenous: a positive ground atom is always satisfied (All(0)),
-  // a negated one always blocked (Zero(0)). Removal is the mirror image.
-  CountVector present = CountVector::All(0);
-  CountVector absent = CountVector::Zero(0);
-  CountVector sat_with = PropagateToRoot(leaf, negated ? absent : present);
-  CountVector sat_without = PropagateToRoot(leaf, negated ? present : absent);
-  return ShapleyFromSatCounts(sat_with, sat_without, endo_count);
-}
 
 // Memoized per-orbit value for the fact at the given endo index (which must
 // not be a null player).
@@ -571,84 +323,91 @@ const Rational& ShapleyEngine::Impl::OrbitValue(size_t endo_index) {
   const std::vector<int>& key = orbit_key_of_endo[endo_index];
   auto it = orbit_values.find(key);
   if (it == orbit_values.end()) {
-    it = orbit_values.emplace(key, ValueAtLeaf(leaf_of_endo[endo_index]))
-             .first;
+    const int leaf = leaf_of_endo[endo_index];
+    Rational value = arena.ValueAtLeaf(leaf, endo_count, global_free_endo);
+    it = orbit_values.emplace(key, std::move(value)).first;
   }
   return it->second;
 }
 
-// Mutations re-hash the signatures of the dirtied path but defer key
-// regeneration to the next query: one pass over the endogenous facts,
-// re-collecting the (partly re-interned) signatures along each leaf-to-root
-// path. Pure integer work — no count vector is touched.
+// Orbit keys are (re)collected lazily after Build and after every mutation:
+// one pass over the endogenous facts, gathering the (partly re-interned)
+// signatures along each leaf-to-root path. Equal keys -> the leaves are
+// related by an automorphism of the recursion -> the facts are symmetric
+// players with equal Shapley values. Pure integer work.
 void ShapleyEngine::Impl::RefreshOrbitKeysIfDirty() {
   if (!orbit_keys_dirty) return;
   for (size_t e = 0; e < endo_count; ++e) {
     std::vector<int>& key = orbit_key_of_endo[e];
     key.clear();
-    for (int node = leaf_of_endo[e]; node >= 0; node = nodes[node].parent) {
+    for (int node = leaf_of_endo[e]; node >= 0; node = arena.parent(node)) {
       key.push_back(nodes[node].sig);
     }
   }
   orbit_keys_dirty = false;
 }
 
+// Orbit representatives still missing from the memo, in first-seen
+// endo-index order — the exact representative (and therefore the exact
+// leaf) the serial path evaluates, whichever path warms it.
+std::vector<size_t> ShapleyEngine::Impl::MissingRepresentatives() const {
+  std::vector<size_t> rep_endo;
+  std::set<std::vector<int>> seen;
+  for (size_t e = 0; e < endo_count; ++e) {
+    if (leaf_of_endo[e] < 0) continue;  // null player
+    const std::vector<int>& key = orbit_key_of_endo[e];
+    if (orbit_values.count(key) != 0) continue;  // already memoized
+    if (seen.insert(key).second) rep_endo.push_back(e);
+  }
+  return rep_endo;
+}
+
+// Fills every representative's r-vector with the arena's level-parallel
+// sweep (slot lengths pinned by a serial prepass, so workers never move the
+// cell buffer); the serial assembly afterwards reads warm state only.
+// Bit-identical to the serial path at every thread count by the
+// slot-per-result argument in engine_arena.h. A no-op serially or for a
+// single representative. Returns false when `cancel` expired mid-sweep.
+bool ShapleyEngine::Impl::WarmRepresentatives(
+    const std::vector<size_t>& rep_endo, size_t num_threads,
+    const CancelToken* cancel) {
+  if (num_threads <= 1 || rep_endo.size() <= 1) return true;
+  Combinatorics::Prewarm(endo_count);
+  std::vector<int> rep_leaves;
+  rep_leaves.reserve(rep_endo.size());
+  for (size_t e : rep_endo) rep_leaves.push_back(leaf_of_endo[e]);
+  return arena.WarmValuePaths(rep_leaves, global_free_endo, num_threads,
+                              cancel);
+}
+
 // ---------------------------------------------------------------------------
 // Incremental maintenance
 // ---------------------------------------------------------------------------
 
-// Re-derives the |Sat| vectors of every ancestor of `dirty` (whose own sat
-// and sig the caller has already updated), bottom-up along the single
-// root-to-leaf path. Each step convolves the child's new combine vector
-// against the sibling product — memoized context when available, direct
-// convolution otherwise — so the patch never touches a node off the path.
-// The ancestors' context tables are dropped (their other entries embed the
-// child's stale vector) and rebuilt lazily by the next query.
+// Re-derives the counts of every ancestor of `dirty` (whose own counts and
+// sig the caller has already updated), bottom-up along the single
+// root-to-leaf path; the arena convolves each child's new combine vector
+// against its sibling product, so the patch never touches a node off the
+// path.
 void ShapleyEngine::Impl::PatchAncestors(int dirty) {
-  for (int node = dirty; nodes[node].parent >= 0;) {
-    const int parent = nodes[node].parent;
-    const size_t j = static_cast<size_t>(nodes[node].child_index);
-    if (core == EngineCore::kArena) {
-      arena.PatchChildChanged(parent, j);
-    } else {
-      CountVector sibling = SiblingCombine(parent, j);
-      Node& pn = nodes[parent];
-      if (pn.kind == Node::Kind::kComponent) {
-        pn.sat = sibling.Convolve(nodes[node].sat);
-      } else {
-        CountVector unsat_all =
-            sibling.Convolve(nodes[node].sat.ComplementAgainstAll());
-        pn.core_sat = CountVector::All(unsat_all.universe_size()) - unsat_all;
-        pn.sat = pn.core_sat.Convolve(CountVector::All(pn.free_endo));
-      }
-      MarkChildDirty(pn, j);
-    }
+  for (int node = dirty; arena.parent(node) >= 0;) {
+    const int parent = arena.parent(node);
+    arena.PatchChildChanged(parent, arena.child_index(node));
     ResignNode(parent);
     node = parent;
   }
-  FinishMutation();
+  RefreshDerivedState();
 }
 
-// Invalidation epilogue of every value-affecting mutation. The player count
-// changed (or the root's |Sat| did), so every memoized per-orbit Rational is
-// stale even though only one path's count vectors moved; orbit keys
-// regenerate lazily. The once-flag vector is single-use and may be
-// under-sized after an insert added nodes, so it is dropped and re-allocated
-// by the next parallel query.
-void ShapleyEngine::Impl::FinishMutation() {
-  if (core == EngineCore::kArena) {
-    // Every r-vector embeds path products and the All(global_free_endo)
-    // root seed; the orbit-id cache keys off the (possibly changed) player
-    // set. Both are stale after any value-affecting mutation.
-    arena.InvalidateValues();
-    baseline = arena.SatOf(root).Convolve(CountVector::All(global_free_endo));
-  } else {
-    baseline =
-        nodes[root].sat.Convolve(CountVector::All(global_free_endo));
-  }
+// Epilogue of Build and of every value-affecting mutation: recomputes the
+// stats and drops what is rebuilt lazily on the next query (r-vectors,
+// per-orbit values, orbit keys). After a mutation all of it is stale even
+// though only one path's count vectors moved: the player count or the
+// root's |Sat| changed, which re-weights every value.
+void ShapleyEngine::Impl::RefreshDerivedState() {
+  arena.InvalidateValues();
   orbit_values.clear();
   orbit_keys_dirty = true;
-  context_once.reset();
   endo_count = db->endogenous_count();
   stats.node_count = nodes.size();
   stats.arena_size = arena_fact.size();
@@ -658,28 +417,23 @@ void ShapleyEngine::Impl::FinishMutation() {
   }
 }
 
-// Steers an inserted fact (already in the database and the arena) down the
-// tree: through its atom's component, then slice by slice along its root
-// values, ending in an existing empty leaf or a freshly built subtree for an
-// unseen root value. Exactly one root-to-leaf path is dirtied.
+// Steers an inserted fact (already in the database and the fact arena) down
+// the recursion: through its atom's component, then slice by slice along its
+// root values, ending in an existing empty leaf or a freshly built subtree
+// for an unseen root value. Exactly one root-to-leaf path is dirtied.
 void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
                                       size_t atom_id) {
   const FactId fact = arena_fact[arena_index];
-  switch (nodes[node_id].kind) {
-    case Node::Kind::kGround: {
+  switch (arena.kind(node_id)) {
+    case Kind::kGround: {
       Node& leaf = nodes[node_id];
       SHAPCQ_CHECK_MSG(leaf.atom_id == atom_id &&
                            leaf.leaf_state == GroundFactState::kAbsent,
                        "insert routed to an occupied ground leaf");
-      leaf.leaf_state = arena_endo[arena_index]
-                            ? GroundFactState::kEndogenous
-                            : GroundFactState::kExogenous;
-      if (core == EngineCore::kArena) {
-        arena.SetLeafSat(node_id,
-                         GroundLeafSat(leaf.negated, leaf.leaf_state));
-      } else {
-        leaf.sat = GroundLeafSat(leaf.negated, leaf.leaf_state);
-      }
+      leaf.leaf_state = arena_endo[arena_index] ? GroundFactState::kEndogenous
+                                                : GroundFactState::kExogenous;
+      const bool negated = arena.negated(node_id);
+      arena.SetLeafSat(node_id, GroundLeafSat(negated, leaf.leaf_state));
       leaf_of_fact[fact] = node_id;
       if (arena_endo[arena_index]) {
         leaf_of_endo[db->endo_index(fact)] = node_id;
@@ -688,21 +442,20 @@ void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
       PatchAncestors(node_id);
       return;
     }
-    case Node::Kind::kComponent: {
+    case Kind::kComponent: {
       RouteInsert(nodes[node_id].child_by_atom.at(atom_id), arena_index,
                   atom_id);
       return;
     }
-    case Node::Kind::kRootVar:
+    case Kind::kRootVar:
       break;
   }
 
-  Node& node = nodes[node_id];
-  const auto local_it = std::find(node.atom_ids.begin(), node.atom_ids.end(),
-                                  atom_id);
-  SHAPCQ_CHECK(local_it != node.atom_ids.end());
-  const size_t local =
-      static_cast<size_t>(local_it - node.atom_ids.begin());
+  const Node& node = nodes[node_id];
+  const std::vector<size_t>& ids = node.atom_ids;
+  const auto local_it = std::find(ids.begin(), ids.end(), atom_id);
+  SHAPCQ_CHECK(local_it != ids.end());
+  const size_t local = static_cast<size_t>(local_it - ids.begin());
   const std::vector<size_t>& positions = node.root_positions[local];
   const Tuple& tuple = db->tuple_of(fact);
   const shapcq::Value root_value = tuple[positions[0]];
@@ -715,12 +468,7 @@ void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
     // enforces equal values at repeated positions), kept to mirror the
     // build-time slicing exactly.
     if (arena_endo[arena_index]) {
-      ++node.free_endo;
-      if (core == EngineCore::kArena) {
-        arena.SetFreeEndo(node_id, static_cast<uint32_t>(node.free_endo));
-      } else {
-        node.sat = node.core_sat.Convolve(CountVector::All(node.free_endo));
-      }
+      arena.SetFreeEndo(node_id, arena.free_endo(node_id) + 1);
       free_node_of_fact[fact] = node_id;
       ResignNode(node_id);
       PatchAncestors(node_id);
@@ -742,37 +490,15 @@ void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
   IndexLists slice_lists(node.atom_ids.size());
   slice_lists[local].push_back(arena_index);
   const std::vector<size_t> atom_ids_copy = node.atom_ids;
-  // BuildNode fills the new subtree's tree-side sat vectors in both modes
-  // (its bottom-up math only reads nodes it just built); the arena compile
-  // step below then moves them into the flat buffer, node-id order preserved.
-  const size_t first_new = nodes.size();
   const int child = BuildNode(sliced, std::move(slice_lists), atom_ids_copy);
-  // BuildNode grew the node vector: re-acquire the reference.
-  Node& grown = nodes[node_id];
-  nodes[child].parent = node_id;
-  nodes[child].child_index = static_cast<int>(grown.children.size());
-  grown.children.push_back(child);
-  grown.child_by_value[root_value.id] = child;
-  if (core == EngineCore::kArena) {
-    for (size_t id = first_new; id < nodes.size(); ++id) {
-      AbsorbNodeIntoArena(static_cast<int>(id));
-    }
-    arena.SpliceNewChild(node_id, child);
-  } else {
-    CountVector unsat_all = grown.core_sat.ComplementAgainstAll().Convolve(
-        nodes[child].sat.ComplementAgainstAll());
-    grown.core_sat = CountVector::All(unsat_all.universe_size()) - unsat_all;
-    grown.sat = grown.core_sat.Convolve(CountVector::All(grown.free_endo));
-  }
-  // The child list grew: the context table is stale, and the next
-  // EnsurePartials re-sizes the partial-product arrays (old prefixes stay
-  // valid — they exclude the appended child — old suffixes rebuild lazily).
-  grown.context.clear();
+  // BuildNode grew the node vector: `node` may dangle, index afresh.
+  nodes[node_id].child_by_value[root_value.id] = child;
+  arena.SpliceNewChild(node_id, child);
   ResignNode(node_id);
   PatchAncestors(node_id);
 }
 
-// Tree-side half of InsertFact; the fact is already in the database.
+// Index half of InsertFact; the fact is already in the database.
 void ShapleyEngine::Impl::ApplyInsert(FactId fact) {
   const bool endo = db->is_endogenous(fact);
   if (endo) {
@@ -796,23 +522,21 @@ void ShapleyEngine::Impl::ApplyInsert(FactId fact) {
     // An exogenous one changes nothing — even the memo stays valid.
     if (endo) {
       ++global_free_endo;
-      FinishMutation();
+      RefreshDerivedState();
     }
     return;
   }
   const uint32_t arena_index = static_cast<uint32_t>(arena_fact.size());
   arena_fact.push_back(fact);
   arena_endo.push_back(endo);
-  RouteInsert(root, arena_index, static_cast<size_t>(atom_id));
+  RouteInsert(arena.root(), arena_index, static_cast<size_t>(atom_id));
 }
 
-// Tree-side half of DeleteFact; the fact is already tombstoned in the
-// database. `endo`/`endo_idx` describe the fact BEFORE removal.
-void ShapleyEngine::Impl::ApplyDelete(FactId fact, bool endo,
-                                      size_t endo_idx) {
+// Index half of DeleteFact; the fact is already tombstoned in the database.
+// `endo`/`endo_idx` describe the fact BEFORE removal.
+void ShapleyEngine::Impl::ApplyDelete(FactId fact, bool endo, size_t endo_idx) {
   if (endo) {
-    leaf_of_endo.erase(leaf_of_endo.begin() +
-                       static_cast<ptrdiff_t>(endo_idx));
+    leaf_of_endo.erase(leaf_of_endo.begin() + static_cast<ptrdiff_t>(endo_idx));
     orbit_key_of_endo.erase(orbit_key_of_endo.begin() +
                             static_cast<ptrdiff_t>(endo_idx));
   }
@@ -820,13 +544,9 @@ void ShapleyEngine::Impl::ApplyDelete(FactId fact, bool endo,
   if (leaf_it != leaf_of_fact.end()) {
     const int leaf_id = leaf_it->second;
     leaf_of_fact.erase(leaf_it);
-    Node& leaf = nodes[leaf_id];
-    leaf.leaf_state = GroundFactState::kAbsent;
-    if (core == EngineCore::kArena) {
-      arena.SetLeafSat(leaf_id, GroundLeafSat(leaf.negated, leaf.leaf_state));
-    } else {
-      leaf.sat = GroundLeafSat(leaf.negated, leaf.leaf_state);
-    }
+    const GroundFactState absent = GroundFactState::kAbsent;
+    nodes[leaf_id].leaf_state = absent;
+    arena.SetLeafSat(leaf_id, GroundLeafSat(arena.negated(leaf_id), absent));
     ResignNode(leaf_id);
     PatchAncestors(leaf_id);
     return;
@@ -835,14 +555,8 @@ void ShapleyEngine::Impl::ApplyDelete(FactId fact, bool endo,
   if (free_it != free_node_of_fact.end()) {
     const int node_id = free_it->second;
     free_node_of_fact.erase(free_it);
-    Node& node = nodes[node_id];
-    SHAPCQ_CHECK(node.free_endo > 0);
-    --node.free_endo;
-    if (core == EngineCore::kArena) {
-      arena.SetFreeEndo(node_id, static_cast<uint32_t>(node.free_endo));
-    } else {
-      node.sat = node.core_sat.Convolve(CountVector::All(node.free_endo));
-    }
+    SHAPCQ_CHECK(arena.free_endo(node_id) > 0);
+    arena.SetFreeEndo(node_id, arena.free_endo(node_id) - 1);
     ResignNode(node_id);
     PatchAncestors(node_id);
     return;
@@ -851,7 +565,7 @@ void ShapleyEngine::Impl::ApplyDelete(FactId fact, bool endo,
     // Globally free: shrinking the player count re-weights every value.
     SHAPCQ_CHECK(global_free_endo > 0);
     --global_free_endo;
-    FinishMutation();
+    RefreshDerivedState();
   }
   // Exogenous and outside the index: no count is affected.
 }
@@ -865,14 +579,7 @@ ShapleyEngine::~ShapleyEngine() = default;
 ShapleyEngine::ShapleyEngine(ShapleyEngine&&) noexcept = default;
 ShapleyEngine& ShapleyEngine::operator=(ShapleyEngine&&) noexcept = default;
 
-std::optional<EngineCore> ParseEngineCore(const std::string& name) {
-  if (name == "arena") return EngineCore::kArena;
-  if (name == "tree") return EngineCore::kTree;
-  return std::nullopt;
-}
-
 Result<ShapleyEngine> ShapleyEngine::Build(const CQ& q, const Database& db,
-                                           EngineCore core,
                                            const CancelToken* cancel) {
   if (!IsSafe(q)) {
     return Result<ShapleyEngine>::Error(
@@ -890,14 +597,13 @@ Result<ShapleyEngine> ShapleyEngine::Build(const CQ& q, const Database& db,
   ShapleyEngine engine;
   engine.impl_ = std::make_unique<Impl>();
   Impl& impl = *engine.impl_;
-  impl.core = core;
   impl.db = &db;
   impl.endo_count = db.endogenous_count();
   impl.leaf_of_endo.assign(impl.endo_count, -1);
   impl.orbit_key_of_endo.assign(impl.endo_count, {});
 
   // Shared matched-fact index: every fact of every atom's relation, matched
-  // once against the precompiled pattern and interned into the flat arena.
+  // once against the precompiled pattern and interned into the fact arena.
   IndexLists lists(q.atom_count());
   std::vector<size_t> atom_ids(q.atom_count());
   size_t relevant_endo = 0;
@@ -921,66 +627,24 @@ Result<ShapleyEngine> ShapleyEngine::Build(const CQ& q, const Database& db,
   impl.global_free_endo = impl.endo_count - relevant_endo;
 
   // Heuristic pre-size: the recursion creates at most a few nodes per
-  // matched fact (leaf groups plus their component/root-var spine), and Node
-  // is container-heavy, so growth reallocations are the expensive kind.
+  // matched fact (leaf groups plus their component/root-var spine).
   impl.nodes.reserve(2 * impl.arena_fact.size() + 16);
+  impl.arena.Reserve(impl.nodes.capacity());
   impl.build_cancel =
       (cancel != nullptr && cancel->Enabled()) ? cancel : nullptr;
-  impl.root = impl.BuildNode(q, std::move(lists), atom_ids);
+  const int root = impl.BuildNode(q, std::move(lists), atom_ids);
   impl.build_cancel = nullptr;  // mutations' subtree builds never cancel
   if (impl.build_cancelled) {
     return Result<ShapleyEngine>::Error(CancelToken::kCancelledMessage);
   }
-  impl.baseline = impl.nodes[impl.root].sat.Convolve(
-      CountVector::All(impl.global_free_endo));
-
-  // kArena: compile the freshly built tree into the flat arena — every
-  // memoized count vector moves into the contiguous cell buffer (the tree
-  // nodes keep routing metadata), and the topological node order is fixed.
-  if (core == EngineCore::kArena) {
-    impl.arena.Reserve(impl.nodes.size());
-    size_t cell_count = 0;
-    for (const Impl::Node& node : impl.nodes) {
-      cell_count += node.sat.universe_size() + 1;
-      if (node.kind == Impl::Node::Kind::kRootVar) {
-        cell_count += node.core_sat.universe_size() + 1;
-      }
-    }
-    impl.arena.ReserveCells(cell_count);
-    for (size_t id = 0; id < impl.nodes.size(); ++id) {
-      impl.AbsorbNodeIntoArena(static_cast<int>(id));
-    }
-    impl.arena.SealStructure(impl.root);
-  }
-
-  // Orbit keys: the hash-consed signature of every node on the leaf-to-root
-  // path. Equal keys -> the leaves are related by a tree automorphism ->
-  // the facts are symmetric players with equal Shapley values.
-  for (size_t e = 0; e < impl.endo_count; ++e) {
-    int node = impl.leaf_of_endo[e];
-    if (node < 0) continue;  // null player: empty key
-    std::vector<int>& key = impl.orbit_key_of_endo[e];
-    for (; node >= 0; node = impl.nodes[node].parent) {
-      key.push_back(impl.nodes[node].sig);
-    }
-  }
-
-  impl.stats.node_count = impl.nodes.size();
-  impl.stats.arena_size = impl.arena_fact.size();
-  for (int leaf : impl.leaf_of_endo) {
-    if (leaf < 0) ++impl.stats.null_player_count;
-  }
+  impl.arena.SetRoot(root);
+  impl.RefreshDerivedState();
   return Result<ShapleyEngine>::Ok(std::move(engine));
 }
 
-EngineCore ShapleyEngine::core() const {
+CountVector ShapleyEngine::BaselineSat() const {
   SHAPCQ_CHECK(impl_ != nullptr);
-  return impl_->core;
-}
-
-const CountVector& ShapleyEngine::BaselineSat() const {
-  SHAPCQ_CHECK(impl_ != nullptr);
-  return impl_->baseline;
+  return impl_->arena.BaselineSat(impl_->global_free_endo);
 }
 
 Rational ShapleyEngine::Value(FactId f) {
@@ -1013,152 +677,32 @@ std::vector<Rational> ShapleyEngine::AllValues() {
 }
 
 std::vector<Rational> ShapleyEngine::AllValues(const ParallelOptions& options) {
-  SHAPCQ_CHECK(impl_ != nullptr);
-  Impl& impl = *impl_;
-  impl.RefreshOrbitKeysIfDirty();
-  const size_t num_threads =
-      ThreadPool::ResolveThreadCount(options.num_threads);
-  if (num_threads <= 1) return AllValues();  // the serial path, unchanged
-
-  // Orbit representatives still missing from the memo, in first-seen
-  // endo-index order — the exact representative (and therefore the exact
-  // leaf) the serial path would evaluate, so every Rational below is computed
-  // from the same count vectors as serially: bit-identical by construction.
-  std::vector<size_t> rep_endo;
-  {
-    std::set<std::vector<int>> seen;
-    for (size_t e = 0; e < impl.endo_count; ++e) {
-      if (impl.leaf_of_endo[e] < 0) continue;  // null player
-      const std::vector<int>& key = impl.orbit_key_of_endo[e];
-      if (impl.orbit_values.count(key) != 0) continue;  // already memoized
-      if (seen.insert(key).second) rep_endo.push_back(e);
-    }
-  }
-
-  if (impl.core == EngineCore::kArena) {
-    // The arena parallelizes below the value assembly: WarmValuePaths fills
-    // every representative's r-vector with a level-parallel sweep (slot
-    // lengths pinned by a serial prepass, so workers never move the cell
-    // buffer), then the serial assembly reads warm state only. Bit-identical
-    // to the serial path at every thread count by the slot-per-result
-    // argument in engine_arena.h.
-    if (rep_endo.size() > 1) {
-      Combinatorics::Prewarm(impl.endo_count);
-      std::vector<int> rep_leaves;
-      rep_leaves.reserve(rep_endo.size());
-      for (size_t e : rep_endo) rep_leaves.push_back(impl.leaf_of_endo[e]);
-      impl.arena.WarmValuePaths(rep_leaves, impl.global_free_endo,
-                                num_threads);
-    }
-    return AllValues();
-  }
-
-  if (rep_endo.size() > 1) {
-    // Workers only ever read the caches on the hot path after this.
-    Combinatorics::Prewarm(impl.endo_count);
-    if (impl.context_once == nullptr) {
-      impl.context_once =
-          std::make_unique<std::vector<std::once_flag>>(impl.nodes.size());
-    }
-    // Slot-per-representative output buffer: the pool schedules dynamically,
-    // but each worker writes only rep_values[i], so the merge below is
-    // independent of which thread computed what.
-    std::vector<Rational> rep_values(rep_endo.size());
-    ThreadPool pool(std::min(num_threads, rep_endo.size()));
-    pool.ParallelFor(rep_endo.size(), [&impl, &rep_endo, &rep_values](
-                                          size_t i) {
-      rep_values[i] = impl.ValueAtLeaf(impl.leaf_of_endo[rep_endo[i]]);
-    });
-    for (size_t i = 0; i < rep_endo.size(); ++i) {
-      impl.orbit_values.emplace(impl.orbit_key_of_endo[rep_endo[i]],
-                                std::move(rep_values[i]));
-    }
-  }
-  // Every orbit is now memoized: the serial assembly fills the per-fact
-  // vector and the orbit stats exactly as before.
-  return AllValues();
+  return AllValues(options, /*cancel=*/nullptr).value();
 }
 
 Result<std::vector<Rational>> ShapleyEngine::AllValues(
     const ParallelOptions& options, const CancelToken* cancel) {
   using R = Result<std::vector<Rational>>;
-  if (cancel == nullptr || !cancel->Enabled()) {
-    return R::Ok(AllValues(options));
-  }
   SHAPCQ_CHECK(impl_ != nullptr);
   Impl& impl = *impl_;
+  if (cancel != nullptr && !cancel->Enabled()) cancel = nullptr;
   impl.RefreshOrbitKeysIfDirty();
+  // Values already memoized (by an earlier, possibly cancelled, query) are
+  // pure functions of the built index, so reusing them preserves
+  // bit-identity. The level-parallel warm polls between levels (a partial
+  // warm leaves only cold watermarks behind — see
+  // EngineArena::WarmValuePaths); the assembly polls at each orbit.
   const size_t num_threads =
       ThreadPool::ResolveThreadCount(options.num_threads);
-
-  // Orbit representatives still missing from the memo, first-seen order —
-  // exactly the work the uncancelled paths would do. Values already
-  // memoized (by an earlier, possibly cancelled, query) are pure functions
-  // of the built index, so reusing them preserves bit-identity.
-  std::vector<size_t> rep_endo;
-  {
-    std::set<std::vector<int>> seen;
-    for (size_t e = 0; e < impl.endo_count; ++e) {
-      if (impl.leaf_of_endo[e] < 0) continue;
-      const std::vector<int>& key = impl.orbit_key_of_endo[e];
-      if (impl.orbit_values.count(key) != 0) continue;
-      if (seen.insert(key).second) rep_endo.push_back(e);
-    }
+  const std::vector<size_t> rep_endo = impl.MissingRepresentatives();
+  if (!impl.WarmRepresentatives(rep_endo, num_threads, cancel)) {
+    return R::Error(CancelToken::kCancelledMessage);
   }
-
-  if (num_threads > 1 && impl.core == EngineCore::kArena &&
-      rep_endo.size() > 1) {
-    // Level-parallel warm of every representative's r-vector, cancellable
-    // between levels (a partial warm leaves only cold watermarks behind —
-    // see EngineArena::WarmValuePaths).
-    Combinatorics::Prewarm(impl.endo_count);
-    std::vector<int> rep_leaves;
-    rep_leaves.reserve(rep_endo.size());
-    for (size_t e : rep_endo) rep_leaves.push_back(impl.leaf_of_endo[e]);
-    if (!impl.arena.WarmValuePaths(rep_leaves, impl.global_free_endo,
-                                   num_threads, cancel)) {
+  for (size_t e : rep_endo) {
+    if (cancel != nullptr && cancel->Expired()) {
       return R::Error(CancelToken::kCancelledMessage);
     }
-    // Fall through to the serial assembly: every path is warm, so the
-    // per-representative evaluations below are cheap reads.
-  } else if (num_threads > 1 && impl.core == EngineCore::kTree &&
-             rep_endo.size() > 1) {
-    Combinatorics::Prewarm(impl.endo_count);
-    if (impl.context_once == nullptr) {
-      impl.context_once =
-          std::make_unique<std::vector<std::once_flag>>(impl.nodes.size());
-    }
-    // Slot-per-representative outputs plus a computed flag per slot: a
-    // worker that observes an expired token skips its item, and only
-    // computed values enter the memo after the join — each is pure, so the
-    // partial memo stays consistent for the undeadlined retry.
-    std::vector<Rational> rep_values(rep_endo.size());
-    std::vector<uint8_t> computed(rep_endo.size(), 0);
-    ThreadPool pool(std::min(num_threads, rep_endo.size()));
-    pool.ParallelFor(rep_endo.size(), [&impl, &rep_endo, &rep_values,
-                                       &computed, cancel](size_t i) {
-      if (cancel->Expired()) return;
-      rep_values[i] = impl.ValueAtLeaf(impl.leaf_of_endo[rep_endo[i]]);
-      computed[i] = 1;
-    });
-    bool all_computed = true;
-    for (size_t i = 0; i < rep_endo.size(); ++i) {
-      if (computed[i] == 0) {
-        all_computed = false;
-        continue;
-      }
-      impl.orbit_values.emplace(impl.orbit_key_of_endo[rep_endo[i]],
-                                std::move(rep_values[i]));
-    }
-    if (!all_computed) return R::Error(CancelToken::kCancelledMessage);
-    rep_endo.clear();  // every representative is memoized
-  }
-
-  // Serial (or post-warm) evaluation, polled at each orbit boundary.
-  for (size_t e : rep_endo) {
-    if (cancel->Expired()) return R::Error(CancelToken::kCancelledMessage);
-    impl.orbit_values.emplace(impl.orbit_key_of_endo[e],
-                              impl.ValueAtLeaf(impl.leaf_of_endo[e]));
+    impl.OrbitValue(e);
   }
   return R::Ok(AllValues());
 }
@@ -1167,16 +711,6 @@ std::vector<size_t> ShapleyEngine::OrbitIds() {
   SHAPCQ_CHECK(impl_ != nullptr);
   Impl& impl = *impl_;
   impl.RefreshOrbitKeysIfDirty();
-  // The arena memoizes the dense id vector across queries (mutations drop it
-  // via InvalidateValues): the sampling tier calls OrbitIds per report, and
-  // the key re-collection above is pure overhead when nothing changed.
-  if (impl.core == EngineCore::kArena && impl.arena.HasOrbitIds()) {
-    const std::vector<size_t>& cached = impl.arena.CachedOrbitIds();
-    size_t orbit_count = 0;  // ids are dense first-seen: count = max + 1
-    for (size_t id : cached) orbit_count = std::max(orbit_count, id + 1);
-    impl.stats.orbit_count = orbit_count;
-    return cached;
-  }
   std::map<std::vector<int>, size_t> ids;  // empty key = the null orbit
   std::vector<size_t> out;
   out.reserve(impl.endo_count);
@@ -1185,7 +719,6 @@ std::vector<size_t> ShapleyEngine::OrbitIds() {
         ids.emplace(impl.orbit_key_of_endo[e], ids.size()).first->second);
   }
   impl.stats.orbit_count = ids.size();
-  if (impl.core == EngineCore::kArena) impl.arena.CacheOrbitIds(out);
   return out;
 }
 
@@ -1294,31 +827,16 @@ ShapleyEngine::Stats ShapleyEngine::stats() const {
 size_t ShapleyEngine::ApproxMemoryBytes() const {
   SHAPCQ_CHECK(impl_ != nullptr);
   const Impl& impl = *impl_;
-  size_t bytes = sizeof(Impl);
-  // kArena: the cell buffer, slot table and SoA arrays (the tree loop below
-  // still runs — in arena mode its vectors are [1] identities, so it counts
-  // the routing metadata only).
-  bytes += impl.arena.ApproxMemoryBytes();
+  size_t bytes = sizeof(Impl) + impl.arena.ApproxMemoryBytes();
   for (const Impl::Node& node : impl.nodes) {
     bytes += sizeof(Impl::Node);
-    bytes += node.sat.ApproxMemoryBytes();
-    bytes += node.core_sat.ApproxMemoryBytes();
-    for (const CountVector& vec : node.context) {
-      bytes += vec.ApproxMemoryBytes();
-    }
-    for (const CountVector& vec : node.prefix) {
-      bytes += vec.ApproxMemoryBytes();
-    }
-    for (const CountVector& vec : node.suffix) {
-      bytes += vec.ApproxMemoryBytes();
-    }
-    bytes += node.children.capacity() * sizeof(int);
     bytes += node.atom_ids.capacity() * sizeof(size_t);
     for (const std::vector<size_t>& positions : node.root_positions) {
       bytes += sizeof(positions) + positions.capacity() * sizeof(size_t);
     }
-    // Tree maps and the stored subquery, at a flat per-entry estimate: the
-    // budget needs growth tracking, not allocator-exact container overheads.
+    // Routing maps and the stored subquery, at a flat per-entry estimate:
+    // the budget needs growth tracking, not allocator-exact container
+    // overheads.
     bytes += node.child_by_value.size() * 4 * sizeof(void*);
     bytes += node.child_by_atom.size() * 4 * sizeof(void*);
     bytes += node.subquery.atom_count() * 64;

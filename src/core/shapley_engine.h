@@ -7,38 +7,36 @@
 // exploits that:
 //
 //  1. Shared index. The matched-fact index (every fact matched against every
-//     atom pattern) and the root-variable slice tree of the CntSat recursion
-//     are built ONCE. Facts live in a flat arena; recursion slices are
-//     vectors of arena indices, never copied Tuples.
-//  2. Node memoization. Every tree node caches its |Sat| count vector, and
-//     every internal node lazily caches, per child, the convolution of all
-//     OTHER children's combine vectors (prefix x suffix products). A per-fact
-//     query then re-evaluates only the leaf-to-root path, convolving the
-//     perturbed child vector against the memoized sibling product at each
-//     ancestor.
+//     atom pattern) and the root-variable slicing of the CntSat recursion
+//     are built ONCE. Facts live in a flat fact arena; recursion slices are
+//     vectors of fact-arena indices, never copied Tuples.
+//  2. One numeric core. Every recursion node goes into the flat EngineArena
+//     (engine_arena.h) the moment Build creates it: its |Sat| count vector
+//     sits in one shared cell buffer, and all-facts evaluation is a shared
+//     top-down difference-propagation sweep that reuses each ancestor's
+//     sibling products for every leaf below it. The engine itself keeps
+//     only routing metadata (slice maps, subqueries, signatures).
 //  3. Orbits. Facts whose leaf-to-root paths traverse structurally identical
 //     (hash-consed signature-equal) children are symmetric players of the
 //     game; one Shapley value is computed per orbit. Facts matching no atom
 //     — and facts inconsistent at repeated root positions — are null players
 //     with value 0, no computation at all.
 //  4. Mutations. InsertFact/DeleteFact/ApplyDelta splice a fact into (or out
-//     of) the arena and the affected leaf, then re-derive the memoized |Sat|
+//     of) the index and the affected leaf, then re-derive the memoized |Sat|
 //     vectors only along the dirtied root-to-leaf path, convolving against
 //     the still-valid sibling products; orbit signatures are re-hashed for
 //     the dirty path and orbit keys regenerate lazily on the next query. The
 //     engine therefore tracks a changing database without rebuilds — see
 //     "Incremental maintenance" in DESIGN.md.
 //
-// Results are bit-identical to the per-fact path: both assemble
-// Shapley(D,q,f) from the same two exact |Sat| vectors. After any mutation
-// sequence they are bit-identical to a fresh Build() on the mutated
-// database.
+// Values equal the per-fact path's (ShapleyViaCountSat) exactly, and after
+// any mutation sequence they equal a fresh Build() on the mutated database;
+// tests/engine_arena_test.cc checks both against the per-fact oracle.
 
 #ifndef SHAPCQ_CORE_SHAPLEY_ENGINE_H_
 #define SHAPCQ_CORE_SHAPLEY_ENGINE_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,20 +49,6 @@
 namespace shapcq {
 
 class CancelToken;  // util/cancel.h
-
-/// Which numeric core backs a built engine. kArena (the default) compiles
-/// the recursion tree into the flat EngineArena: count-vector cells in one
-/// contiguous buffer, evaluation as a shared difference-propagation sweep,
-/// mutation patches on arena ranges. kTree keeps every count vector inside
-/// the pointer-linked tree nodes — the original implementation, retained as
-/// the always-on differential oracle and the `--engine=tree` escape hatch.
-/// Both cores produce bit-identical values for every query and mutation
-/// sequence (the fuzz battery in tests/engine_arena_test.cc enforces it).
-enum class EngineCore { kArena, kTree };
-
-/// Maps "arena"/"tree" to the enum; nullopt for anything else. Shared by
-/// the CLI and server --engine flags and the report-request grammar.
-std::optional<EngineCore> ParseEngineCore(const std::string& name);
 
 /// One fact mutation for ShapleyEngine::ApplyDelta: an insert carries the
 /// fact literal, a delete the (stable) FactId of a live fact.
@@ -95,11 +79,12 @@ struct FactDelta {
 };
 
 /// Execution options for the all-facts entry points. The default is the
-/// serial path; num_threads > 1 shards the orbit-representative
-/// re-evaluations over a worker pool. Results are bit-identical to serial at
-/// every thread count: representatives are chosen in fixed endo-index order,
-/// each value is a pure function of the built tree, and the merge writes
-/// results into pre-assigned slots (see "Threading contract" in DESIGN.md).
+/// serial path; num_threads > 1 runs the arena's evaluation sweep level by
+/// level over a worker pool. Results are bit-identical to serial at every
+/// thread count: representatives are chosen in fixed endo-index order,
+/// every swept vector is a pure function of the built index written into a
+/// pre-assigned slot, and the values are assembled serially (see
+/// "Threading contract" in DESIGN.md).
 struct ParallelOptions {
   /// Worker threads for all-facts queries. 1 = serial (no pool, no locks on
   /// the hot path); 0 = auto (std::thread::hardware_concurrency).
@@ -112,10 +97,10 @@ class ShapleyEngine {
  public:
   /// Build/query statistics, for tests and benchmarks.
   struct Stats {
-    size_t node_count = 0;        ///< recursion tree nodes
-    size_t arena_size = 0;        ///< facts matched into the shared arena
-    size_t null_player_count = 0; ///< endogenous facts with Shapley ≡ 0
-    size_t orbit_count = 0;       ///< distinct orbits among endogenous facts
+    size_t node_count = 0;         ///< recursion nodes
+    size_t arena_size = 0;         ///< facts matched into the shared arena
+    size_t null_player_count = 0;  ///< endogenous facts with Shapley ≡ 0
+    size_t orbit_count = 0;        ///< distinct orbits among endogenous facts
   };
 
   /// Empty engine; the only way to get a usable one is Build().
@@ -124,25 +109,21 @@ class ShapleyEngine {
   ShapleyEngine(ShapleyEngine&&) noexcept;
   ShapleyEngine& operator=(ShapleyEngine&&) noexcept;
 
-  /// Builds the shared index and memoized recursion tree, then (with the
-  /// default kArena core) compiles it into the flat arena. Requires q safe,
+  /// Builds the shared index and runs the CntSat recursion once, writing
+  /// every node's counts straight into the arena. Requires q safe,
   /// self-join-free and hierarchical (returns an error otherwise, mirroring
   /// CountSat). The database is captured by reference metadata only; it must
   /// outlive the engine. A non-null `cancel` token is polled at every
-  /// recursion step of the tree build; on expiry Build unwinds promptly and
-  /// returns the cancellation error (CancelToken::IsCancelled) — the
-  /// partially built engine is discarded and the database is untouched, so
-  /// a retry without a deadline is bit-identical to an uncancelled build.
+  /// recursion step; on expiry Build unwinds promptly and returns the
+  /// cancellation error (CancelToken::IsCancelled) — the partially built
+  /// engine is discarded and the database is untouched, so a retry without
+  /// a deadline is bit-identical to an uncancelled build.
   static Result<ShapleyEngine> Build(const CQ& q, const Database& db,
-                                     EngineCore core = EngineCore::kArena,
                                      const CancelToken* cancel = nullptr);
 
-  /// Which numeric core this engine runs on.
-  EngineCore core() const;
-
-  /// |Sat(D,q,k)| for all k of the unmodified database — identical to
-  /// CountSat(q, db).
-  const CountVector& BaselineSat() const;
+  /// |Sat(D,q,k)| for all k of the current database — identical to
+  /// CountSat(q, db). Computed on demand from the root's memoized counts.
+  CountVector BaselineSat() const;
 
   /// Shapley(D,q,f). Aborts if f is exogenous.
   Rational Value(FactId f);
@@ -151,20 +132,21 @@ class ShapleyEngine {
   /// value per orbit and shares it across the orbit's members.
   std::vector<Rational> AllValues();
 
-  /// As AllValues(), with options.num_threads workers re-evaluating orbit
-  /// representatives concurrently. Output is bit-identical to the serial
-  /// path for every thread count. Concurrent calls into one engine are NOT
-  /// supported — the engine parallelizes internally, it is not re-entrant.
+  /// As AllValues(), with options.num_threads workers warming the orbit
+  /// representatives' paths in a level-parallel arena sweep. Output is
+  /// bit-identical to the serial path for every thread count. Concurrent
+  /// calls into one engine are NOT supported — the engine parallelizes
+  /// internally, it is not re-entrant.
   std::vector<Rational> AllValues(const ParallelOptions& options);
 
   /// Cancellable all-facts query: as AllValues(options), polling `cancel`
-  /// before each orbit-representative evaluation (and, on the arena core,
-  /// between the level-parallel sweep's levels). On expiry it returns the
+  /// before each orbit-representative evaluation (and between the
+  /// level-parallel sweep's levels). On expiry it returns the
   /// cancellation error; every representative already evaluated stays
   /// memoized — each is a pure function of the built index, so a later
   /// (undeadlined) AllValues resumes from the partial memo and returns
-  /// values bit-identical to a fresh engine's. nullptr/disabled tokens take
-  /// the plain AllValues(options) path unchanged.
+  /// values bit-identical to a fresh engine's. A nullptr or disabled token
+  /// never expires, so the call then always succeeds.
   Result<std::vector<Rational>> AllValues(const ParallelOptions& options,
                                           const CancelToken* cancel);
 
@@ -177,7 +159,7 @@ class ShapleyEngine {
   // Incremental maintenance. All three mutators take the SAME database the
   // engine was built on (passed mutably so the call site owns the write;
   // aborts on a different database). They update the database and patch the
-  // memoized tree along the single dirtied root-to-leaf path, so subsequent
+  // memoized counts along the single dirtied root-to-leaf path, so subsequent
   // queries are bit-identical to a fresh Build() on the mutated database.
   // Mutations are NOT thread-safe: mutate serially, between (possibly
   // parallel) query calls — see "Threading contract" in DESIGN.md.
@@ -217,9 +199,9 @@ class ShapleyEngine {
   /// OrbitIds (0 before the first all-facts query).
   Stats stats() const;
 
-  /// Approximate heap footprint of the engine's index in bytes: recursion
-  /// nodes, memoized count vectors (BigInt limbs), partial products, the
-  /// fact arena, routing maps, orbit keys and the per-orbit value memo. An
+  /// Approximate heap footprint of the engine's index in bytes: the arena
+  /// (memoized count vectors, partial products, sweep state), the fact
+  /// arena, routing maps, orbit keys and the per-orbit value memo. An
   /// estimate for the serving layer's byte-budgeted LRU eviction — monotone
   /// in index size, not an allocator audit. Excludes the Database itself
   /// (owned by the caller, retained across evictions).

@@ -241,7 +241,6 @@ struct EngineRegistry::Impl {
     }
     ReportOptions full = options;
     full.top_k = 0;
-    full.engine_core = this->options.engine_core;
     auto built = BuildAttributionReport(session.query, *session.db, full);
     if (!built.ok()) return Result<AttributionReport>::Error(built.error());
     ++session.reports_served;
@@ -308,7 +307,6 @@ struct EngineRegistry::Impl {
       approx_reports.fetch_add(1, std::memory_order_relaxed);
       ReportOptions full = options;
       full.top_k = 0;
-      full.engine_core = this->options.engine_core;
       auto built =
           BuildDegradedApproxReport(session.query, *session.db, full);
       if (!built.ok()) {
@@ -388,8 +386,7 @@ struct EngineRegistry::Impl {
             TruncatedCopy(it->second.table, options.top_k));
       }
     } else {
-      auto built = ShapleyEngine::Build(session.query, *session.db,
-                                        this->options.engine_core, cancel);
+      auto built = ShapleyEngine::Build(session.query, *session.db, cancel);
       if (!built.ok()) {
         if (CancelToken::IsCancelled(built.error())) {
           // The cancelled build was discarded whole — nothing resident,

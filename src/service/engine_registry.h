@@ -84,11 +84,6 @@ struct RegistryOptions {
   /// 0 = approx reports are never cached). The exact table cache is
   /// separate — it rides with the resident engine, as before.
   size_t max_approx_cached_reports = 4;
-  /// Numeric core for every engine this registry builds (first builds and
-  /// rebuild-on-readmission alike). kTree is the pointer-linked oracle
-  /// behind the servers' --engine=tree escape hatch; reports are
-  /// bit-identical on either core.
-  EngineCore engine_core = EngineCore::kArena;
 };
 
 /// Registry-wide counters, reported by the STATS command.

@@ -34,7 +34,7 @@ class CountVector {
   /// Takes explicit counts; counts.size() must be universe_size + 1.
   static CountVector FromCounts(std::vector<BigInt> counts);
 
-  /// Moves the raw cells out (the engine-arena compile step flattens them
+  /// Moves the raw cells out (the engine arena moves a ground leaf's cells
   /// into its cell buffer). Leaves this vector empty (hollow) — only
   /// destruction, reassignment and ApproxMemoryBytes are valid afterwards,
   /// hence rvalue-only.

@@ -163,7 +163,7 @@ TEST(DeadlineRequestParseTest, UnknownKeyErrorListsTheDeadlineKeys) {
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.error(),
             "unknown key 'deadline' (expected top_k, threads, approx, seed, "
-            "max_samples, force_approx, engine, deadline_ms or on_deadline)");
+            "max_samples, force_approx, deadline_ms or on_deadline)");
 }
 
 TEST(DeadlineRequestParseTest, DeprecatedPositionalFormCarriesNoDeadline) {
@@ -240,7 +240,7 @@ TEST(CancelBatteryTest, CancelledBuildDiscardsCleanlyThenRetryIsIdentical) {
 
   for (const uint64_t k : FuzzCheckPoints()) {
     CancelToken token = CancelToken::AtCheck(k);
-    auto built = ShapleyEngine::Build(q, db, EngineCore::kArena, &token);
+    auto built = ShapleyEngine::Build(q, db, &token);
     if (!built.ok()) {
       EXPECT_TRUE(CancelToken::IsCancelled(built.error())) << built.error();
     }

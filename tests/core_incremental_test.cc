@@ -1,5 +1,5 @@
 // Incremental maintenance of ShapleyEngine: fact inserts/deletes patched
-// into the memoized tree must be bit-identical to a fresh Build() on the
+// into the memoized recursion must be bit-identical to a fresh Build() on the
 // mutated database — directed leaf/new-slice/free-fact cases, database
 // tombstoning semantics, delta batching, parallel queries after mutations,
 // and a randomized insert/delete fuzz sweep against the rebuild oracle and

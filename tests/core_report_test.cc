@@ -2,6 +2,9 @@
 
 #include "core/report.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "datasets/citations.h"
@@ -63,6 +66,65 @@ TEST(ReportTest, RenderContainsFactsAndEngine) {
   EXPECT_NE(text.find("Reg(Caroline,DB)*"), std::string::npos);
   EXPECT_NE(text.find("13/42"), std::string::npos);
   EXPECT_NE(text.find("total"), std::string::npos);
+}
+
+// Splits rendered text into lines, asserting it ends with a newline.
+std::vector<std::string> Lines(const std::string& text) {
+  EXPECT_FALSE(text.empty());
+  EXPECT_EQ(text.back(), '\n');
+  std::vector<std::string> lines;
+  size_t start = 0;
+  for (size_t end = text.find('\n'); end != std::string::npos;
+       end = text.find('\n', start)) {
+    lines.push_back(text.substr(start, end - start));
+    start = end + 1;
+  }
+  return lines;
+}
+
+// Exact values at a few hundred endogenous facts run to hundreds of digits;
+// every row must still come out whole: the value, its decimal column (and,
+// on approx reports, the ci and sample columns) and its own newline.
+TEST(ReportTest, RenderKeepsRowsLongerThanTwoHundredCharacters) {
+  Database db;
+  const FactId a = db.AddEndo("R", {V("a")});
+  const FactId b = db.AddEndo("R", {V("b")});
+  // (10^210 + 7) / 10^210: 423 characters, ~decimal 1.0000.
+  const BigInt power = BigInt::FromString("1" + std::string(210, '0'));
+  const Rational long_value(power + BigInt(7), power);
+  ASSERT_GT(long_value.ToString().size(), 200u);
+
+  AttributionReport report;
+  report.engine = "CntSat";
+  for (FactId fact : {a, b}) {
+    Attribution row;
+    row.fact = fact;
+    row.value = long_value;
+    row.ci_radius = 0.5;
+    row.samples = 12;
+    report.rows.push_back(row);
+  }
+  report.total = long_value + long_value;
+
+  const std::vector<std::string> exact = Lines(RenderReport(report, db));
+  ASSERT_EQ(exact.size(), 5u);  // engine, header, two rows, total
+  EXPECT_EQ(exact[2], "R(a)*                          " +
+                          long_value.ToString() + "     1.0000");
+  EXPECT_EQ(exact[3], "R(b)*                          " +
+                          long_value.ToString() + "     1.0000");
+  EXPECT_EQ(exact[4], "total                          " +
+                          report.total.ToString());
+
+  report.approximate = true;
+  report.approx.orbit_source = "signature";
+  const std::vector<std::string> approx = Lines(RenderReport(report, db));
+  ASSERT_EQ(approx.size(), 6u);  // engine, approx:, header, two rows, total
+  for (size_t i : {3u, 4u}) {
+    const std::string suffix =
+        long_value.ToString() + "     1.0000     0.5000        12";
+    ASSERT_GE(approx[i].size(), suffix.size());
+    EXPECT_EQ(approx[i].substr(approx[i].size() - suffix.size()), suffix);
+  }
 }
 
 }  // namespace

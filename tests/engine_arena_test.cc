@@ -1,9 +1,11 @@
-// The flat SoA engine arena (core/engine_arena.h): unit tests of the cell
-// store, topological structure, slack/compaction and byte accounting on a
-// hand-built arena, engine-level degenerate cases, and the differential
-// fuzz battery of the migration contract — the arena core (the default)
-// must stay bit-identical to the pointer-tree oracle (--engine=tree) after
-// build and after every mutation, at every thread count.
+// The flat SoA engine arena (core/engine_arena.h): unit tests of the combine
+// rules, the cell store, topological structure, slack/compaction and byte
+// accounting on a hand-built arena, engine-level degenerate cases, and the
+// fuzz battery that holds the engine to independent oracles after build and
+// after every mutation, at every thread count: each value against the
+// per-fact CntSat reduction (ShapleyViaCountSat), the baseline against
+// CountSat, the value sum against the efficiency axiom, and the orbit ids
+// against those values and across thread counts.
 
 #include "core/engine_arena.h"
 
@@ -14,15 +16,22 @@
 
 #include <gtest/gtest.h>
 
+#include "core/count_sat.h"
+#include "core/shapley.h"
 #include "core/shapley_engine.h"
 #include "datasets/query_gen.h"
 #include "datasets/synthetic.h"
 #include "datasets/university.h"
+#include "eval/homomorphism.h"
 #include "query/parser.h"
 #include "util/random.h"
 
 namespace shapcq {
 namespace {
+
+constexpr size_t kThreadCounts[] = {1, 2, 4, 8};
+constexpr EngineArena::NodeKind kComponent = EngineArena::NodeKind::kComponent;
+constexpr EngineArena::NodeKind kRootVar = EngineArena::NodeKind::kRootVar;
 
 ParallelOptions Threads(size_t n) {
   ParallelOptions options;
@@ -37,21 +46,16 @@ CountVector Counts(std::vector<int> values) {
   return CountVector::FromCounts(std::move(cells));
 }
 
-// A three-node arena built by hand (component root over two ground
-// leaves), bypassing ShapleyEngine: the unit tests below exercise the cell
-// store directly.
+// A three-node arena built by hand (a component root over two ground
+// leaves), bypassing ShapleyEngine: the unit tests below exercise the
+// combine rules and the cell store directly. The root's sat is the product
+// of the leaves': [1,2,1] ⊛ [1,1] = [1,3,3,1].
 EngineArena MakeSmallArena() {
   EngineArena arena;
-  arena.AppendNode(EngineArena::NodeKind::kComponent, /*parent=*/-1,
-                   /*child_index=*/-1, {1, 2}, /*free_endo=*/0,
-                   /*negated=*/false, CountVector::All(4), CountVector());
-  arena.AppendNode(EngineArena::NodeKind::kGround, /*parent=*/0,
-                   /*child_index=*/0, {}, /*free_endo=*/0, /*negated=*/false,
-                   Counts({1, 2, 1}), CountVector());
-  arena.AppendNode(EngineArena::NodeKind::kGround, /*parent=*/0,
-                   /*child_index=*/1, {}, /*free_endo=*/0, /*negated=*/true,
-                   CountVector::Zero(3), CountVector());
-  arena.SealStructure(0);
+  const int left = arena.AddGround(/*negated=*/false, Counts({1, 2, 1}));
+  const int right = arena.AddGround(/*negated=*/true, Counts({1, 1}));
+  const int root = arena.AddInner(kComponent, {left, right}, /*free_endo=*/0);
+  arena.SetRoot(root);
   return arena;
 }
 
@@ -62,25 +66,78 @@ EngineArena MakeSmallArena() {
 TEST(EngineArenaTest, StructureAndSatRoundTrip) {
   EngineArena arena = MakeSmallArena();
   EXPECT_EQ(arena.node_count(), 3u);
-  EXPECT_EQ(arena.root(), 0);
+  EXPECT_EQ(arena.root(), 2);
+  EXPECT_EQ(arena.kind(2), kComponent);
+  EXPECT_EQ(arena.child_count(2), 2u);
+  EXPECT_EQ(arena.child(2, 1), 1);
+  EXPECT_EQ(arena.parent(1), 2);
+  EXPECT_EQ(arena.child_index(1), 1u);
+  EXPECT_TRUE(arena.negated(1));
   arena.CheckInvariants();
-  EXPECT_EQ(arena.SatOf(0), CountVector::All(4));
-  EXPECT_EQ(arena.SatOf(1), Counts({1, 2, 1}));
-  EXPECT_EQ(arena.SatOf(2), CountVector::Zero(3));
+  EXPECT_EQ(arena.SatOf(0), Counts({1, 2, 1}));
+  EXPECT_EQ(arena.SatOf(1), Counts({1, 1}));
+  EXPECT_EQ(arena.SatOf(2), CountVector::All(3));
+  EXPECT_EQ(arena.BaselineSat(2), CountVector::All(5));
   EXPECT_EQ(arena.SlackCells(), 0u);
+}
+
+TEST(EngineArenaTest, RootVarRuleComplementsTheUnsatProduct) {
+  EngineArena arena;
+  const int a = arena.AddGround(/*negated=*/false, Counts({0, 1}));
+  const int b = arena.AddGround(/*negated=*/false, Counts({0, 1}));
+  const int root = arena.AddInner(kRootVar, {a, b}, /*free_endo=*/1);
+  arena.SetRoot(root);
+  arena.CheckInvariants();
+  // core = All(2) − [1,0] ⊛ [1,0] = [0,2,1]; sat = core ⊛ All(1).
+  EXPECT_EQ(arena.SatOf(root), Counts({0, 2, 3, 1}));
+  EXPECT_EQ(arena.free_endo(root), 1u);
+  arena.SetFreeEndo(root, 0);
+  EXPECT_EQ(arena.SatOf(root), Counts({0, 2, 1}));
+}
+
+TEST(EngineArenaTest, PatchAndSpliceMatchAFreshBuild) {
+  EngineArena arena;
+  const int a = arena.AddGround(/*negated=*/false, Counts({0, 1}));
+  const int b = arena.AddGround(/*negated=*/true, Counts({1, 0}));
+  const int root = arena.AddInner(kRootVar, {a, b}, /*free_endo=*/0);
+  arena.SetRoot(root);
+
+  // The same root-var node built from scratch over the given leaf vectors.
+  auto fresh_sat = [](const std::vector<CountVector>& leaves) {
+    EngineArena fresh;
+    std::vector<int> children;
+    for (const CountVector& leaf : leaves) {
+      children.push_back(fresh.AddGround(/*negated=*/false, leaf));
+    }
+    return fresh.SatOf(fresh.AddInner(kRootVar, children, /*free_endo=*/0));
+  };
+
+  // A leaf flip patched through its parent equals a fresh build.
+  arena.SetLeafSat(b, Counts({1}));
+  arena.PatchChildChanged(root, 1);
+  EXPECT_EQ(arena.SatOf(root), fresh_sat({Counts({0, 1}), Counts({1})}));
+
+  // So does a spliced-in slice.
+  const int c = arena.AddGround(/*negated=*/false, Counts({0, 1}));
+  arena.SpliceNewChild(root, c);
+  arena.CheckInvariants();
+  EXPECT_EQ(arena.parent(c), root);
+  EXPECT_EQ(arena.child_index(c), 2u);
+  EXPECT_EQ(arena.SatOf(root),
+            fresh_sat({Counts({0, 1}), Counts({1}), Counts({0, 1})}));
 }
 
 TEST(EngineArenaTest, LeafStoreReusesCapacityInPlace) {
   EngineArena arena = MakeSmallArena();
-  // Same length as the absorbed vector: the slot is rewritten in place, no
+  // Same length as the stored vector: the slot is rewritten in place, no
   // cells are stranded.
-  arena.SetLeafSat(1, Counts({3, 1, 4}));
+  arena.SetLeafSat(0, Counts({3, 1, 4}));
   EXPECT_EQ(arena.SlackCells(), 0u);
-  EXPECT_EQ(arena.SatOf(1), Counts({3, 1, 4}));
+  EXPECT_EQ(arena.SatOf(0), Counts({3, 1, 4}));
   // Shorter also fits the capacity in place.
-  arena.SetLeafSat(1, Counts({7, 7}));
+  arena.SetLeafSat(0, Counts({7, 7}));
   EXPECT_EQ(arena.SlackCells(), 0u);
-  EXPECT_EQ(arena.SatOf(1), Counts({7, 7}));
+  EXPECT_EQ(arena.SatOf(0), Counts({7, 7}));
   arena.CheckInvariants();
 }
 
@@ -89,9 +146,9 @@ TEST(EngineArenaTest, WideningStoreStrandsSlackAndCompactReclaims) {
   const size_t bytes_before = arena.ApproxMemoryBytes();
   // Universe grew past the slot's capacity (3 cells): the vector moves to a
   // fresh range and the old one becomes slack.
-  arena.SetLeafSat(1, CountVector::All(5));
+  arena.SetLeafSat(0, CountVector::All(5));
   EXPECT_EQ(arena.SlackCells(), 3u);
-  EXPECT_EQ(arena.SatOf(1), CountVector::All(5));
+  EXPECT_EQ(arena.SatOf(0), CountVector::All(5));
   EXPECT_GT(arena.ApproxMemoryBytes(), bytes_before);
   arena.CheckInvariants();
 
@@ -100,101 +157,166 @@ TEST(EngineArenaTest, WideningStoreStrandsSlackAndCompactReclaims) {
   EXPECT_EQ(arena.SlackCells(), 0u);
   EXPECT_LE(arena.ApproxMemoryBytes(), bytes_slack);
   // Values are untouched by compaction.
-  EXPECT_EQ(arena.SatOf(0), CountVector::All(4));
-  EXPECT_EQ(arena.SatOf(1), CountVector::All(5));
-  EXPECT_EQ(arena.SatOf(2), CountVector::Zero(3));
+  EXPECT_EQ(arena.SatOf(0), CountVector::All(5));
+  EXPECT_EQ(arena.SatOf(1), Counts({1, 1}));
+  EXPECT_EQ(arena.SatOf(2), CountVector::All(3));
   arena.CheckInvariants();
 }
 
 TEST(EngineArenaTest, ApproxMemoryBytesCoversTheCellBuffer) {
   EngineArena arena = MakeSmallArena();
-  // 5 + 3 + 4 absorbed cells at 40 bytes of inline BigInt each is a hard
+  // 3 + 2 + 4 stored cells at 40 bytes of inline BigInt each is a hard
   // floor for the buffer term of the estimate.
-  EXPECT_GE(arena.ApproxMemoryBytes(), 12 * sizeof(BigInt));
+  EXPECT_GE(arena.ApproxMemoryBytes(), 9 * sizeof(BigInt));
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level: core selection and degenerate queries.
+// The oracles: every check runs on the engine as it stands, at one thread
+// count, against quantities computed from the database alone.
 // ---------------------------------------------------------------------------
 
-TEST(EngineArenaCoreTest, ParseEngineCoreMapsFlagValues) {
-  EXPECT_EQ(ParseEngineCore("arena"), EngineCore::kArena);
-  EXPECT_EQ(ParseEngineCore("tree"), EngineCore::kTree);
-  EXPECT_FALSE(ParseEngineCore("btree").has_value());
-  EXPECT_FALSE(ParseEngineCore("").has_value());
+// Per-fact CntSat values in endo-index order (two full CntSat runs per fact
+// over copied databases; shares no code with the engine's index or sweep).
+std::vector<Rational> PerFactOracle(const CQ& q, const Database& db) {
+  std::vector<Rational> values(db.endogenous_count());
+  for (FactId f : db.endogenous_facts()) {
+    auto value = ShapleyViaCountSat(q, db, f);
+    EXPECT_TRUE(value.ok()) << value.error();
+    if (value.ok()) values[db.endo_index(f)] = std::move(value).value();
+  }
+  return values;
 }
 
-TEST(EngineArenaCoreTest, BuildReportsTheSelectedCore) {
-  UniversityDb u = BuildUniversityDb();
-  auto arena = ShapleyEngine::Build(UniversityQ1(), u.db);
-  ASSERT_TRUE(arena.ok()) << arena.error();
-  EXPECT_EQ(arena.value().core(), EngineCore::kArena);
-  auto tree = ShapleyEngine::Build(UniversityQ1(), u.db, EngineCore::kTree);
-  ASSERT_TRUE(tree.ok()) << tree.error();
-  EXPECT_EQ(tree.value().core(), EngineCore::kTree);
+// Runs the engine's first all-facts query at `threads` and checks: each
+// value equals the per-fact oracle (as a Rational and as its rendering),
+// BaselineSat equals CountSat, and the values sum to q(D) − q(Dx). Also
+// checks the orbit ids, asked for before the values when `ids_first` (so
+// OrbitIds is the first query on a mutated engine) and after them
+// otherwise: one per endogenous fact, dense in first-seen order, as many as
+// the orbits AllValues counted, and facts sharing an id have equal oracle
+// values. Returns the ids.
+std::vector<size_t> ExpectMatchesOracles(ShapleyEngine& engine, const CQ& q,
+                                         const Database& db,
+                                         const std::vector<Rational>& oracle,
+                                         size_t threads, bool ids_first,
+                                         const std::string& label) {
+  const std::string where = label + ", t=" + std::to_string(threads);
+  std::vector<size_t> ids;
+  if (ids_first) ids = engine.OrbitIds();
+  const std::vector<Rational> got = engine.AllValues(Threads(threads));
+  EXPECT_EQ(got.size(), oracle.size()) << where;
+  if (got.size() != oracle.size()) return {};
+  Rational sum;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], oracle[i]) << where << ", endo index " << i;
+    EXPECT_EQ(got[i].ToString(), oracle[i].ToString())
+        << where << ", endo index " << i;
+    sum += got[i];
+  }
+  auto count = CountSat(q, db);
+  EXPECT_TRUE(count.ok()) << count.error();
+  if (count.ok()) EXPECT_EQ(engine.BaselineSat(), count.value()) << where;
+  const int efficiency = (EvalBoolean(q, db, db.FullWorld()) ? 1 : 0) -
+                         (EvalBoolean(q, db, db.EmptyWorld()) ? 1 : 0);
+  EXPECT_EQ(sum, Rational(efficiency)) << where;
+
+  const size_t orbits_valued = engine.stats().orbit_count;
+  if (!ids_first) ids = engine.OrbitIds();
+  EXPECT_EQ(ids.size(), db.endogenous_count()) << where;
+  if (ids.size() != oracle.size()) return ids;
+  std::vector<size_t> first_member;  // orbit id -> its first endo index
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_LE(ids[i], first_member.size())
+        << where << ": orbit ids not dense first-seen at endo index " << i;
+    if (ids[i] > first_member.size()) return ids;
+    if (ids[i] == first_member.size()) {
+      first_member.push_back(i);
+      continue;
+    }
+    const size_t rep = first_member[ids[i]];
+    EXPECT_EQ(oracle[i], oracle[rep])
+        << where << ": endo indices " << rep << " and " << i
+        << " share orbit " << ids[i] << " but not their value";
+  }
+  EXPECT_EQ(first_member.size(), orbits_valued) << where;
+  EXPECT_EQ(engine.stats().orbit_count, first_member.size()) << where;
+  return ids;
 }
 
-TEST(EngineArenaCoreTest, EmptyDatabaseAgreesAcrossCores) {
-  const CQ q = MustParseCQ("q() :- R(x)");
+// One engine per thread count, each over its own copy of the database:
+// identical deltas keep the copies (and the stable FactIds) in lockstep,
+// and every engine's first query after a delta runs at its own thread
+// count, so the parallel sweep really runs on the patched state.
+struct Replica {
+  size_t threads = 1;
   Database db;
-  auto arena_built = ShapleyEngine::Build(q, db);
-  ASSERT_TRUE(arena_built.ok()) << arena_built.error();
-  ShapleyEngine arena = std::move(arena_built).value();
-  auto tree_built = ShapleyEngine::Build(q, db, EngineCore::kTree);
-  ASSERT_TRUE(tree_built.ok()) << tree_built.error();
-  ShapleyEngine tree = std::move(tree_built).value();
-  EXPECT_TRUE(arena.AllValues().empty());
-  EXPECT_TRUE(tree.AllValues().empty());
-  EXPECT_EQ(arena.BaselineSat(), tree.BaselineSat());
-  EXPECT_GT(arena.ApproxMemoryBytes(), 0u);
+  ShapleyEngine engine;
+};
+
+std::vector<Replica> MakeReplicas(const CQ& q, const Database& db) {
+  std::vector<Replica> replicas;
+  for (size_t threads : kThreadCounts) {
+    Replica replica;
+    replica.threads = threads;
+    replica.db = db;
+    replicas.push_back(std::move(replica));
+  }
+  // Engines point at their database: build only once the vector is final.
+  for (Replica& replica : replicas) {
+    auto built = ShapleyEngine::Build(q, replica.db);
+    EXPECT_TRUE(built.ok()) << built.error() << " for " << q.ToString();
+    if (built.ok()) replica.engine = std::move(built).value();
+  }
+  return replicas;
 }
 
-TEST(EngineArenaCoreTest, ExogenousOnlyDatabaseAgreesAcrossCores) {
+// Every replica against the oracles, and the same orbit ids on all of
+// them; every other replica asks for its ids first. The callers mutate
+// right after this, so each delta lands on engines whose orbit keys were
+// just collected.
+void ExpectReplicasMatchOracles(std::vector<Replica>& replicas, const CQ& q,
+                                const std::string& label) {
+  const Database& db = replicas.front().db;
+  const std::vector<Rational> oracle = PerFactOracle(q, db);
+  std::vector<size_t> first_ids;
+  for (size_t r = 0; r < replicas.size(); ++r) {
+    Replica& replica = replicas[r];
+    ASSERT_EQ(replica.db.ToString(), db.ToString()) << label;
+    const size_t threads = replica.threads;
+    const std::vector<size_t> ids = ExpectMatchesOracles(
+        replica.engine, q, replica.db, oracle, threads,
+        /*ids_first=*/r % 2 == 1, label);
+    if (r == 0) {
+      first_ids = ids;
+    } else {
+      EXPECT_EQ(ids, first_ids) << label << ", t=" << threads;
+    }
+  }
+}
+
+TEST(EngineArenaCoreTest, EmptyDatabaseMatchesOracles) {
+  const CQ q = MustParseCQ("q() :- R(x)");
+  std::vector<Replica> replicas = MakeReplicas(q, Database());
+  ExpectReplicasMatchOracles(replicas, q, "empty database");
+  EXPECT_GT(replicas.front().engine.ApproxMemoryBytes(), 0u);
+}
+
+TEST(EngineArenaCoreTest, ExogenousOnlyDatabaseMatchesOracles) {
   const CQ q = MustParseCQ("q() :- R(x)");
   Database db;
   db.AddExo("R", {V("a")});
   db.AddExo("S", {V("b")});
-  auto arena_built = ShapleyEngine::Build(q, db);
-  ASSERT_TRUE(arena_built.ok()) << arena_built.error();
-  ShapleyEngine arena = std::move(arena_built).value();
-  auto tree_built = ShapleyEngine::Build(q, db, EngineCore::kTree);
-  ASSERT_TRUE(tree_built.ok()) << tree_built.error();
-  ShapleyEngine tree = std::move(tree_built).value();
-  EXPECT_TRUE(arena.AllValues().empty());
-  EXPECT_TRUE(tree.AllValues().empty());
-  EXPECT_EQ(arena.BaselineSat(), tree.BaselineSat());
+  std::vector<Replica> replicas = MakeReplicas(q, db);
+  ExpectReplicasMatchOracles(replicas, q, "exogenous-only database");
 }
 
 // ---------------------------------------------------------------------------
-// The migration contract: arena vs tree oracle, bit-identical, at every
-// thread count, after build and after every delta.
+// The fuzz battery: generated hierarchical CQ¬s, random deltas.
 // ---------------------------------------------------------------------------
 
-// Compares the arena engine (at thread counts 1/2/4/8) against the tree
-// oracle's serial values: same Rationals, same canonical renderings, same
-// baseline, same orbit partition.
-void ExpectCoresAgree(ShapleyEngine& arena_engine, ShapleyEngine& tree_engine,
-                      size_t endo_count, const std::string& label) {
-  const std::vector<Rational> oracle = tree_engine.AllValues();
-  ASSERT_EQ(oracle.size(), endo_count) << label;
-  for (const size_t threads : {1u, 2u, 4u, 8u}) {
-    const std::vector<Rational> got =
-        arena_engine.AllValues(Threads(threads));
-    ASSERT_EQ(got.size(), oracle.size()) << label << ", t=" << threads;
-    for (size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i], oracle[i])
-          << label << ", t=" << threads << ", endo index " << i;
-      ASSERT_EQ(got[i].ToString(), oracle[i].ToString())
-          << label << ", t=" << threads << ", endo index " << i;
-    }
-  }
-  EXPECT_EQ(arena_engine.BaselineSat(), tree_engine.BaselineSat()) << label;
-  EXPECT_EQ(arena_engine.OrbitIds(), tree_engine.OrbitIds()) << label;
-}
+class EngineArenaOracleFuzz : public ::testing::TestWithParam<int> {};
 
-class EngineArenaDifferentialFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(EngineArenaDifferentialFuzz, BitIdenticalToTreeOracleUnderDeltas) {
+TEST_P(EngineArenaOracleFuzz, MatchesPerFactOracleUnderDeltas) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 50021 + 7);
   QueryGenOptions query_options;
   query_options.max_depth = 3;
@@ -203,25 +325,12 @@ TEST_P(EngineArenaDifferentialFuzz, BitIdenticalToTreeOracleUnderDeltas) {
   SyntheticOptions db_options;
   db_options.domain_size = 3;
   db_options.facts_per_relation = 4;
-  Database arena_db = RandomDatabaseForQuery(q, {}, db_options, &rng);
-  // Each engine maintains its own copy of the database; identical deltas
-  // keep the copies (and the stable FactIds) in lockstep.
-  Database tree_db = arena_db;
-
-  auto arena_built = ShapleyEngine::Build(q, arena_db);
-  ASSERT_TRUE(arena_built.ok()) << arena_built.error() << " for "
-                                << q.ToString();
-  ShapleyEngine arena_engine = std::move(arena_built).value();
-  auto tree_built = ShapleyEngine::Build(q, tree_db, EngineCore::kTree);
-  ASSERT_TRUE(tree_built.ok()) << tree_built.error() << " for "
-                               << q.ToString();
-  ShapleyEngine tree_engine = std::move(tree_built).value();
-
-  ExpectCoresAgree(arena_engine, tree_engine, arena_db.endogenous_count(),
-                   q.ToString() + " after build");
+  const Database db = RandomDatabaseForQuery(q, {}, db_options, &rng);
+  std::vector<Replica> replicas = MakeReplicas(q, db);
+  ExpectReplicasMatchOracles(replicas, q, q.ToString() + " after build");
 
   std::vector<FactId> live;
-  for (size_t i = 0; i < arena_db.fact_slot_count(); ++i) {
+  for (size_t i = 0; i < replicas.front().db.fact_slot_count(); ++i) {
     live.push_back(static_cast<FactId>(i));
   }
   std::vector<std::pair<std::string, size_t>> insertable;
@@ -237,12 +346,10 @@ TEST_P(EngineArenaDifferentialFuzz, BitIdenticalToTreeOracleUnderDeltas) {
       const size_t pick = static_cast<size_t>(rng.UniformInt(live.size()));
       const FactId victim = live[pick];
       live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
-      auto arena_deleted = arena_engine.DeleteFact(arena_db, victim);
-      ASSERT_TRUE(arena_deleted.ok())
-          << arena_deleted.error() << " for " << q.ToString();
-      auto tree_deleted = tree_engine.DeleteFact(tree_db, victim);
-      ASSERT_TRUE(tree_deleted.ok())
-          << tree_deleted.error() << " for " << q.ToString();
+      for (Replica& replica : replicas) {
+        auto deleted = replica.engine.DeleteFact(replica.db, victim);
+        ASSERT_TRUE(deleted.ok()) << deleted.error() << " for " << q.ToString();
+      }
     } else {
       const auto& [relation, arity] =
           insertable[rng.UniformInt(insertable.size())];
@@ -250,27 +357,26 @@ TEST_P(EngineArenaDifferentialFuzz, BitIdenticalToTreeOracleUnderDeltas) {
       for (size_t t = 0; t < arity; ++t) {
         tuple.push_back(V("c" + std::to_string(rng.UniformInt(4))));
       }
-      if (arena_db.FindFact(relation, tuple) != kNoFact) continue;
-      const bool endogenous = rng.Bernoulli(0.7);
-      auto arena_inserted =
-          arena_engine.InsertFact(arena_db, relation, tuple, endogenous);
-      ASSERT_TRUE(arena_inserted.ok())
-          << arena_inserted.error() << " for " << q.ToString();
-      auto tree_inserted =
-          tree_engine.InsertFact(tree_db, relation, tuple, endogenous);
-      ASSERT_TRUE(tree_inserted.ok())
-          << tree_inserted.error() << " for " << q.ToString();
-      // Stable ids must allocate identically, or later deletes diverge.
-      ASSERT_EQ(arena_inserted.value(), tree_inserted.value());
-      live.push_back(arena_inserted.value());
+      if (replicas.front().db.FindFact(relation, tuple) != kNoFact) continue;
+      const bool endo = rng.Bernoulli(0.7);
+      FactId inserted_id = kNoFact;
+      for (Replica& replica : replicas) {
+        ShapleyEngine& engine = replica.engine;
+        auto inserted = engine.InsertFact(replica.db, relation, tuple, endo);
+        ASSERT_TRUE(inserted.ok())
+            << inserted.error() << " for " << q.ToString();
+        // Stable ids must allocate identically, or later deletes diverge.
+        if (inserted_id != kNoFact) ASSERT_EQ(inserted.value(), inserted_id);
+        inserted_id = inserted.value();
+      }
+      live.push_back(inserted_id);
     }
-    ASSERT_EQ(arena_db.ToString(), tree_db.ToString());
-    ExpectCoresAgree(arena_engine, tree_engine, arena_db.endogenous_count(),
-                     q.ToString() + " after delta " + std::to_string(step));
+    const std::string after = " after delta " + std::to_string(step);
+    ExpectReplicasMatchOracles(replicas, q, q.ToString() + after);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(GeneratedQueries, EngineArenaDifferentialFuzz,
+INSTANTIATE_TEST_SUITE_P(GeneratedQueries, EngineArenaOracleFuzz,
                          ::testing::Range(0, 12));
 
 // ---------------------------------------------------------------------------
@@ -280,32 +386,21 @@ INSTANTIATE_TEST_SUITE_P(GeneratedQueries, EngineArenaDifferentialFuzz,
 
 TEST(EngineArenaParallelTest, ThreadCountsBitIdenticalOnScalingDb) {
   const CQ q = UniversityQ1();
-  Database db = BuildStudentScalingDb(6, 3);
-  auto built = ShapleyEngine::Build(q, db);
-  ASSERT_TRUE(built.ok()) << built.error();
-  ShapleyEngine engine = std::move(built).value();
-  const std::vector<Rational> serial = engine.AllValues(Threads(1));
-  for (const size_t threads : {2u, 4u, 8u}) {
-    EXPECT_EQ(engine.AllValues(Threads(threads)), serial)
-        << "t=" << threads;
-  }
+  std::vector<Replica> replicas = MakeReplicas(q, BuildStudentScalingDb(6, 3));
+  ExpectReplicasMatchOracles(replicas, q, "scaling db after build");
 
-  // And again on a mutated engine, against a fresh tree oracle.
+  // And again on the patched engines, after an insert that opens a slice.
   const Atom& atom = q.atoms().front();
   Tuple tuple;
   for (size_t t = 0; t < atom.arity(); ++t) {
     tuple.push_back(V("zz" + std::to_string(t)));
   }
-  auto inserted = engine.InsertFact(db, atom.relation, tuple, true);
-  ASSERT_TRUE(inserted.ok()) << inserted.error();
-  auto oracle_built = ShapleyEngine::Build(q, db, EngineCore::kTree);
-  ASSERT_TRUE(oracle_built.ok()) << oracle_built.error();
-  ShapleyEngine oracle = std::move(oracle_built).value();
-  const std::vector<Rational> expected = oracle.AllValues();
-  for (const size_t threads : {1u, 2u, 4u, 8u}) {
-    EXPECT_EQ(engine.AllValues(Threads(threads)), expected)
-        << "t=" << threads;
+  for (Replica& replica : replicas) {
+    ShapleyEngine& engine = replica.engine;
+    auto inserted = engine.InsertFact(replica.db, atom.relation, tuple, true);
+    ASSERT_TRUE(inserted.ok()) << inserted.error();
   }
+  ExpectReplicasMatchOracles(replicas, q, "scaling db after insert");
 }
 
 }  // namespace

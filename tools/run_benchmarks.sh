@@ -12,7 +12,9 @@
 # tools/check_arith_speedup.py gate the speedup within one run.
 # BENCH_shapley.json carries a thread-count axis:
 # BM_EngineAllFactsParallel/{students},{threads} rows measure the worker-pool
-# engine, with threads=1 as the serial baseline of the speedup curve.
+# engine, with threads=1 as the serial baseline of the speedup curve; its
+# BM_EngineAllFacts and BM_PerFactCountSatLoop rows feed
+# tools/check_arena_speedup.py (engine vs per-fact CntSat loop, same run).
 #
 # All files embed git_sha and host_nproc in the JSON "context" block, so
 # the single-core-container caveat (a parallel speedup is only physically

@@ -19,7 +19,6 @@
 #include <iostream>
 #include <string>
 
-#include "core/shapley_engine.h"
 #include "db/textio.h"
 #include "service/command_loop.h"
 #include "service/net/tcp_server.h"
@@ -182,11 +181,7 @@ void PrintUsage() {
       "                     dependent bytes= engine-size estimate in the\n"
       "                     global STATS line; 'off' omits it so\n"
       "                     transcripts diff byte-identical across\n"
-      "                     platforms (CI golden files)\n"
-      "  --engine=CORE      numeric core for every engine build: 'arena'\n"
-      "                     (flat SoA, the default) or 'tree' (the\n"
-      "                     pointer-linked oracle / escape hatch); reports\n"
-      "                     are bit-identical on either core\n");
+      "                     platforms (CI golden files)\n");
 }
 
 }  // namespace
@@ -254,16 +249,6 @@ int main(int argc, char** argv) {
       net_options.io_timeout_ms = next_size("--io-timeout-ms");
     } else if (arg == "--idle-timeout-ms") {
       net_options.idle_timeout_ms = next_size("--idle-timeout-ms");
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      const std::string name = arg.substr(std::strlen("--engine="));
-      const auto core = ParseEngineCore(name);
-      if (!core.has_value()) {
-        std::fprintf(stderr,
-                     "bad --engine value: %s (expected arena or tree)\n",
-                     name.c_str());
-        return 2;
-      }
-      options.registry.engine_core = *core;
     } else if (arg.rfind("--stats-bytes=", 0) == 0) {
       const std::string mode = arg.substr(std::strlen("--stats-bytes="));
       if (mode == "exact") {
