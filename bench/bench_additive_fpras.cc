@@ -8,7 +8,7 @@
 //   BM_ApproxSamplesPerSec/<t>  sampling throughput at t worker threads
 //                               (permutation draws + memoized oracle).
 //
-// Counters (tools/check_approx_accuracy.py gates them in CI):
+// Counters (the approx gate of tools/check_bench.py holds them):
 //   ci_max            widest reported confidence radius across facts
 //   abs_err_max       largest |estimate - exact| across facts
 //   cover_margin_min  min over facts of (ci - |error|); >= 0 means every

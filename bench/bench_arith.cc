@@ -6,9 +6,9 @@
 // Each multiply/divmod family is benchmarked twice on the same values: once
 // through the production BigInt (64-bit limbs, inline small-value storage,
 // Karatsuba, Knuth-D) and once through the retained seed implementation
-// RefBigInt (util/bigint_reference.h: 32-bit limbs, schoolbook,
-// shift-subtract). Both rows land in the same BENCH_arith.json, so
-// tools/check_arith_speedup.py can gate the seed-vs-current speedup from a
+// RefBigInt (tests/support/bigint_reference.h: 32-bit limbs, schoolbook,
+// shift-subtract). Both rows land in the same BENCH_arith.json, so the arith
+// gate of tools/check_bench.py can gate the seed-vs-current speedup from a
 // single run on a single machine — no cross-host baseline drift.
 //
 // Arg = operand size in 64-bit limbs (the Ref rows hold the same values,
@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "util/bigint.h"
-#include "util/bigint_reference.h"
+#include "support/bigint_reference.h"
 #include "util/count_vector.h"
 #include "util/random.h"
 #include "util/rational.h"

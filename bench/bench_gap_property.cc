@@ -5,7 +5,7 @@
 //                             n!n!/(2n+1)!, verified by brute force at
 //                             small n.
 //
-// Counters (tools/check_approx_accuracy.py gates them in CI):
+// Counters (the approx gate of tools/check_bench.py holds them):
 //   log2_value   log2 of the exact value; the gap property FAILING means
 //                this falls below -n (nonzero but exponentially small, so
 //                an additive FPRAS cannot double as a multiplicative one —

@@ -4,7 +4,8 @@
 // benchmarks apply the same delete + re-insert pair per iteration, so
 // time-per-iteration is directly comparable: the patch/rebuild ratio is the
 // speedup the long-lived service mode buys (target >=10x at endo >= 70,
-// i.e. students >= 20; tools/check_incremental_speedup.py gates 50% in CI).
+// i.e. students >= 20; the incremental gate of tools/check_bench.py holds
+// the ratio at <= 0.5).
 //
 // Arg = students in the q1-shaped scaling database (endo = 3s + ceil(s/2)).
 

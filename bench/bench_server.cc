@@ -10,7 +10,8 @@
 //   BM_ServerDeltaReport resident engine, one delete+insert delta pair then
 //                        a report (the mixed update/query workload).
 //
-// tools/check_server_speedup.py gates warm >= 5x cold on the recorded JSON.
+// The server gate of tools/check_bench.py holds cold >= 5x warm on the
+// recorded JSON.
 // Arg = students in the q1-shaped scaling database (endo = 3s + ceil(s/2)).
 
 #include <benchmark/benchmark.h>

@@ -24,8 +24,8 @@ void BM_EngineAllFacts(benchmark::State& state) {
   // The arena's all-facts value sweep (engine_arena.h). Build is kept out of
   // the timed region (BM_EngineBuildOnly tracks it in this same JSON), so
   // the row measures the value computation alone. Compared against
-  // BM_PerFactCountSatLoop below; tools/check_arena_speedup.py gates that
-  // ratio at the endo >= 70 sizes.
+  // BM_PerFactCountSatLoop below; the arena gate of tools/check_bench.py
+  // holds that ratio at the endo >= 70 sizes.
   const CQ q = UniversityQ1();
   const Database db =
       BuildStudentScalingDb(static_cast<int>(state.range(0)), 3);

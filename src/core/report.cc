@@ -253,21 +253,14 @@ Result<AttributionReport> BuildAttributionReport(
 
 AttributionReport BuildAttributionReportFromEngine(
     ShapleyEngine& engine, const Database& db, const ReportOptions& options) {
-  AttributionReport report;
-  report.engine = "CntSat (incremental)";
-  ParallelOptions parallel;
-  parallel.num_threads = options.num_threads;
-  FillAndRankRows(&report, db, engine.AllValues(parallel), options.top_k);
-  return report;
+  return BuildAttributionReportFromEngine(engine, db, options, nullptr)
+      .value();
 }
 
 Result<AttributionReport> BuildAttributionReportFromEngine(
     ShapleyEngine& engine, const Database& db, const ReportOptions& options,
     const CancelToken* cancel) {
   using R = Result<AttributionReport>;
-  if (cancel == nullptr || !cancel->Enabled()) {
-    return R::Ok(BuildAttributionReportFromEngine(engine, db, options));
-  }
   AttributionReport report;
   report.engine = "CntSat (incremental)";
   ParallelOptions parallel;

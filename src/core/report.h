@@ -130,7 +130,7 @@ AttributionReport BuildAttributionReportFromEngine(
 /// value sweep and returns the [E_DEADLINE] payload on expiry. The engine
 /// keeps every orbit value it finished (each is a pure function of the
 /// index), so a later undeadlined report is bit-identical to a fresh
-/// engine's. nullptr/disabled tokens reduce to the plain overload.
+/// engine's. A nullptr or disabled token never cancels.
 Result<AttributionReport> BuildAttributionReportFromEngine(
     ShapleyEngine& engine, const Database& db, const ReportOptions& options,
     const CancelToken* cancel);

@@ -772,35 +772,15 @@ Result<FactId> ShapleyEngine::DeleteFact(Database& db, FactId fact) {
 }
 
 Result<std::vector<FactId>> ShapleyEngine::ApplyDelta(
-    Database& db, const std::vector<FactDelta>& delta) {
-  std::vector<FactId> applied;
-  applied.reserve(delta.size());
-  for (const FactDelta& d : delta) {
-    Result<FactId> result =
-        d.op == FactDelta::Op::kInsert
-            ? InsertFact(db, d.relation, d.tuple, d.endogenous)
-            : DeleteFact(db, d.fact);
-    if (!result.ok()) {
-      return Result<std::vector<FactId>>::Error(
-          "ApplyDelta: delta " + std::to_string(applied.size()) +
-          " failed: " + result.error());
-    }
-    applied.push_back(result.value());
-  }
-  return Result<std::vector<FactId>>::Ok(std::move(applied));
-}
-
-Result<std::vector<FactId>> ShapleyEngine::ApplyDelta(
     Database& db, const std::vector<FactDelta>& delta,
     const CancelToken* cancel) {
-  if (cancel == nullptr || !cancel->Enabled()) return ApplyDelta(db, delta);
   std::vector<FactId> applied;
   applied.reserve(delta.size());
   for (const FactDelta& d : delta) {
     // Poll between records only: each record's root-to-leaf patch is
     // atomic w.r.t. cancellation, so the engine always equals a fresh
     // build on the applied prefix.
-    if (cancel->Expired()) {
+    if (cancel != nullptr && cancel->Expired()) {
       return Result<std::vector<FactId>>::Error(
           "ApplyDelta: " + std::string(CancelToken::kCancelledMessage) +
           " after " + std::to_string(applied.size()) + " deltas");

@@ -181,19 +181,17 @@ class ShapleyEngine {
   /// Applies the deltas in order; stops at the first failing delta (earlier
   /// deltas stay applied). Returns the FactId per delta: the inserted id for
   /// inserts, the removed id for deletes.
-  Result<std::vector<FactId>> ApplyDelta(Database& db,
-                                         const std::vector<FactDelta>& delta);
-
-  /// Cancellable batch: as ApplyDelta, polling `cancel` between delta
-  /// records (never inside a patch — each record's root-to-leaf patch is
-  /// atomic with respect to cancellation). On expiry it returns the
-  /// cancellation error; deltas applied before the expiry stay applied, in
-  /// line with the first-failing-delta contract above, and engine state
-  /// remains exactly "the prefix was applied" — bit-identical to a fresh
-  /// Build() on the prefix-mutated database.
+  ///
+  /// An enabled `cancel` is polled between delta records (never inside a
+  /// patch — each record's root-to-leaf patch is atomic with respect to
+  /// cancellation). On expiry it returns the cancellation error; deltas
+  /// applied before the expiry stay applied, in line with the
+  /// first-failing-delta contract above, and engine state remains exactly
+  /// "the prefix was applied" — bit-identical to a fresh Build() on the
+  /// prefix-mutated database.
   Result<std::vector<FactId>> ApplyDelta(Database& db,
                                          const std::vector<FactDelta>& delta,
-                                         const CancelToken* cancel);
+                                         const CancelToken* cancel = nullptr);
 
   /// Statistics of the built engine. orbit_count is populated by AllValues /
   /// OrbitIds (0 before the first all-facts query).

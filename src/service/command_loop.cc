@@ -51,16 +51,6 @@ std::string WithContext(const std::string& context, const std::string& error) {
   return context + ": " + error;
 }
 
-// The loop's registry options: the loop-level fact cap is enforced inside
-// the registry (under the stripe lock), so merge it down.
-RegistryOptions MergedRegistryOptions(const CommandLoopOptions& options) {
-  RegistryOptions merged = options.registry;
-  if (merged.max_session_facts == 0) {
-    merged.max_session_facts = options.max_session_facts;
-  }
-  return merged;
-}
-
 // Reads one protocol line, distinguishing EOF from a transient read error.
 // std::getline reports both as a non-good stream; treating them alike made
 // an EINTR-interrupted read (any signal without SA_RESTART — SIGCONT after
@@ -96,8 +86,7 @@ bool ReadCommandLine(std::istream& in, std::string* line,
 }  // namespace
 
 CommandLoop::CommandLoop(const CommandLoopOptions& options)
-    : owned_registry_(
-          std::make_unique<EngineRegistry>(MergedRegistryOptions(options))),
+    : owned_registry_(std::make_unique<EngineRegistry>(options.registry)),
       registry_(owned_registry_.get()),
       options_(options) {}
 
@@ -136,7 +125,7 @@ void CommandLoop::ExecuteLine(const std::string& line, std::string* out) {
   if (start == std::string::npos || line[start] == '#') return;
   size_t end = line.find_last_not_of(" \t\r");
   const std::string trimmed = line.substr(start, end - start + 1);
-  if (options_.echo_commands) *out += "> " + trimmed + "\n";
+  *out += "> " + trimmed + "\n";
 
   std::string rest;
   const std::string command = TakeToken(trimmed, &rest);
@@ -209,9 +198,7 @@ void CommandLoop::ExecuteLine(const std::string& line, std::string* out) {
           "seed=S max_samples=M force_approx=0|1 deadline_ms=N "
           "on_deadline=error|approx]");
     }
-    // One shared grammar with the CLI: structured key=value pairs, with the
-    // PR 4 positional form "[top_k] [--threads N]" kept as a deprecated
-    // compatibility path (identical error strings).
+    // One shared grammar with the CLI: key=value pairs.
     auto parsed = ParseReportRequest(args, options_.default_threads);
     if (!parsed.ok()) {
       return fail("report " + id + ": " + parsed.error());
@@ -220,8 +207,7 @@ void CommandLoop::ExecuteLine(const std::string& line, std::string* out) {
     if (!parsed.value().deadline_in_request &&
         options_.default_deadline_ms > 0) {
       // The server-wide default covers requests that say nothing about
-      // deadlines (the deprecated positional form included); an explicit
-      // deadline_ms= — even =0 — always wins.
+      // deadlines; an explicit deadline_ms= — even =0 — always wins.
       options.deadline_ms = options_.default_deadline_ms;
     }
     if (log_ != nullptr) {

@@ -13,8 +13,6 @@
 //                                     top_k=K threads=N approx=EPS,DELTA
 //                                     seed=S max_samples=M force_approx=0|1
 //                                     deadline_ms=N on_deadline=error|approx
-//                                     (deprecated positional form
-//                                     "[top_k] [--threads N]" still accepted)
 //   SNAPSHOT <session>                checkpoint + compact the session's
 //                                     write-ahead log (durability only)
 //   STATS                             registry-wide counters
@@ -35,9 +33,9 @@
 // (service/session_log.h), so a killed process resumes bit-identical after
 // InitDurability replays the logs. Failures of the log itself surface as
 // structured "error: [E_LOG_IO] ..." lines that fail the command but keep
-// the loop alive; resource guards (max_line_bytes, max_session_facts, the
-// stripe queue bound) use [E_LINE_TOO_LONG], [E_FACT_CAP] and [E_OVERLOAD]
-// the same way.
+// the loop alive; resource guards (max_line_bytes, the registry's
+// max_session_facts, the stripe queue bound) use [E_LINE_TOO_LONG],
+// [E_FACT_CAP] and [E_OVERLOAD] the same way.
 //
 // Sharing: a loop either owns its registry (the script/stdin server — one
 // loop, one registry) or borrows a shared registry + log manager (the
@@ -48,7 +46,7 @@
 // stripe lock and concurrent connections cannot interleave inside them.
 //
 // An owning loop is the single writer of its registry (one command at a
-// time); REPORT may parallelize internally via --threads, which is safe
+// time); REPORT may parallelize internally via threads=, which is safe
 // under the engine's single-writer/parallel-reader contract.
 
 #ifndef SHAPCQ_SERVICE_COMMAND_LOOP_H_
@@ -78,12 +76,10 @@ struct TransportStats {
 /// Knobs for a CommandLoop.
 struct CommandLoopOptions {
   RegistryOptions registry;
-  /// Worker threads for REPORT when the command has no --threads override
+  /// Worker threads for REPORT when the command has no threads= key
   /// (1 = serial, 0 = hardware concurrency). Values are identical at any
   /// setting.
   size_t default_threads = 1;
-  /// Echo each executed command as "> <line>" before its output.
-  bool echo_commands = true;
 
   /// Directory of per-session write-ahead logs; "" disables durability.
   std::string log_dir;
@@ -95,10 +91,6 @@ struct CommandLoopOptions {
 
   /// Reject input lines longer than this many bytes (0 = unlimited).
   size_t max_line_bytes = 1 << 20;
-  /// Reject inserts that would grow a session past this many live facts
-  /// (0 = unlimited). Merged into registry.max_session_facts, where the
-  /// cap is enforced under the stripe lock.
-  size_t max_session_facts = 0;
   /// Include the platform-dependent "bytes=" estimate in the global STATS
   /// line. Off produces byte-identical transcripts across platforms (the
   /// CI golden files).

@@ -53,30 +53,6 @@ bool ParseDoubleStrict(const std::string& text, double* out) {
   return true;
 }
 
-// The deprecated positional grammar "[top_k] [--threads N]", with the
-// original PR 4 error strings byte-for-byte (the golden transcripts and the
-// protocol tests pin them).
-Result<ReportRequest> ParsePositional(const std::vector<std::string>& tokens,
-                                      ReportRequest request) {
-  using R = Result<ReportRequest>;
-  request.deprecated_form = !tokens.empty();
-  bool top_k_seen = false;
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    if (tokens[i] == "--threads") {
-      const std::string value = i + 1 < tokens.size() ? tokens[i + 1] : "";
-      if (!ParseSizeStrict(value, &request.threads)) {
-        return R::Error("bad --threads value '" + value + "'");
-      }
-      ++i;
-    } else if (!top_k_seen && ParseSizeStrict(tokens[i], &request.top_k)) {
-      top_k_seen = true;
-    } else {
-      return R::Error("unexpected argument '" + tokens[i] + "'");
-    }
-  }
-  return R::Ok(std::move(request));
-}
-
 }  // namespace
 
 Result<ReportRequest> ParseReportRequest(const std::string& args,
@@ -85,18 +61,8 @@ Result<ReportRequest> ParseReportRequest(const std::string& args,
   ReportRequest request;
   request.threads = default_threads;
 
-  const std::vector<std::string> tokens = Tokenize(args);
-  bool structured = false;
-  for (const std::string& token : tokens) {
-    if (token.find('=') != std::string::npos) {
-      structured = true;
-      break;
-    }
-  }
-  if (!structured) return ParsePositional(tokens, std::move(request));
-
   std::set<std::string> seen;
-  for (const std::string& token : tokens) {
+  for (const std::string& token : Tokenize(args)) {
     const size_t eq = token.find('=');
     if (eq == std::string::npos || eq == 0) {
       return R::Error("expected key=value argument, got '" + token + "'");

@@ -2,8 +2,7 @@
 // both the CLI (flags assemble key=value tokens) and the server's REPORT
 // command — report parameters are validated in exactly one place.
 //
-// Structured grammar (any token containing '=' selects it, and then every
-// token must be a key=value pair; keys are single-use):
+// Grammar: zero or more key=value tokens, each key at most once:
 //
 //   top_k=K          keep only the K highest-ranked rows (0 = all)
 //   threads=N        worker threads (1 = serial, 0 = hardware concurrency)
@@ -24,11 +23,6 @@
 //                    'approx' degrades to the sampling tier (CI-annotated
 //                    rows, "approx:" provenance). Inert without a deadline
 //                    in effect, so it composes with the server default
-//
-// Deprecated positional grammar, kept for protocol compatibility (the PR 4
-// transcripts): "[top_k] [--threads N]", with the original error strings.
-// Mixing the two forms is an error; the deprecated form carries no deadline
-// keys (a server --default-deadline-ms still applies to it).
 
 #ifndef SHAPCQ_SERVICE_REPORT_REQUEST_H_
 #define SHAPCQ_SERVICE_REPORT_REQUEST_H_
@@ -51,7 +45,6 @@ struct ReportRequest {
                                      // deadline_ms=0 can override a server
                                      // default)
   OnDeadline on_deadline = OnDeadline::kError;
-  bool deprecated_form = false; // parsed from the positional grammar
 
   /// The engine-facing options (exo/brute-force knobs stay default — they
   /// are not part of the request surface).

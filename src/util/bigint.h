@@ -23,7 +23,8 @@
 //     to equalize very unbalanced operands.
 //
 // Results are bit-identical to the retained seed implementation
-// (util/bigint_reference.h), which the differential test battery enforces.
+// (tests/support/bigint_reference.h), which the differential test battery
+// enforces.
 
 #ifndef SHAPCQ_UTIL_BIGINT_H_
 #define SHAPCQ_UTIL_BIGINT_H_

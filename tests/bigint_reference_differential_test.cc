@@ -1,8 +1,8 @@
 // Differential battery: the production BigInt (64-bit limbs, inline
 // small-value storage, Karatsuba, Knuth-D division, binary gcd) against the
 // retained seed implementation RefBigInt (32-bit limbs, schoolbook,
-// shift-subtract, Euclid — util/bigint_reference.h, kept verbatim for this
-// purpose). Every kernel is exercised across magnitudes of 1..128 64-bit
+// shift-subtract, Euclid — tests/support/bigint_reference.h, kept verbatim
+// for this purpose). Every kernel is exercised across magnitudes of 1..128 64-bit
 // limbs, all sign patterns, and the Karatsuba threshold boundary; the bridge
 // between the two classes is decimal strings, so agreement here is
 // bit-identical value agreement.
@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "util/bigint.h"
-#include "util/bigint_reference.h"
+#include "support/bigint_reference.h"
 #include "util/random.h"
 
 namespace shapcq {

@@ -166,10 +166,9 @@ TEST(DeadlineRequestParseTest, UnknownKeyErrorListsTheDeadlineKeys) {
             "max_samples, force_approx, deadline_ms or on_deadline)");
 }
 
-TEST(DeadlineRequestParseTest, DeprecatedPositionalFormCarriesNoDeadline) {
-  auto parsed = ParseReportRequest("3 --threads 2", 1);
+TEST(DeadlineRequestParseTest, RequestWithoutDeadlineKeysCarriesNoDeadline) {
+  auto parsed = ParseReportRequest("top_k=3 threads=2", 1);
   ASSERT_TRUE(parsed.ok()) << parsed.error();
-  EXPECT_TRUE(parsed.value().deprecated_form);
   EXPECT_FALSE(parsed.value().deadline_in_request);
   EXPECT_EQ(parsed.value().deadline_ms, 0u);
 }

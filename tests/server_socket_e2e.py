@@ -48,9 +48,9 @@ def client_script(session):
         "REPORT %s" % session,
         "DELTA %s + Reg(bob,db)*" % session,
         "DELTA %s + TA(bob)*" % session,
-        "REPORT %s 2" % session,
+        "REPORT %s top_k=2" % session,
         "DELTA %s - Reg(bob,db)" % session,
-        "REPORT %s --threads 2" % session,
+        "REPORT %s threads=2" % session,
         "STATS %s" % session,
         "CLOSE %s" % session,
     ]

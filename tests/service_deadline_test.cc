@@ -150,17 +150,16 @@ TEST(DeadlineProtocolTest, ServerDefaultDeadlineAppliesAndZeroOptsOut) {
   CommandLoopOptions options;
   options.default_deadline_ms = 1;
   // The bare REPORT carries no deadline keys — the server default applies
-  // (to the deprecated positional form just the same).
+  // (to a request with other keys but no deadline keys just the same).
   GrownLoop grown =
       GrowUntilDeadline(options, "REPORT big", "[E_DEADLINE]");
   ASSERT_NE(grown.loop, nullptr) << "server default deadline never fired";
   EXPECT_NE(grown.output.find("deadline_ms=1 exceeded"), std::string::npos)
       << grown.output;
 
-  std::string positional;
-  grown.loop->ExecuteLine("REPORT big 3", &positional);
-  EXPECT_NE(positional.find("[E_DEADLINE]"), std::string::npos)
-      << positional;
+  std::string top_k;
+  grown.loop->ExecuteLine("REPORT big top_k=3", &top_k);
+  EXPECT_NE(top_k.find("[E_DEADLINE]"), std::string::npos) << top_k;
 
   // deadline_ms=0 is the per-request opt-out: the report runs undeadlined.
   std::string opted_out;

@@ -109,9 +109,9 @@ std::string ClientScript(const std::string& id) {
   script += "REPORT " + id + "\n";
   script += "DELTA " + id + " + Reg(bob,db)*\n";
   script += "DELTA " + id + " + TA(bob)*\n";
-  script += "REPORT " + id + " 2\n";
+  script += "REPORT " + id + " top_k=2\n";
   script += "DELTA " + id + " - Reg(bob,db)\n";
-  script += "REPORT " + id + " --threads 2\n";
+  script += "REPORT " + id + " threads=2\n";
   script += "STATS " + id + "\n";
   script += "CLOSE " + id + "\n";
   return script;

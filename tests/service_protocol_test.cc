@@ -70,10 +70,10 @@ TEST(CommandLoopTest, ReportHonorsTopKAndThreads) {
   Exec(&loop, "DELTA s1 + R(c)*");
   const std::string full = Exec(&loop, "REPORT s1");
   EXPECT_NE(full.find("rows=3 endo=3"), std::string::npos);
-  const std::string top = Exec(&loop, "REPORT s1 2");
+  const std::string top = Exec(&loop, "REPORT s1 top_k=2");
   EXPECT_NE(top.find("rows=2 endo=3"), std::string::npos);
-  // --threads changes nothing about the output values (threading contract).
-  const std::string parallel = Exec(&loop, "REPORT s1 2 --threads 4");
+  // threads= changes nothing about the output values (threading contract).
+  const std::string parallel = Exec(&loop, "REPORT s1 top_k=2 threads=4");
   EXPECT_EQ(top.substr(top.find('\n') + 1),
             parallel.substr(parallel.find('\n') + 1));
   EXPECT_EQ(loop.error_count(), 0u);
@@ -148,12 +148,15 @@ TEST(CommandLoopTest, ReportStatsCloseErrors) {
   EXPECT_NE(Exec(&loop, "REPORT nosuch").find("no open session"),
             std::string::npos);
   Exec(&loop, "OPEN s1 q() :- R(x)");
-  EXPECT_NE(Exec(&loop, "REPORT s1 --threads x").find("bad --threads"),
+  // Every REPORT argument is a key=value pair; bare tokens are rejected.
+  EXPECT_NE(Exec(&loop, "REPORT s1 3")
+                .find("error: report s1: expected key=value argument, got '3'"),
             std::string::npos);
-  EXPECT_NE(Exec(&loop, "REPORT s1 bogus").find("unexpected argument"),
+  EXPECT_NE(Exec(&loop, "REPORT s1 bogus")
+                .find("expected key=value argument, got 'bogus'"),
             std::string::npos);
-  // Only one positional top_k is allowed; a second number is a stray token.
-  EXPECT_NE(Exec(&loop, "REPORT s1 3 1").find("unexpected argument '1'"),
+  EXPECT_NE(Exec(&loop, "REPORT s1 --threads 2")
+                .find("expected key=value argument, got '--threads'"),
             std::string::npos);
   EXPECT_NE(Exec(&loop, "STATS nosuch").find("no open session"),
             std::string::npos);
@@ -210,20 +213,20 @@ TEST(CommandLoopTest, ReportArgumentParsingIsStrict) {
   CommandLoop loop = MakeLoop();
   Exec(&loop, "OPEN s1 q() :- R(x)");
   // A leading '+' is not a number (the old parser accepted "+5" via strtoul).
-  EXPECT_NE(Exec(&loop, "REPORT s1 +5").find("unexpected argument '+5'"),
+  EXPECT_NE(Exec(&loop, "REPORT s1 top_k=+5").find("bad top_k value '+5'"),
             std::string::npos);
   // 2^64: overflow must be detected, not silently saturated.
-  EXPECT_NE(Exec(&loop, "REPORT s1 18446744073709551616")
-                .find("unexpected argument '18446744073709551616'"),
+  EXPECT_NE(Exec(&loop, "REPORT s1 top_k=18446744073709551616")
+                .find("bad top_k value '18446744073709551616'"),
             std::string::npos);
-  EXPECT_NE(Exec(&loop, "REPORT s1 --threads 99999999999999999999")
-                .find("bad --threads value '99999999999999999999'"),
+  EXPECT_NE(Exec(&loop, "REPORT s1 threads=99999999999999999999")
+                .find("bad threads value '99999999999999999999'"),
             std::string::npos);
-  EXPECT_NE(Exec(&loop, "REPORT s1 --threads -1")
-                .find("bad --threads value '-1'"),
+  EXPECT_NE(Exec(&loop, "REPORT s1 threads=-1")
+                .find("bad threads value '-1'"),
             std::string::npos);
   // In-range values still parse after the strictness change.
-  EXPECT_NE(Exec(&loop, "REPORT s1 5 --threads 2").find("end report s1"),
+  EXPECT_NE(Exec(&loop, "REPORT s1 top_k=5 threads=2").find("end report s1"),
             std::string::npos);
   EXPECT_EQ(loop.error_count(), 4u);
 }
@@ -257,7 +260,7 @@ TEST(CommandLoopTest, EmptyAndCommentOnlyScriptsSucceed) {
 
 TEST(CommandLoopTest, FactCapRejectsGrowthButAllowsDeletes) {
   CommandLoopOptions options;
-  options.max_session_facts = 2;
+  options.registry.max_session_facts = 2;
   CommandLoop loop{options};
   Exec(&loop, "OPEN s1 q() :- R(x)");
   Exec(&loop, "DELTA s1 + R(a)*");
@@ -458,19 +461,18 @@ TEST(CommandLoopTest, ApproxOnlySessionLifecycle) {
   EXPECT_EQ(loop.error_count(), 1u);  // only the exact REPORT refusal
 }
 
-TEST(CommandLoopTest, StructuredReportRequestMatchesPositional) {
+TEST(CommandLoopTest, StructuredReportRequestRejectsPositional) {
   CommandLoop loop = MakeLoop();
   Exec(&loop, "OPEN s1 q() :- R(x)");
   Exec(&loop, "DELTA s1 + R(a)*");
   Exec(&loop, "DELTA s1 + R(b)*");
   Exec(&loop, "DELTA s1 + R(c)*");
-  // One grammar, two spellings: the structured form and the deprecated
-  // positional form rank identically (only the echo line differs).
   const std::string structured = Exec(&loop, "REPORT s1 top_k=2 threads=2");
-  const std::string positional = Exec(&loop, "REPORT s1 2 --threads 2");
-  EXPECT_EQ(structured.substr(structured.find('\n') + 1),
-            positional.substr(positional.find('\n') + 1));
   EXPECT_NE(structured.find("rows=2 endo=3"), std::string::npos);
+  // The retired positional spelling of the same request is an error.
+  EXPECT_EQ(Exec(&loop, "REPORT s1 2 --threads 2"),
+            "> REPORT s1 2 --threads 2\n"
+            "error: report s1: expected key=value argument, got '2'\n");
 
   // Parse errors surface through the loop's error frame.
   EXPECT_NE(Exec(&loop, "REPORT s1 topk=2")
@@ -483,7 +485,7 @@ TEST(CommandLoopTest, StructuredReportRequestMatchesPositional) {
   const std::string forced =
       Exec(&loop, "REPORT s1 approx=0.2,0.05 force_approx=1");
   EXPECT_NE(forced.find("engine: approx-fpras\n"), std::string::npos);
-  EXPECT_EQ(loop.error_count(), 2u);
+  EXPECT_EQ(loop.error_count(), 3u);
 }
 
 TEST(CommandLoopTest, SharedModeLoopsSeeOneRegistry) {

@@ -1,6 +1,5 @@
-// The unified ReportRequest grammar (service/report_request.h): structured
-// key=value parsing, every error surface, and byte-equivalence of the
-// deprecated positional form.
+// The unified ReportRequest grammar (service/report_request.h): key=value
+// parsing and every error surface.
 
 #include "service/report_request.h"
 
@@ -19,7 +18,6 @@ TEST(ReportRequestTest, EmptyArgsYieldDefaults) {
   EXPECT_EQ(parsed.value().top_k, 0u);
   EXPECT_EQ(parsed.value().threads, 1u);
   EXPECT_FALSE(parsed.value().approx.enabled());
-  EXPECT_FALSE(parsed.value().deprecated_form);
 }
 
 TEST(ReportRequestTest, DefaultThreadsPropagate) {
@@ -45,7 +43,6 @@ TEST(ReportRequestTest, StructuredKeysParse) {
   EXPECT_EQ(request.approx.seed, 9u);
   EXPECT_EQ(request.approx.max_samples, 500u);
   EXPECT_TRUE(request.approx.force);
-  EXPECT_FALSE(request.deprecated_form);
 
   const ReportOptions options = request.ToReportOptions();
   EXPECT_EQ(options.top_k, 3u);
@@ -121,42 +118,23 @@ TEST(ReportRequestTest, ApproxSatellitesRequireApprox) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated positional compatibility.
-
-TEST(ReportRequestTest, PositionalFormStillParses) {
-  auto parsed = Parse("5 --threads 3");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().top_k, 5u);
-  EXPECT_EQ(parsed.value().threads, 3u);
-  EXPECT_TRUE(parsed.value().deprecated_form);
-  EXPECT_FALSE(parsed.value().approx.enabled());
-}
-
-TEST(ReportRequestTest, PositionalAndStructuredFormsAgree) {
-  auto positional = Parse("7 --threads 2");
-  auto structured = Parse("top_k=7 threads=2");
-  ASSERT_TRUE(positional.ok());
-  ASSERT_TRUE(structured.ok());
-  EXPECT_EQ(positional.value().top_k, structured.value().top_k);
-  EXPECT_EQ(positional.value().threads, structured.value().threads);
-  EXPECT_TRUE(positional.value().deprecated_form);
-  EXPECT_FALSE(structured.value().deprecated_form);
-}
-
-TEST(ReportRequestTest, PositionalErrorsKeepOriginalStrings) {
-  auto parsed = Parse("--threads x");
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.error(), "bad --threads value 'x'");
-  parsed = Parse("--threads");
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.error(), "bad --threads value ''");
-  parsed = Parse("3 nonsense");
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.error(), "unexpected argument 'nonsense'");
-  parsed = Parse("3 4");
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.error(), "unexpected argument '4'");
+TEST(ReportRequestTest, PositionalFormRejected) {
+  // The retired "[top_k] [--threads N]" spelling: every token must be a
+  // key=value pair, so the first bare token is the error.
+  const struct {
+    const char* args;
+    const char* token;
+  } cases[] = {{"3", "3"},
+               {"bogus", "bogus"},
+               {"--threads 2", "--threads"},
+               {"top_k=3 4", "4"}};
+  for (const auto& c : cases) {
+    auto parsed = Parse(c.args);
+    ASSERT_FALSE(parsed.ok()) << c.args;
+    EXPECT_EQ(parsed.error(),
+              std::string("expected key=value argument, got '") + c.token +
+                  "'");
+  }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "util/bigint_reference.h"
+#include "support/bigint_reference.h"
 
 #include <algorithm>
 #include <cctype>

@@ -9,13 +9,15 @@
 //     kernel against it across limb sizes, sign patterns and the Karatsuba
 //     threshold boundary;
 //   * bench/bench_arith.cc records its multiply/divide timings in the same
-//     BENCH_arith.json as the production rows, so the CI speedup gate
-//     (tools/check_arith_speedup.py) compares seed vs current on the same
-//     machine in the same run.
-// Do not optimize this class: its value is that it stays the seed.
+//     BENCH_arith.json as the production rows, so the arith gate of
+//     tools/check_bench.py compares seed vs current on the same machine in
+//     the same run.
+// It is built as the shapcq_reference library for those two consumers and
+// is not part of libshapcq. Do not optimize this class: its value is that it
+// stays the seed.
 
-#ifndef SHAPCQ_UTIL_BIGINT_REFERENCE_H_
-#define SHAPCQ_UTIL_BIGINT_REFERENCE_H_
+#ifndef SHAPCQ_TESTS_SUPPORT_BIGINT_REFERENCE_H_
+#define SHAPCQ_TESTS_SUPPORT_BIGINT_REFERENCE_H_
 
 #include <cstdint>
 #include <string>
@@ -102,4 +104,4 @@ class RefBigInt {
 
 }  // namespace shapcq
 
-#endif  // SHAPCQ_UTIL_BIGINT_REFERENCE_H_
+#endif  // SHAPCQ_TESTS_SUPPORT_BIGINT_REFERENCE_H_

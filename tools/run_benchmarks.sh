@@ -1,20 +1,20 @@
 #!/usr/bin/env bash
-# Builds the Release benchmarks and records the all-facts Shapley benchmark
-# as BENCH_shapley.json, the incremental patch-vs-rebuild benchmark as
-# BENCH_incremental.json, the serving-layer warm-vs-cold benchmark as
-# BENCH_server.json, the arithmetic-backbone microbenchmarks as
-# BENCH_arith.json, the durability-layer replay/compaction/fsync
-# benchmark as BENCH_recovery.json, the concurrent socket-serving load
-# benchmark as BENCH_service_load.json, and the sampling-tier accuracy +
-# gap-property benchmarks (merged) as BENCH_approx.json at the repository
-# root, so the perf trajectory is tracked PR over PR. BENCH_arith.json carries seed-implementation rows
-# (BM_RefBigInt*) next to the production rows, which is what lets
-# tools/check_arith_speedup.py gate the speedup within one run.
-# BENCH_shapley.json carries a thread-count axis:
-# BM_EngineAllFactsParallel/{students},{threads} rows measure the worker-pool
-# engine, with threads=1 as the serial baseline of the speedup curve; its
-# BM_EngineAllFacts and BM_PerFactCountSatLoop rows feed
-# tools/check_arena_speedup.py (engine vs per-fact CntSat loop, same run).
+# Builds the Release benchmarks, records the seven BENCH_*.json files at the
+# repository root and runs tools/check_bench.py, the one gate table, on all
+# of them, so the perf trajectory is tracked change over change:
+#
+#   BENCH_shapley.json         all-facts engine vs the per-fact CntSat loop,
+#                              plus the BM_EngineAllFactsParallel
+#                              {students},{threads} thread-count axis
+#                              (threads=1 is the serial baseline)
+#   BENCH_incremental.json     incremental patch vs rebuild per delta
+#   BENCH_server.json          serving layer, warm vs cold report
+#   BENCH_arith.json           arithmetic backbone next to the seed RefBigInt
+#                              rows of the same run
+#   BENCH_recovery.json        durability layer: replay, compaction, fsync
+#   BENCH_service_load.json    concurrent socket-serving load
+#   BENCH_approx.json          sampling-tier accuracy and gap-property rows
+#                              (two binaries, merged)
 #
 # All files embed git_sha and host_nproc in the JSON "context" block, so
 # the single-core-container caveat (a parallel speedup is only physically
@@ -126,7 +126,7 @@ record bench_service_load "$repo_root/BENCH_service_load.json"
 # The sampling tier publishes ONE file: the accuracy rows (additive FPRAS
 # vs ground truth) and the gap-property rows (why only ADDITIVE guarantees
 # exist under negation) belong to the same claim, so they are merged into
-# BENCH_approx.json before the accuracy gate runs on it.
+# BENCH_approx.json.
 approx_tmp="$(mktemp)" gap_tmp="$(mktemp)"
 record_to() {
   local target="$1" out="$2"
@@ -152,20 +152,10 @@ rm -f "$approx_tmp" "$gap_tmp"
 guard_cpu_downgrade "$repo_root/BENCH_approx.json" "$approx_merged"
 mv "$approx_merged" "$repo_root/BENCH_approx.json"
 
-"$repo_root/tools/check_arena_speedup.py" \
-    "$repo_root/BENCH_shapley.json"
-"$repo_root/tools/check_incremental_speedup.py" \
-    "$repo_root/BENCH_incremental.json"
-"$repo_root/tools/check_server_speedup.py" \
-    "$repo_root/BENCH_server.json"
-"$repo_root/tools/check_arith_speedup.py" \
-    "$repo_root/BENCH_arith.json"
-"$repo_root/tools/check_service_load.py" \
-    "$repo_root/BENCH_service_load.json"
-"$repo_root/tools/check_approx_accuracy.py" \
-    "$repo_root/BENCH_approx.json"
+bench_files=()
+for name in shapley incremental server arith recovery service_load approx; do
+  bench_files+=("$repo_root/BENCH_$name.json")
+done
+"$repo_root/tools/check_bench.py" "${bench_files[@]}"
 
-echo "wrote $repo_root/BENCH_shapley.json, $repo_root/BENCH_incremental.json," \
-     "$repo_root/BENCH_server.json, $repo_root/BENCH_arith.json," \
-     "$repo_root/BENCH_recovery.json, $repo_root/BENCH_service_load.json" \
-     "and $repo_root/BENCH_approx.json"
+echo "wrote ${bench_files[*]}"

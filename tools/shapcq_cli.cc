@@ -18,7 +18,8 @@
 // one mutation per line, '+' inserts a fact literal ('*' = endogenous), '-'
 // deletes one by literal; blank lines and '#' comments are skipped. The
 // engine is built once, every delta patches a single root-to-leaf path, and
-// a fresh attribution report is printed after the replay.
+// a fresh attribution report is printed after the replay. That report is
+// always exact, so --mutate refuses --force-approx and --deadline-ms.
 
 #include <cstdio>
 #include <cstdlib>
@@ -51,7 +52,8 @@ void PrintUsage() {
       "  RULE:  e.g. \"q() :- Stud(x), not TA(x), Reg(x,y)\"\n"
       "  FILE:  delta replay, one mutation per line: '+ Reg(eve,os)*'\n"
       "         inserts, '- Reg(a,os)' deletes; '#' starts a comment.\n"
-      "         Requires a hierarchical query (the incremental engine).\n"
+      "         Requires a hierarchical query (the incremental engine);\n"
+      "         refuses force_approx=1 and deadline_ms.\n"
       "\n"
       "Report request (one grammar with the server's REPORT command):\n"
       "  top_k=K          keep only the K highest-ranked rows (0 = all)\n"
@@ -208,6 +210,15 @@ int main(int argc, char** argv) {
   auto request = ParseReportRequest(request_text, /*default_threads=*/1);
   if (!request.ok()) {
     std::fprintf(stderr, "bad report request: %s\n", request.error().c_str());
+    return 2;
+  }
+  // --mutate serves its table from the incremental engine, which neither
+  // samples nor runs under a deadline: refuse the keys it would drop.
+  if (!mutate_path.empty() &&
+      (request.value().approx.force || request.value().deadline_ms > 0)) {
+    std::fprintf(stderr,
+                 "bad report request: %s is not supported with --mutate\n",
+                 request.value().approx.force ? "force_approx" : "deadline_ms");
     return 2;
   }
 

@@ -94,9 +94,6 @@ void PrintUsage() {
       "                         provenance line). A later REPORT without a\n"
       "                         deadline is bit-identical to an undeadlined\n"
       "                         run either way.\n"
-      "      The deprecated positional form '[top_k] [--threads N]' is\n"
-      "      still accepted (a --default-deadline-ms applies to it too —\n"
-      "      it carries no deadline keys of its own).\n"
       "  SNAPSHOT <session>\n"
       "      Checkpoint the session's fact table into its write-ahead log\n"
       "      and drop the replayed-past prefix (durability only; bounds\n"
@@ -233,7 +230,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-line-bytes") {
       options.max_line_bytes = next_size("--max-line-bytes");
     } else if (arg == "--max-facts") {
-      options.max_session_facts = next_size("--max-facts");
+      options.registry.max_session_facts = next_size("--max-facts");
     } else if (arg == "--listen") {
       listen_address = next();
     } else if (arg == "--max-conns") {
@@ -308,11 +305,6 @@ int main(int argc, char** argv) {
     // Concurrent clients by default get concurrent stripes; --stripes 1
     // restores fully serialized (deterministic-transcript) semantics.
     if (!stripes_given) options.registry.num_stripes = 8;
-    // Shared-mode loops never construct the registry, so the loop-level
-    // fact cap must be merged down here.
-    if (options.registry.max_session_facts == 0) {
-      options.registry.max_session_facts = options.max_session_facts;
-    }
 
     // A vanished client must surface as a failed send on its connection,
     // never as a process-killing SIGPIPE.
