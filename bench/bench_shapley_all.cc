@@ -8,9 +8,12 @@
 // s = 20 crosses the endo >= 64 threshold tracked in BENCH_shapley.json.
 // BM_EngineAllFactsParallel adds a thread-count axis ({students, threads})
 // over the same workload; serial-vs-parallel speedups land in the same JSON.
+// BM_ReportAssemble times the report layer above the engine at endo
+// 70/112/224.
 
 #include <benchmark/benchmark.h>
 
+#include "core/report.h"
 #include "core/shapley.h"
 #include "core/shapley_engine.h"
 #include "datasets/synthetic.h"
@@ -103,6 +106,24 @@ void BM_EngineBuildOnly(benchmark::State& state) {
   state.SetLabel("endo=" + std::to_string(db.endogenous_count()));
 }
 BENCHMARK(BM_EngineBuildOnly)->Arg(8)->Arg(20)->Arg(32);
+
+void BM_ReportAssemble(benchmark::State& state) {
+  // Report assembly alone: BuildAttributionReportFromEngine on an engine
+  // whose per-orbit memo is already warm, so the row times the efficiency
+  // total, the ranking and the row copies of the full table, not the sweep.
+  const CQ q = UniversityQ1();
+  const Database db =
+      BuildStudentScalingDb(static_cast<int>(state.range(0)), 3);
+  ShapleyEngine engine = std::move(ShapleyEngine::Build(q, db)).value();
+  engine.AllValues();
+  const ReportOptions options;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        BuildAttributionReportFromEngine(engine, db, options));
+  }
+  state.SetLabel("endo=" + std::to_string(db.endogenous_count()));
+}
+BENCHMARK(BM_ReportAssemble)->Arg(20)->Arg(32)->Arg(64);
 
 }  // namespace
 

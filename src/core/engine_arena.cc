@@ -286,6 +286,14 @@ CountVector EngineArena::BaselineSat(size_t global_free_endo) const {
   return SatOf(root_).Convolve(CountVector::All(global_free_endo));
 }
 
+int EngineArena::EfficiencyTotal() const {
+  const Slot& slot = slots_[sat_slot_[root_]];
+  const BigInt& all_present = cells_[slot.offset + slot.len - 1];
+  const BigInt& none_present = cells_[slot.offset];
+  SHAPCQ_CHECK(all_present.FitsInt64() && none_present.FitsInt64());
+  return static_cast<int>(all_present.ToInt64() - none_present.ToInt64());
+}
+
 // ---------------------------------------------------------------------------
 // The combine rules
 // ---------------------------------------------------------------------------
@@ -494,26 +502,35 @@ void EngineArena::EnsureR(int node, size_t global_free_endo) {
   r_epoch_[node] = epoch_;
 }
 
-Rational EngineArena::ValueAtLeaf(int leaf, size_t endo_count,
-                                  size_t global_free_endo) {
+void EngineArena::EnsureWeights(size_t n) {
+  if (weights_.size() == n) return;
+  std::vector<BigInt> factorial(n, BigInt(1));  // factorial[k] = k!
+  for (size_t k = 1; k < n; ++k) {
+    factorial[k] = factorial[k - 1] * BigInt(static_cast<int64_t>(k));
+  }
+  weights_.resize(n);
+  for (size_t k = 0; k < n; ++k) {
+    weights_[k] = factorial[k] * factorial[n - 1 - k];
+  }
+}
+
+BigInt EngineArena::NumeratorAtLeaf(int leaf, size_t endo_count,
+                                    size_t global_free_endo) {
   SHAPCQ_CHECK(kind(leaf) == NodeKind::kGround);
   SHAPCQ_CHECK(endo_count >= 1);
   EnsureR(leaf, global_free_endo);
+  EnsureWeights(endo_count);
   const Slot& slot = slots_[r_slot_[leaf]];
   // r spans the universe of the other endo_count - 1 players, exactly like
   // the two propagated vectors ShapleyFromSatCounts subtracts.
   SHAPCQ_CHECK(slot.len == endo_count);
   const BigInt* r = cells_.data() + slot.offset;
-  const size_t n = endo_count;
   BigInt numerator(0);
-  for (size_t k = 0; k + 1 <= n; ++k) {
-    if (r[k].IsZero()) continue;
-    numerator +=
-        Combinatorics::Factorial(k) * Combinatorics::Factorial(n - 1 - k) *
-        r[k];
+  for (size_t k = 0; k < endo_count; ++k) {
+    if (!r[k].IsZero()) numerator.AddProductOf(weights_[k], r[k]);
   }
   if (negated_[leaf] != 0) numerator = -numerator;
-  return Rational(std::move(numerator), Combinatorics::Factorial(n));
+  return numerator;
 }
 
 bool EngineArena::WarmValuePaths(const std::vector<int>& leaves,
@@ -763,6 +780,8 @@ size_t EngineArena::ApproxMemoryBytes() const {
   for (const std::vector<int32_t>& ids : suffix_slots_) {
     bytes += sizeof(ids) + ids.capacity() * sizeof(int32_t);
   }
+  bytes += (weights_.capacity() - weights_.size()) * sizeof(BigInt);
+  for (const BigInt& weight : weights_) bytes += weight.ApproxMemoryBytes();
   return bytes;
 }
 

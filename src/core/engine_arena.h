@@ -61,7 +61,6 @@
 
 #include "util/bigint.h"
 #include "util/count_vector.h"
-#include "util/rational.h"
 
 namespace shapcq {
 
@@ -125,6 +124,12 @@ class EngineArena {
   /// identical to CountSat(q, db).
   CountVector BaselineSat(size_t global_free_endo) const;
 
+  /// |Sat_n| − |Sat_0| = q(D) − q(Dx), the efficiency total every
+  /// all-facts table sums to, read off the root's two end cells in O(1).
+  /// The global free facts only widen the universe: All(g) is 1 at both
+  /// ends, so BaselineSat's end cells are the root's.
+  int EfficiencyTotal() const;
+
   // -------------------------------------------------------------------------
   // Mutation patches. Each re-derives one node from the same combine rules
   // Build used; the engine walks them up the dirtied root-to-leaf path.
@@ -160,14 +165,18 @@ class EngineArena {
   // Evaluation.
   // -------------------------------------------------------------------------
 
-  /// Shapley value of the endogenous fact at `leaf`, assembled from r[leaf]
-  /// (computed and memoized along the path on demand): the paper's
-  /// Σ_k k!(n−1−k)!/n! · (|Sat_k with f exogenous| − |Sat_k without f|).
-  Rational ValueAtLeaf(int leaf, size_t endo_count, size_t global_free_endo);
+  /// n!·Shapley of the endogenous fact at `leaf` (n = endo_count): the
+  /// integer numerator of the paper's
+  /// Σ_k k!(n−1−k)!/n! · (|Sat_k with f exogenous| − |Sat_k without f|)
+  /// over the denominator n! that every value shares, assembled from
+  /// r[leaf] (computed and memoized along the path on demand) against the
+  /// weight row w_k = k!(n−1−k)!, built once per n.
+  BigInt NumeratorAtLeaf(int leaf, size_t endo_count,
+                         size_t global_free_endo);
 
   /// Warms r[] along the paths of all `leaves` — level-parallel over the
   /// marked nodes when num_threads > 1, serial otherwise. Results of
-  /// subsequent ValueAtLeaf calls are bit-identical at every thread count
+  /// subsequent NumeratorAtLeaf calls are bit-identical at every thread count
   /// (each slot is written once, and every vector is a pure function of the
   /// built index). A non-null `cancel` token is polled at level boundaries
   /// (serial mode: per leaf); returns false when the sweep stopped early on
@@ -265,6 +274,8 @@ class EngineArena {
   void EnsureRFree(int node, size_t global_free_endo);
   void EnsureTopo();
   void RecomputeTopo();
+  // weights_[k] = k!(n−1−k)! for the current player count n.
+  void EnsureWeights(size_t n);
 
   // --- node SoA (indexed by node id) ---
   std::vector<uint8_t> kind_;
@@ -303,6 +314,10 @@ class EngineArena {
   std::vector<uint32_t> r_epoch_;
   std::vector<uint32_t> rfree_epoch_;
   uint32_t epoch_ = 1;
+
+  // The Shapley weight row over the shared denominator n!, for the n =
+  // weights_.size() it was last built for.
+  std::vector<BigInt> weights_;
 };
 
 }  // namespace shapcq

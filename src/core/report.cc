@@ -4,13 +4,14 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <numeric>
 
 #include "core/brute_force.h"
 #include "core/exoshap.h"
-#include "core/shapley.h"
 #include "query/classify.h"
 #include "util/cancel.h"
 #include "util/check.h"
+#include "util/combinatorics.h"
 
 namespace shapcq {
 
@@ -49,7 +50,8 @@ void AppendFormatted(std::string* out, const char* format, ...) {
 // Descending by value via the division-free three-way compare: the sign
 // fast path settles most pairs (reports mix positive, zero and negative
 // attributions) without touching BigInt arithmetic, and ties never build
-// a normalized difference Rational.
+// a normalized difference Rational. The approx tier's ranking: its
+// estimates share no denominator.
 void RankRows(AttributionReport* report, size_t top_k) {
   std::stable_sort(report->rows.begin(), report->rows.end(),
                    [](const Attribution& a, const Attribution& b) {
@@ -60,19 +62,94 @@ void RankRows(AttributionReport* report, size_t top_k) {
   }
 }
 
-// Shared epilogue of the exact report builders: move the per-endo-index
-// values into rows, accumulate the efficiency total, and rank descending.
-void FillAndRankRows(AttributionReport* report, const Database& db,
-                     std::vector<Rational> values, size_t top_k) {
-  for (FactId f : db.endogenous_facts()) {
-    Rational& value = values[db.endo_index(f)];
-    report->total += value;
+// Shared epilogue of every exact report builder. numerators[e] is n!·Shapley
+// of the e-th endogenous fact (n = |Dn|) and values[e] the same value in
+// lowest terms. Every value shares the denominator n!, so ranking
+// descending is a BigInt compare of numerators (the sign decides first; no
+// cross products), and the stable sort keeps ties in endo-index order. Keeps
+// the top_k rows (0 = all), moving in their values, and returns the sum of
+// all the numerators: n! times the efficiency total.
+BigInt FillAndRankRows(AttributionReport* report, const Database& db,
+                       std::vector<Rational> values,
+                       const std::vector<BigInt>& numerators, size_t top_k) {
+  const std::vector<FactId>& facts = db.endogenous_facts();
+  SHAPCQ_CHECK(values.size() == facts.size() &&
+               numerators.size() == facts.size());
+  std::vector<size_t> order(facts.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return BigInt::Compare(numerators[b], numerators[a]) < 0;
+  });
+  if (top_k > 0 && order.size() > top_k) order.resize(top_k);
+  report->rows.reserve(order.size());
+  for (size_t e : order) {
     Attribution row;
-    row.fact = f;
-    row.value = std::move(value);
+    row.fact = facts[e];
+    row.value = std::move(values[e]);
     report->rows.push_back(std::move(row));
   }
-  RankRows(report, top_k);
+  BigInt sum(0);
+  for (const BigInt& numerator : numerators) sum += numerator;
+  return sum;
+}
+
+// The exact report of a built CntSat engine. The total is q(D) − q(Dx), off
+// the root's counts in O(1); the numerators must sum to n! times it — the
+// efficiency axiom, checked on every report with integer additions only.
+// A cancelled sweep returns CancelToken's error.
+Result<AttributionReport> EngineReport(const char* label,
+                                       ShapleyEngine& engine,
+                                       const Database& db,
+                                       const ReportOptions& options,
+                                       const CancelToken* cancel) {
+  ParallelOptions parallel;
+  parallel.num_threads = options.num_threads;
+  auto numerators = engine.AllNumerators(parallel, cancel);
+  if (!numerators.ok()) {
+    return Result<AttributionReport>::Error(numerators.error());
+  }
+  AttributionReport report;
+  report.engine = label;
+  const BigInt sum = FillAndRankRows(&report, db, engine.AllValues(),
+                                     numerators.value(), options.top_k);
+  const int total = engine.EfficiencyTotal();
+  SHAPCQ_CHECK_MSG(
+      sum == Combinatorics::Factorial(db.endogenous_count()) * BigInt(total),
+      "exact values violate the efficiency axiom");
+  report.total = Rational(total);
+  return Result<AttributionReport>::Ok(std::move(report));
+}
+
+// The one-shot CntSat report: EngineReport on a freshly built engine.
+Result<AttributionReport> CntSatReport(const CQ& q, const Database& db,
+                                       const ReportOptions& options,
+                                       const CancelToken* cancel) {
+  auto built = ShapleyEngine::Build(q, db, cancel);
+  if (!built.ok()) return Result<AttributionReport>::Error(built.error());
+  ShapleyEngine engine = std::move(built).value();
+  return EngineReport("CntSat", engine, db, options, cancel);
+}
+
+// The exact rows and total from reduced values (ExoShap, brute force):
+// each value's denominator must divide n!, which scales it to its
+// numerator, and the numerators must sum to a multiple of n!, the total.
+void FillFromValues(AttributionReport* report, const Database& db,
+                    std::vector<Rational> values, size_t top_k) {
+  const BigInt factorial = Combinatorics::Factorial(db.endogenous_count());
+  std::vector<BigInt> numerators;
+  numerators.reserve(values.size());
+  BigInt scale, rest;
+  for (const Rational& value : values) {
+    BigInt::DivMod(factorial, value.denominator(), &scale, &rest);
+    SHAPCQ_CHECK_MSG(rest.IsZero(), "exact value not over a divisor of n!");
+    numerators.push_back(value.numerator() * scale);
+  }
+  const BigInt sum =
+      FillAndRankRows(report, db, std::move(values), numerators, top_k);
+  BigInt total;
+  BigInt::DivMod(sum, factorial, &total, &rest);
+  SHAPCQ_CHECK_MSG(rest.IsZero(), "exact values sum to a non-integer total");
+  report->total = Rational(std::move(total));
 }
 
 // The sampling tier: estimates every endogenous fact with the additive
@@ -221,23 +298,19 @@ Result<AttributionReport> BuildAttributionReport(
   // All-facts attribution is served by the single-pass engines: one shared
   // CntSat recursion (and, for ExoShap, one transformation) for the whole
   // table instead of a from-scratch computation per fact.
-  std::vector<Rational> values;
-  ParallelOptions parallel;
-  parallel.num_threads = options.num_threads;
   if (report.engine == "CntSat") {
-    auto result = ShapleyAllViaCountSat(q, db, parallel, cancel);
-    if (!result.ok()) {
-      if (CancelToken::IsCancelled(result.error())) {
-        if (options.on_deadline == OnDeadline::kApprox) {
-          return BuildDegradedApproxReport(q, db, options);
-        }
-        return Result<AttributionReport>::Error(
-            DeadlineExceededMessage(options.deadline_ms));
-      }
-      return Result<AttributionReport>::Error(result.error());
+    auto exact = CntSatReport(q, db, options, cancel);
+    if (exact.ok() || !CancelToken::IsCancelled(exact.error())) return exact;
+    if (options.on_deadline == OnDeadline::kApprox) {
+      return BuildDegradedApproxReport(q, db, options);
     }
-    values = std::move(result).value();
-  } else if (report.engine == "ExoShap") {
+    return Result<AttributionReport>::Error(
+        DeadlineExceededMessage(options.deadline_ms));
+  }
+  std::vector<Rational> values;
+  if (report.engine == "ExoShap") {
+    ParallelOptions parallel;
+    parallel.num_threads = options.num_threads;
     auto result = ExoShapShapleyAll(q, db, options.exo, parallel);
     if (!result.ok()) return Result<AttributionReport>::Error(result.error());
     values = std::move(result).value();
@@ -247,7 +320,7 @@ Result<AttributionReport> BuildAttributionReport(
       values.push_back(ShapleyBruteForce(q, db, f));
     }
   }
-  FillAndRankRows(&report, db, std::move(values), options.top_k);
+  FillFromValues(&report, db, std::move(values), options.top_k);
   return Result<AttributionReport>::Ok(std::move(report));
 }
 
@@ -260,20 +333,13 @@ AttributionReport BuildAttributionReportFromEngine(
 Result<AttributionReport> BuildAttributionReportFromEngine(
     ShapleyEngine& engine, const Database& db, const ReportOptions& options,
     const CancelToken* cancel) {
-  using R = Result<AttributionReport>;
-  AttributionReport report;
-  report.engine = "CntSat (incremental)";
-  ParallelOptions parallel;
-  parallel.num_threads = options.num_threads;
-  auto values = engine.AllValues(parallel, cancel);
-  if (!values.ok()) {
-    if (CancelToken::IsCancelled(values.error())) {
-      return R::Error(DeadlineExceededMessage(options.deadline_ms));
-    }
-    return R::Error(values.error());
+  auto exact = EngineReport("CntSat (incremental)", engine, db, options,
+                            cancel);
+  if (!exact.ok() && CancelToken::IsCancelled(exact.error())) {
+    return Result<AttributionReport>::Error(
+        DeadlineExceededMessage(options.deadline_ms));
   }
-  FillAndRankRows(&report, db, std::move(values).value(), options.top_k);
-  return R::Ok(std::move(report));
+  return exact;
 }
 
 std::string RenderReport(const AttributionReport& report, const Database& db) {

@@ -111,8 +111,8 @@ Result<AttributionReport> BuildAttributionReport(const CQ& q,
 
 /// The deadline-degradation entry: a prompt, work-bounded sampling report
 /// for a query whose exact report just blew its deadline. Honors a
-/// caller-provided approx spec; otherwise uses a conservative default
-/// (eps=0.1, delta=0.05, max_samples=2048). Signature-stratified — it never
+/// caller-provided approx spec; otherwise uses a coarse default
+/// (eps=0.25, delta=0.1, max_samples=512). Signature-stratified — it never
 /// rebuilds the exact index — and never re-deadlined (the deadline budget
 /// belonged to the exact attempt). Shared by BuildAttributionReport's
 /// on_deadline=approx path and the serving registry's.
@@ -122,7 +122,10 @@ Result<AttributionReport> BuildDegradedApproxReport(
 /// Attribution table served from a live (possibly mutated) ShapleyEngine:
 /// the long-lived-service path, where the index is maintained incrementally
 /// by InsertFact/DeleteFact instead of rebuilt per report. `db` must be the
-/// database the engine was built on and has been mutating.
+/// database the engine was built on and has been mutating. Like every exact
+/// report, it is assembled on the values' numerators over n! = |Dn|!
+/// (ranked by integer compare) and checks that they sum to n! times the
+/// total q(D) − q(Dx).
 AttributionReport BuildAttributionReportFromEngine(
     ShapleyEngine& engine, const Database& db, const ReportOptions& options);
 

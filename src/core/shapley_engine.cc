@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -86,13 +85,26 @@ struct ShapleyEngine::Impl {
   std::vector<FactId> arena_fact;
   std::vector<bool> arena_endo;
 
+  // One orbit of endogenous facts: its representative leaf (its first
+  // member's; -1 for the null players' orbit) and, once valued this epoch,
+  // its value as the numerator over the denominator n! = |Dn|! that every
+  // value shares, and reduced — one gcd per orbit, whose members get
+  // copies.
+  struct Orbit {
+    int leaf = -1;
+    bool valued = false;
+    BigInt numerator;
+    Rational value;
+  };
+
   // Per endogenous fact (endo-index order): its ground leaf (-1 for null
-  // players) and its orbit key — the hash-consed signatures along the
-  // leaf-to-root path. Null players get the empty key. Mutations keep
-  // leaf_of_endo exact and regenerate the keys lazily (orbit_keys_dirty).
+  // players) and its orbit id. Mutations keep leaf_of_endo exact; the
+  // orbits and their values are rebuilt lazily (orbits_dirty).
   std::vector<int> leaf_of_endo;
-  std::vector<std::vector<int>> orbit_key_of_endo;
-  bool orbit_keys_dirty = false;
+  std::vector<size_t> orbit_of_endo;
+  std::vector<Orbit> orbits;
+  BigInt denominator;  // n! for the current player count
+  bool orbits_dirty = false;
 
   // Where each fact lives in the index: its ground leaf (matched facts), or
   // the kRootVar node counting it as free (endogenous inconsistent facts).
@@ -102,7 +114,6 @@ struct ShapleyEngine::Impl {
   std::unordered_map<FactId, int> free_node_of_fact;
 
   std::unordered_map<std::string, int> sig_interner;
-  std::map<std::vector<int>, Rational> orbit_values;  // memoized per orbit
   Stats stats;
 
   // Build-time cancellation: set only for the duration of Build()'s
@@ -132,11 +143,27 @@ struct ShapleyEngine::Impl {
   int BuildNode(const CQ& q, IndexLists lists,
                 const std::vector<size_t>& atom_ids);
   void ResignNode(int node_id);
-  const Rational& OrbitValue(size_t endo_index);
-  void RefreshOrbitKeysIfDirty();
-  std::vector<size_t> MissingRepresentatives() const;
-  bool WarmRepresentatives(const std::vector<size_t>& rep_endo,
-                           size_t num_threads, const CancelToken* cancel);
+  const Orbit& ValuedOrbit(size_t id);
+  void RefreshOrbitsIfDirty();
+  bool WarmRepresentatives(const std::vector<size_t>& ids, size_t num_threads,
+                           const CancelToken* cancel);
+  bool ValueAllOrbits(const ParallelOptions& options,
+                      const CancelToken* cancel);
+
+  // Every endogenous fact's `field` of its orbit, endo-index order, once
+  // ValueAllOrbits has valued the orbits still missing from the memo.
+  template <typename T>
+  Result<std::vector<T>> PerFact(T Orbit::*field,
+                                 const ParallelOptions& options,
+                                 const CancelToken* cancel) {
+    if (!ValueAllOrbits(options, cancel)) {
+      return Result<std::vector<T>>::Error(CancelToken::kCancelledMessage);
+    }
+    std::vector<T> out;
+    out.reserve(endo_count);
+    for (size_t id : orbit_of_endo) out.push_back(orbits[id].*field);
+    return Result<std::vector<T>>::Ok(std::move(out));
+  }
   void ApplyInsert(FactId fact);
   void RouteInsert(int node_id, uint32_t arena_index, size_t atom_id);
   void ApplyDelete(FactId fact, bool endo, size_t endo_idx);
@@ -317,67 +344,94 @@ int ShapleyEngine::Impl::BuildNode(const CQ& q, IndexLists lists,
 // Values and orbits
 // ---------------------------------------------------------------------------
 
-// Memoized per-orbit value for the fact at the given endo index (which must
-// not be a null player).
-const Rational& ShapleyEngine::Impl::OrbitValue(size_t endo_index) {
-  const std::vector<int>& key = orbit_key_of_endo[endo_index];
-  auto it = orbit_values.find(key);
-  if (it == orbit_values.end()) {
-    const int leaf = leaf_of_endo[endo_index];
-    Rational value = arena.ValueAtLeaf(leaf, endo_count, global_free_endo);
-    it = orbit_values.emplace(key, std::move(value)).first;
+// The orbit's memoized value, computed on first use this epoch (the null
+// orbit is valued at 0 from the start).
+const ShapleyEngine::Impl::Orbit& ShapleyEngine::Impl::ValuedOrbit(
+    size_t id) {
+  Orbit& orbit = orbits[id];
+  if (!orbit.valued) {
+    orbit.numerator =
+        arena.NumeratorAtLeaf(orbit.leaf, endo_count, global_free_endo);
+    orbit.value = Rational(orbit.numerator, denominator);
+    orbit.valued = true;
   }
-  return it->second;
+  return orbit;
 }
 
-// Orbit keys are (re)collected lazily after Build and after every mutation:
-// one pass over the endogenous facts, gathering the (partly re-interned)
-// signatures along each leaf-to-root path. Equal keys -> the leaves are
+// Orbits are (re)collected lazily after Build and after every mutation: one
+// pass over the endogenous facts, keying each by the (partly re-interned)
+// signatures along its leaf-to-root path. Equal keys -> the leaves are
 // related by an automorphism of the recursion -> the facts are symmetric
-// players with equal Shapley values. Pure integer work.
-void ShapleyEngine::Impl::RefreshOrbitKeysIfDirty() {
-  if (!orbit_keys_dirty) return;
+// players with equal Shapley values. Ids are dense in first-seen
+// endo-index order, and the null players (empty key) share one. Pure
+// integer work; the memoized values it drops are stale by then.
+void ShapleyEngine::Impl::RefreshOrbitsIfDirty() {
+  if (!orbits_dirty) return;
+  std::map<std::vector<int>, size_t> id_of_key;
+  std::vector<int> key;
+  orbit_of_endo.assign(endo_count, 0);
+  orbits.clear();
   for (size_t e = 0; e < endo_count; ++e) {
-    std::vector<int>& key = orbit_key_of_endo[e];
     key.clear();
     for (int node = leaf_of_endo[e]; node >= 0; node = arena.parent(node)) {
       key.push_back(nodes[node].sig);
     }
+    const auto [it, fresh] = id_of_key.try_emplace(key, orbits.size());
+    if (fresh) {
+      Orbit orbit;
+      orbit.leaf = leaf_of_endo[e];
+      orbit.valued = orbit.leaf < 0;
+      orbits.push_back(std::move(orbit));
+    }
+    orbit_of_endo[e] = it->second;
   }
-  orbit_keys_dirty = false;
+  denominator = Combinatorics::Factorial(endo_count);
+  orbits_dirty = false;
 }
 
-// Orbit representatives still missing from the memo, in first-seen
-// endo-index order — the exact representative (and therefore the exact
-// leaf) the serial path evaluates, whichever path warms it.
-std::vector<size_t> ShapleyEngine::Impl::MissingRepresentatives() const {
-  std::vector<size_t> rep_endo;
-  std::set<std::vector<int>> seen;
-  for (size_t e = 0; e < endo_count; ++e) {
-    if (leaf_of_endo[e] < 0) continue;  // null player
-    const std::vector<int>& key = orbit_key_of_endo[e];
-    if (orbit_values.count(key) != 0) continue;  // already memoized
-    if (seen.insert(key).second) rep_endo.push_back(e);
-  }
-  return rep_endo;
-}
-
-// Fills every representative's r-vector with the arena's level-parallel
-// sweep (slot lengths pinned by a serial prepass, so workers never move the
-// cell buffer); the serial assembly afterwards reads warm state only.
-// Bit-identical to the serial path at every thread count by the
+// Fills the given orbits' representative r-vectors with the arena's
+// level-parallel sweep (slot lengths pinned by a serial prepass, so workers
+// never move the cell buffer); the serial assembly afterwards reads warm
+// state only. Bit-identical to the serial path at every thread count by the
 // slot-per-result argument in engine_arena.h. A no-op serially or for a
-// single representative. Returns false when `cancel` expired mid-sweep.
-bool ShapleyEngine::Impl::WarmRepresentatives(
-    const std::vector<size_t>& rep_endo, size_t num_threads,
-    const CancelToken* cancel) {
-  if (num_threads <= 1 || rep_endo.size() <= 1) return true;
+// single orbit. Returns false when `cancel` expired mid-sweep.
+bool ShapleyEngine::Impl::WarmRepresentatives(const std::vector<size_t>& ids,
+                                              size_t num_threads,
+                                              const CancelToken* cancel) {
+  if (num_threads <= 1 || ids.size() <= 1) return true;
   Combinatorics::Prewarm(endo_count);
   std::vector<int> rep_leaves;
-  rep_leaves.reserve(rep_endo.size());
-  for (size_t e : rep_endo) rep_leaves.push_back(leaf_of_endo[e]);
+  rep_leaves.reserve(ids.size());
+  for (size_t id : ids) rep_leaves.push_back(orbits[id].leaf);
   return arena.WarmValuePaths(rep_leaves, global_free_endo, num_threads,
                               cancel);
+}
+
+// Values every orbit still missing from the memo, in id order — so the
+// representatives are exactly the leaves the serial path evaluates,
+// whichever path warms them. Values already memoized (by an earlier,
+// possibly cancelled, query) are pure functions of the built index, so
+// reusing them preserves bit-identity. The level-parallel warm polls
+// `cancel` between levels (a partial warm leaves only cold watermarks
+// behind — see EngineArena::WarmValuePaths) and the assembly at each
+// orbit; returns false on expiry.
+bool ShapleyEngine::Impl::ValueAllOrbits(const ParallelOptions& options,
+                                         const CancelToken* cancel) {
+  if (cancel != nullptr && !cancel->Enabled()) cancel = nullptr;
+  RefreshOrbitsIfDirty();
+  std::vector<size_t> missing;
+  for (size_t id = 0; id < orbits.size(); ++id) {
+    if (!orbits[id].valued) missing.push_back(id);
+  }
+  const size_t num_threads =
+      ThreadPool::ResolveThreadCount(options.num_threads);
+  if (!WarmRepresentatives(missing, num_threads, cancel)) return false;
+  for (size_t id : missing) {
+    if (cancel != nullptr && cancel->Expired()) return false;
+    ValuedOrbit(id);
+  }
+  stats.orbit_count = orbits.size();
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -401,13 +455,12 @@ void ShapleyEngine::Impl::PatchAncestors(int dirty) {
 
 // Epilogue of Build and of every value-affecting mutation: recomputes the
 // stats and drops what is rebuilt lazily on the next query (r-vectors,
-// per-orbit values, orbit keys). After a mutation all of it is stale even
+// orbits and their values). After a mutation all of it is stale even
 // though only one path's count vectors moved: the player count or the
 // root's |Sat| changed, which re-weights every value.
 void ShapleyEngine::Impl::RefreshDerivedState() {
   arena.InvalidateValues();
-  orbit_values.clear();
-  orbit_keys_dirty = true;
+  orbits_dirty = true;
   endo_count = db->endogenous_count();
   stats.node_count = nodes.size();
   stats.arena_size = arena_fact.size();
@@ -502,10 +555,9 @@ void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
 void ShapleyEngine::Impl::ApplyInsert(FactId fact) {
   const bool endo = db->is_endogenous(fact);
   if (endo) {
-    // Placeholder entries (null player until routing lands in a leaf); the
+    // Placeholder entry (null player until routing lands in a leaf); the
     // new fact's endo index is by construction the last one.
     leaf_of_endo.push_back(-1);
-    orbit_key_of_endo.emplace_back();
   }
   const std::string& relation = db->schema().name(db->relation_of(fact));
   int atom_id = -1;
@@ -537,8 +589,6 @@ void ShapleyEngine::Impl::ApplyInsert(FactId fact) {
 void ShapleyEngine::Impl::ApplyDelete(FactId fact, bool endo, size_t endo_idx) {
   if (endo) {
     leaf_of_endo.erase(leaf_of_endo.begin() + static_cast<ptrdiff_t>(endo_idx));
-    orbit_key_of_endo.erase(orbit_key_of_endo.begin() +
-                            static_cast<ptrdiff_t>(endo_idx));
   }
   const auto leaf_it = leaf_of_fact.find(fact);
   if (leaf_it != leaf_of_fact.end()) {
@@ -600,7 +650,6 @@ Result<ShapleyEngine> ShapleyEngine::Build(const CQ& q, const Database& db,
   impl.db = &db;
   impl.endo_count = db.endogenous_count();
   impl.leaf_of_endo.assign(impl.endo_count, -1);
-  impl.orbit_key_of_endo.assign(impl.endo_count, {});
 
   // Shared matched-fact index: every fact of every atom's relation, matched
   // once against the precompiled pattern and interned into the fact arena.
@@ -647,33 +696,21 @@ CountVector ShapleyEngine::BaselineSat() const {
   return impl_->arena.BaselineSat(impl_->global_free_endo);
 }
 
+int ShapleyEngine::EfficiencyTotal() const {
+  SHAPCQ_CHECK(impl_ != nullptr);
+  return impl_->arena.EfficiencyTotal();
+}
+
 Rational ShapleyEngine::Value(FactId f) {
   SHAPCQ_CHECK(impl_ != nullptr);
   Impl& impl = *impl_;
   SHAPCQ_CHECK_MSG(impl.db->is_endogenous(f), "Shapley of an exogenous fact");
-  impl.RefreshOrbitKeysIfDirty();
-  const size_t e = impl.db->endo_index(f);
-  if (impl.leaf_of_endo[e] < 0) return Rational(0);  // null player
-  return impl.OrbitValue(e);
+  impl.RefreshOrbitsIfDirty();
+  return impl.ValuedOrbit(impl.orbit_of_endo[impl.db->endo_index(f)]).value;
 }
 
 std::vector<Rational> ShapleyEngine::AllValues() {
-  SHAPCQ_CHECK(impl_ != nullptr);
-  Impl& impl = *impl_;
-  impl.RefreshOrbitKeysIfDirty();
-  std::vector<Rational> values;
-  values.reserve(impl.endo_count);
-  bool any_null = false;
-  for (size_t e = 0; e < impl.endo_count; ++e) {
-    if (impl.leaf_of_endo[e] < 0) {
-      any_null = true;
-      values.push_back(Rational(0));
-      continue;
-    }
-    values.push_back(impl.OrbitValue(e));
-  }
-  impl.stats.orbit_count = impl.orbit_values.size() + (any_null ? 1 : 0);
-  return values;
+  return AllValues(ParallelOptions{});
 }
 
 std::vector<Rational> ShapleyEngine::AllValues(const ParallelOptions& options) {
@@ -682,44 +719,22 @@ std::vector<Rational> ShapleyEngine::AllValues(const ParallelOptions& options) {
 
 Result<std::vector<Rational>> ShapleyEngine::AllValues(
     const ParallelOptions& options, const CancelToken* cancel) {
-  using R = Result<std::vector<Rational>>;
   SHAPCQ_CHECK(impl_ != nullptr);
-  Impl& impl = *impl_;
-  if (cancel != nullptr && !cancel->Enabled()) cancel = nullptr;
-  impl.RefreshOrbitKeysIfDirty();
-  // Values already memoized (by an earlier, possibly cancelled, query) are
-  // pure functions of the built index, so reusing them preserves
-  // bit-identity. The level-parallel warm polls between levels (a partial
-  // warm leaves only cold watermarks behind — see
-  // EngineArena::WarmValuePaths); the assembly polls at each orbit.
-  const size_t num_threads =
-      ThreadPool::ResolveThreadCount(options.num_threads);
-  const std::vector<size_t> rep_endo = impl.MissingRepresentatives();
-  if (!impl.WarmRepresentatives(rep_endo, num_threads, cancel)) {
-    return R::Error(CancelToken::kCancelledMessage);
-  }
-  for (size_t e : rep_endo) {
-    if (cancel != nullptr && cancel->Expired()) {
-      return R::Error(CancelToken::kCancelledMessage);
-    }
-    impl.OrbitValue(e);
-  }
-  return R::Ok(AllValues());
+  return impl_->PerFact(&Impl::Orbit::value, options, cancel);
+}
+
+Result<std::vector<BigInt>> ShapleyEngine::AllNumerators(
+    const ParallelOptions& options, const CancelToken* cancel) {
+  SHAPCQ_CHECK(impl_ != nullptr);
+  return impl_->PerFact(&Impl::Orbit::numerator, options, cancel);
 }
 
 std::vector<size_t> ShapleyEngine::OrbitIds() {
   SHAPCQ_CHECK(impl_ != nullptr);
   Impl& impl = *impl_;
-  impl.RefreshOrbitKeysIfDirty();
-  std::map<std::vector<int>, size_t> ids;  // empty key = the null orbit
-  std::vector<size_t> out;
-  out.reserve(impl.endo_count);
-  for (size_t e = 0; e < impl.endo_count; ++e) {
-    out.push_back(
-        ids.emplace(impl.orbit_key_of_endo[e], ids.size()).first->second);
-  }
-  impl.stats.orbit_count = ids.size();
-  return out;
+  impl.RefreshOrbitsIfDirty();
+  impl.stats.orbit_count = impl.orbits.size();
+  return impl.orbit_of_endo;
 }
 
 Result<FactId> ShapleyEngine::InsertFact(Database& db,
@@ -827,18 +842,20 @@ size_t ShapleyEngine::ApproxMemoryBytes() const {
   bytes += impl.arena_fact.capacity() * sizeof(FactId);
   bytes += impl.arena_endo.capacity() / 8;
   bytes += impl.leaf_of_endo.capacity() * sizeof(int);
-  for (const std::vector<int>& key : impl.orbit_key_of_endo) {
-    bytes += sizeof(key) + key.capacity() * sizeof(int);
+  bytes += impl.orbit_of_endo.capacity() * sizeof(size_t);
+  // The per-orbit memo: the objects, then only the heap limbs of their
+  // numbers (the inline part is inside the object).
+  bytes += impl.orbits.capacity() * sizeof(Impl::Orbit);
+  for (const Impl::Orbit& orbit : impl.orbits) {
+    bytes += orbit.numerator.ApproxMemoryBytes() - sizeof(BigInt);
+    bytes += orbit.value.ApproxMemoryBytes() - sizeof(Rational);
   }
+  bytes += impl.denominator.ApproxMemoryBytes() - sizeof(BigInt);
   bytes += impl.leaf_of_fact.size() * 4 * sizeof(void*);
   bytes += impl.free_node_of_fact.size() * 4 * sizeof(void*);
   for (const auto& [canonical, sig] : impl.sig_interner) {
     (void)sig;
     bytes += canonical.capacity() + 4 * sizeof(void*);
-  }
-  for (const auto& [key, value] : impl.orbit_values) {
-    bytes += key.capacity() * sizeof(int) + value.ApproxMemoryBytes() +
-             4 * sizeof(void*);
   }
   return bytes;
 }

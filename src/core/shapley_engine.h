@@ -25,7 +25,7 @@
 //     of) the index and the affected leaf, then re-derive the memoized |Sat|
 //     vectors only along the dirtied root-to-leaf path, convolving against
 //     the still-valid sibling products; orbit signatures are re-hashed for
-//     the dirty path and orbit keys regenerate lazily on the next query. The
+//     the dirty path and the orbits regenerate lazily on the next query. The
 //     engine therefore tracks a changing database without rebuilds — see
 //     "Incremental maintenance" in DESIGN.md.
 //
@@ -125,11 +125,18 @@ class ShapleyEngine {
   /// CountSat(q, db). Computed on demand from the root's memoized counts.
   CountVector BaselineSat() const;
 
+  /// q(D) − q(Dx) ∈ {−1, 0, 1}: |Sat_n| − |Sat_0|, the efficiency total the
+  /// values of every endogenous fact sum to (Livshits et al.). O(1): read
+  /// off the root's memoized counts, no vector copy.
+  int EfficiencyTotal() const;
+
   /// Shapley(D,q,f). Aborts if f is exogenous.
   Rational Value(FactId f);
 
   /// Shapley values of every endogenous fact, endo-index order. Computes one
-  /// value per orbit and shares it across the orbit's members.
+  /// value per orbit — its numerator over n! = |Dn|!, reduced by one gcd —
+  /// memoizes both, and shares the reduced value across the orbit's
+  /// members.
   std::vector<Rational> AllValues();
 
   /// As AllValues(), with options.num_threads workers warming the orbit
@@ -149,6 +156,16 @@ class ShapleyEngine {
   /// never expires, so the call then always succeeds.
   Result<std::vector<Rational>> AllValues(const ParallelOptions& options,
                                           const CancelToken* cancel);
+
+  /// The same values as integers over their shared denominator n! = |Dn|!:
+  /// n!·Shapley of every endogenous fact, endo-index order — the numerators
+  /// the paper's counting formula sums before it divides, from the same
+  /// per-orbit memo as AllValues (whichever call values an orbit first, the
+  /// other only copies). Report assembly ranks and totals on these with
+  /// integer compares and additions. Threads, cancellation, bit-identity
+  /// and stats().orbit_count exactly as AllValues(options, cancel).
+  Result<std::vector<BigInt>> AllNumerators(
+      const ParallelOptions& options, const CancelToken* cancel = nullptr);
 
   /// Orbit id of every endogenous fact, endo-index order. Ids are dense,
   /// first-seen order; all null players share one orbit. Facts with equal
@@ -194,12 +211,12 @@ class ShapleyEngine {
                                          const CancelToken* cancel = nullptr);
 
   /// Statistics of the built engine. orbit_count is populated by AllValues /
-  /// OrbitIds (0 before the first all-facts query).
+  /// AllNumerators / OrbitIds (0 before the first all-facts query).
   Stats stats() const;
 
   /// Approximate heap footprint of the engine's index in bytes: the arena
   /// (memoized count vectors, partial products, sweep state), the fact
-  /// arena, routing maps, orbit keys and the per-orbit value memo. An
+  /// arena, routing maps, orbit ids and the per-orbit value memo. An
   /// estimate for the serving layer's byte-budgeted LRU eviction — monotone
   /// in index size, not an allocator audit. Excludes the Database itself
   /// (owned by the caller, retained across evictions).

@@ -7,11 +7,30 @@
 
 #include <gtest/gtest.h>
 
+#include "core/brute_force.h"
+#include "core/exoshap.h"
 #include "datasets/citations.h"
 #include "datasets/university.h"
+#include "support/report_reference.h"
 
 namespace shapcq {
 namespace {
+
+// The report's table at top_k 0 and 3 equals the reference assembly of the
+// engine's own values: the numerators over n!, their integer ranking and
+// the total must reproduce the Rational sum and Rational::Compare sort.
+void ExpectMatchesReference(const CQ& q, const Database& db,
+                            ReportOptions options, const std::string& engine,
+                            const std::vector<Rational>& values) {
+  for (size_t top_k : {size_t{0}, size_t{3}}) {
+    options.top_k = top_k;
+    auto report = BuildAttributionReport(q, db, options);
+    ASSERT_TRUE(report.ok()) << report.error();
+    ExpectSameReport(report.value(),
+                     ReferenceReport(engine, db, values, top_k), db,
+                     engine + ", top_k=" + std::to_string(top_k));
+  }
+}
 
 TEST(ReportTest, HierarchicalUsesCntSat) {
   UniversityDb u = BuildUniversityDb();
@@ -33,6 +52,10 @@ TEST(ReportTest, ExoShapSelectedWhenNeeded) {
   auto report = BuildAttributionReport(CitationsQuery(), db, options);
   ASSERT_TRUE(report.ok()) << report.error();
   EXPECT_EQ(report.value().engine, "ExoShap");
+  auto values = ExoShapShapleyAll(CitationsQuery(), db, options.exo);
+  ASSERT_TRUE(values.ok()) << values.error();
+  ExpectMatchesReference(CitationsQuery(), db, options, "ExoShap",
+                         values.value());
 }
 
 TEST(ReportTest, RefusesHardQueryByDefault) {
@@ -48,6 +71,12 @@ TEST(ReportTest, BruteForceFallbackWhenAllowed) {
   auto report = BuildAttributionReport(UniversityQ2(), u.db, options);
   ASSERT_TRUE(report.ok()) << report.error();
   EXPECT_EQ(report.value().engine, "brute-force");
+  std::vector<Rational> values;
+  for (FactId f : u.db.endogenous_facts()) {
+    values.push_back(ShapleyBruteForce(UniversityQ2(), u.db, f));
+  }
+  ExpectMatchesReference(UniversityQ2(), u.db, options, "brute-force",
+                         values);
 }
 
 TEST(ReportTest, BruteForceRespectsLimit) {

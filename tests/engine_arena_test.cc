@@ -4,8 +4,10 @@
 // fuzz battery that holds the engine to independent oracles after build and
 // after every mutation, at every thread count: each value against the
 // per-fact CntSat reduction (ShapleyViaCountSat), the baseline against
-// CountSat, the value sum against the efficiency axiom, and the orbit ids
-// against those values and across thread counts.
+// CountSat, the value sum and the O(1) total against the efficiency axiom,
+// the numerators over n! against the same per-fact oracle, the ranked report
+// tables against a plainly assembled reference, and the orbit ids against
+// those values and across thread counts.
 
 #include "core/engine_arena.h"
 
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "core/count_sat.h"
+#include "core/report.h"
 #include "core/shapley.h"
 #include "core/shapley_engine.h"
 #include "datasets/query_gen.h"
@@ -24,6 +27,8 @@
 #include "datasets/university.h"
 #include "eval/homomorphism.h"
 #include "query/parser.h"
+#include "support/report_reference.h"
+#include "util/combinatorics.h"
 #include "util/random.h"
 
 namespace shapcq {
@@ -187,14 +192,46 @@ std::vector<Rational> PerFactOracle(const CQ& q, const Database& db) {
   return values;
 }
 
-// Runs the engine's first all-facts query at `threads` and checks: each
-// value equals the per-fact oracle (as a Rational and as its rendering),
-// BaselineSat equals CountSat, and the values sum to q(D) − q(Dx). Also
-// checks the orbit ids, asked for before the values when `ids_first` (so
-// OrbitIds is the first query on a mutated engine) and after them
-// otherwise: one per endogenous fact, dense in first-seen order, as many as
-// the orbits AllValues counted, and facts sharing an id have equal oracle
-// values. Returns the ids.
+// The engine's numerators over n! and its report tables at top_k 3 and 0,
+// all at `threads`, against the oracle values: each numerator is n! times
+// the fact's oracle value, and each table equals the reference assembly
+// (Rational sum, stable sort by Rational::Compare).
+void ExpectNumeratorsAndReports(ShapleyEngine& engine, const Database& db,
+                                const std::vector<Rational>& oracle,
+                                size_t threads, bool reports_first,
+                                const std::string& where) {
+  const auto expect_reports = [&] {
+    for (size_t top_k : {size_t{3}, size_t{0}}) {
+      ReportOptions options;
+      options.top_k = top_k;
+      options.num_threads = threads;
+      ExpectSameReport(
+          BuildAttributionReportFromEngine(engine, db, options),
+          ReferenceReport("CntSat (incremental)", db, oracle, top_k), db,
+          where + ", top_k=" + std::to_string(top_k));
+    }
+  };
+  if (reports_first) expect_reports();
+  auto numerators = engine.AllNumerators(Threads(threads));
+  ASSERT_TRUE(numerators.ok()) << numerators.error();
+  ASSERT_EQ(numerators.value().size(), oracle.size()) << where;
+  const Rational factorial(Combinatorics::Factorial(oracle.size()));
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_EQ(Rational(numerators.value()[i]), oracle[i] * factorial)
+        << where << ", endo index " << i;
+  }
+  if (!reports_first) expect_reports();
+}
+
+// Checks the engine at `threads`: each value equals the per-fact oracle (as
+// a Rational and as its rendering), BaselineSat equals CountSat, and the
+// values and EfficiencyTotal both come to q(D) − q(Dx); then the numerators
+// and report tables (ExpectNumeratorsAndReports). Also checks the orbit
+// ids, asked for before anything else when `ids_first` (so OrbitIds is the
+// first query on a mutated engine, and a report the first to value its
+// orbits) and after everything otherwise: one per endogenous fact, dense in
+// first-seen order, as many as the orbits AllValues counted, and facts
+// sharing an id have equal oracle values. Returns the ids.
 std::vector<size_t> ExpectMatchesOracles(ShapleyEngine& engine, const CQ& q,
                                          const Database& db,
                                          const std::vector<Rational>& oracle,
@@ -202,7 +239,11 @@ std::vector<size_t> ExpectMatchesOracles(ShapleyEngine& engine, const CQ& q,
                                          const std::string& label) {
   const std::string where = label + ", t=" + std::to_string(threads);
   std::vector<size_t> ids;
-  if (ids_first) ids = engine.OrbitIds();
+  if (ids_first) {
+    ids = engine.OrbitIds();
+    ExpectNumeratorsAndReports(engine, db, oracle, threads,
+                               /*reports_first=*/true, where);
+  }
   const std::vector<Rational> got = engine.AllValues(Threads(threads));
   EXPECT_EQ(got.size(), oracle.size()) << where;
   if (got.size() != oracle.size()) return {};
@@ -219,9 +260,14 @@ std::vector<size_t> ExpectMatchesOracles(ShapleyEngine& engine, const CQ& q,
   const int efficiency = (EvalBoolean(q, db, db.FullWorld()) ? 1 : 0) -
                          (EvalBoolean(q, db, db.EmptyWorld()) ? 1 : 0);
   EXPECT_EQ(sum, Rational(efficiency)) << where;
+  EXPECT_EQ(engine.EfficiencyTotal(), efficiency) << where;
 
   const size_t orbits_valued = engine.stats().orbit_count;
-  if (!ids_first) ids = engine.OrbitIds();
+  if (!ids_first) {
+    ExpectNumeratorsAndReports(engine, db, oracle, threads,
+                               /*reports_first=*/false, where);
+    ids = engine.OrbitIds();
+  }
   EXPECT_EQ(ids.size(), db.endogenous_count()) << where;
   if (ids.size() != oracle.size()) return ids;
   std::vector<size_t> first_member;  // orbit id -> its first endo index
@@ -272,8 +318,8 @@ std::vector<Replica> MakeReplicas(const CQ& q, const Database& db) {
 
 // Every replica against the oracles, and the same orbit ids on all of
 // them; every other replica asks for its ids first. The callers mutate
-// right after this, so each delta lands on engines whose orbit keys were
-// just collected.
+// right after this, so each delta lands on engines whose orbits were just
+// collected.
 void ExpectReplicasMatchOracles(std::vector<Replica>& replicas, const CQ& q,
                                 const std::string& label) {
   const Database& db = replicas.front().db;
