@@ -39,8 +39,59 @@ std::vector<BigInt> ComplementCells(const BigInt* a, size_t a_len) {
   return row;
 }
 
-std::vector<BigInt> IdentityCells() {
-  return std::vector<BigInt>(1, BigInt(1));
+bool IsZeroCells(const std::vector<BigInt>& cells) {
+  return std::all_of(cells.begin(), cells.end(),
+                     [](const BigInt& cell) { return cell.IsZero(); });
+}
+
+// Multiplies a child's combine vector into its parent's running product, or,
+// when the vector is zero, counts it in `zero_count` instead.
+void MultiplyIn(std::vector<BigInt>& product, uint32_t& zero_count,
+                const std::vector<BigInt>& combine) {
+  if (IsZeroCells(combine)) {
+    ++zero_count;
+    return;
+  }
+  product = ConvolveCells(product.data(), product.size(), combine.data(),
+                          combine.size());
+}
+
+// Exact quotient p / d of two count vectors, d nonzero and dividing p. Solved
+// from d's lowest nonzero cell d_s upwards: p_{k+s} = q_k·d_s + Σ_{i<k}
+// q_i·d_{k+s−i} gives each q_k from the ones below it, with a BigInt
+// division only when d_s is not 1. The cells no q_k is solved from (below s,
+// and the top |d| − 1 − s) are checked against q ⊛ d, as is every
+// remainder. O(|p|·|d|).
+std::vector<BigInt> DivideCells(const BigInt* p, size_t p_len,
+                                const BigInt* d, size_t d_len) {
+  size_t s = 0;
+  while (s < d_len && d[s].IsZero()) ++s;
+  SHAPCQ_CHECK(s < d_len && d_len <= p_len);
+  const size_t q_len = p_len - d_len + 1;
+  std::vector<BigInt> q(q_len);
+  BigInt remainder;
+  for (size_t m = 0; m < s; ++m) SHAPCQ_CHECK(p[m].IsZero());
+  for (size_t m = s; m < p_len; ++m) {
+    const size_t k = m - s;
+    BigInt solved;  // Σ q_i·d_{m−i} over the q_i already known
+    for (size_t i = m + 1 > d_len ? m + 1 - d_len : 0; i < std::min(k, q_len);
+         ++i) {
+      solved.AddProductOf(q[i], d[m - i]);
+    }
+    if (k >= q_len) {
+      SHAPCQ_CHECK(solved == p[m]);
+      continue;
+    }
+    BigInt cell = p[m];
+    cell -= solved;
+    if (d[s].IsOne()) {
+      q[k] = std::move(cell);
+    } else {
+      BigInt::DivMod(cell, d[s], &q[k], &remainder);
+      SHAPCQ_CHECK(remainder.IsZero());
+    }
+  }
+  return q;
 }
 
 }  // namespace
@@ -133,26 +184,6 @@ void EngineArena::ConvolveSlotWithInto(int32_t& dst_ref, int32_t a_slot,
   }
 }
 
-void EngineArena::ConvolveWithSlotInto(int32_t& dst_ref, const BigInt* a,
-                                       size_t a_len, int32_t b_slot) {
-  SHAPCQ_CHECK(b_slot >= 0 && a_len > 0);
-  const size_t b_len = slots_[b_slot].len;
-  EnsureSlotLen(dst_ref, a_len + b_len - 1);  // may grow the cell buffer
-  SHAPCQ_CHECK(dst_ref != b_slot);
-  const Slot& b = slots_[b_slot];
-  const Slot& d = slots_[dst_ref];
-  const BigInt* bv = cells_.data() + b.offset;
-  BigInt* dst = cells_.data() + d.offset;
-  for (size_t k = 0; k < d.len; ++k) dst[k] = BigInt();
-  for (size_t i = 0; i < a_len; ++i) {
-    if (a[i].IsZero()) continue;
-    for (size_t j = 0; j < b_len; ++j) {
-      if (bv[j].IsZero()) continue;
-      dst[i + j].AddProductOf(a[i], bv[j]);
-    }
-  }
-}
-
 void EngineArena::FillSlotInPlace(int32_t slot_id, std::vector<BigInt> cells) {
   SHAPCQ_CHECK(slot_id >= 0);
   // The serial prepass pinned the exact length; the parallel fill must never
@@ -160,6 +191,12 @@ void EngineArena::FillSlotInPlace(int32_t slot_id, std::vector<BigInt> cells) {
   SHAPCQ_CHECK(cells.size() == slots_[slot_id].len);
   BigInt* dst = cells_.data() + slots_[slot_id].offset;
   for (size_t i = 0; i < cells.size(); ++i) dst[i] = std::move(cells[i]);
+}
+
+std::vector<BigInt> EngineArena::CellsOf(int32_t slot_id) const {
+  const Slot& slot = slots_[slot_id];
+  return std::vector<BigInt>(cells_.begin() + slot.offset,
+                             cells_.begin() + slot.offset + slot.len);
 }
 
 // ---------------------------------------------------------------------------
@@ -173,24 +210,18 @@ void EngineArena::Reserve(size_t node_count) {
   child_first_.reserve(node_count);
   child_count_.reserve(node_count);
   children_.reserve(node_count);
-  free_endo_.reserve(node_count);
   negated_.reserve(node_count);
   depth_.reserve(node_count);
   sat_slot_.reserve(node_count);
-  core_slot_.reserve(node_count);
-  prefix_slots_.reserve(node_count);
-  suffix_slots_.reserve(node_count);
-  prefix_valid_.reserve(node_count);
-  suffix_valid_.reserve(node_count);
+  product_slot_.reserve(node_count);
+  zero_count_.reserve(node_count);
   r_slot_.reserve(node_count);
-  rfree_slot_.reserve(node_count);
   r_epoch_.reserve(node_count);
-  rfree_epoch_.reserve(node_count);
   slots_.reserve(3 * node_count);
 }
 
 int EngineArena::AppendNode(NodeKind kind, const std::vector<int>& children,
-                            uint32_t free_endo, bool negated) {
+                            bool negated) {
   const int node = static_cast<int>(kind_.size());
   kind_.push_back(static_cast<uint8_t>(kind));
   parent_.push_back(-1);
@@ -204,39 +235,35 @@ int EngineArena::AppendNode(NodeKind kind, const std::vector<int>& children,
     parent_[children[j]] = node;
     child_index_[children[j]] = static_cast<int32_t>(j);
   }
-  free_endo_.push_back(free_endo);
   negated_.push_back(negated ? 1 : 0);
   depth_.push_back(0);
   sat_slot_.push_back(-1);
-  core_slot_.push_back(-1);
-  prefix_slots_.emplace_back();
-  suffix_slots_.emplace_back();
-  prefix_valid_.push_back(0);
-  suffix_valid_.push_back(0);
+  product_slot_.push_back(-1);
+  zero_count_.push_back(0);
   r_slot_.push_back(-1);
-  rfree_slot_.push_back(-1);
   r_epoch_.push_back(0);
-  rfree_epoch_.push_back(0);
   topo_dirty_ = true;
   return node;
 }
 
 int EngineArena::AddGround(bool negated, CountVector sat) {
-  const int node = AppendNode(NodeKind::kGround, {}, 0, negated);
+  const int node = AppendNode(NodeKind::kGround, {}, negated);
   sat_slot_[node] = NewSlotFrom(std::move(sat).TakeCounts());
   return node;
 }
 
-int EngineArena::AddInner(NodeKind kind, const std::vector<int>& children,
-                          uint32_t free_endo) {
-  SHAPCQ_CHECK(kind == NodeKind::kRootVar ||
-               (kind == NodeKind::kComponent && free_endo == 0));
-  const int node = AppendNode(kind, children, free_endo, false);
-  std::vector<BigInt> product = IdentityCells();
+int EngineArena::AddInner(NodeKind kind, const std::vector<int>& children) {
+  SHAPCQ_CHECK(kind != NodeKind::kGround);
+  const int node = AppendNode(kind, children, false);
+  std::vector<BigInt> product(1, BigInt(1));  // the empty product
+  size_t universe = 0;
   for (size_t j = 0; j < children.size(); ++j) {
-    product = TimesCombine(product, node, j);
+    const std::vector<BigInt> combine = CombineOf(node, j);
+    universe += combine.size() - 1;
+    MultiplyIn(product, zero_count_[node], combine);
   }
-  StoreFromProduct(node, std::move(product));
+  product_slot_[node] = NewSlotFrom(std::move(product));
+  sat_slot_[node] = NewSlotFrom(SatFromProduct(node, universe));
   return node;
 }
 
@@ -277,9 +304,7 @@ void EngineArena::RecomputeTopo() {
 // ---------------------------------------------------------------------------
 
 CountVector EngineArena::SatOf(int node) const {
-  const Slot& slot = slots_[sat_slot_[node]];
-  return CountVector::FromCounts(std::vector<BigInt>(
-      cells_.begin() + slot.offset, cells_.begin() + slot.offset + slot.len));
+  return CountVector::FromCounts(CellsOf(sat_slot_[node]));
 }
 
 CountVector EngineArena::BaselineSat(size_t global_free_endo) const {
@@ -307,93 +332,61 @@ std::vector<BigInt> EngineArena::CombineOf(int parent, size_t j) const {
   return std::vector<BigInt>(cells, cells + slot.len);
 }
 
-std::vector<BigInt> EngineArena::TimesCombine(const std::vector<BigInt>& acc,
-                                              int parent, size_t j) const {
-  const Slot& slot = slots_[sat_slot_[child(parent, j)]];
-  const BigInt* cells = cells_.data() + slot.offset;
-  if (kind(parent) == NodeKind::kRootVar) {
-    const std::vector<BigInt> unsat = ComplementCells(cells, slot.len);
-    return ConvolveCells(acc.data(), acc.size(), unsat.data(), unsat.size());
-  }
-  return ConvolveCells(acc.data(), acc.size(), cells, slot.len);
+std::vector<BigInt> EngineArena::ProductWithout(
+    int parent, const std::vector<BigInt>& combine) const {
+  const Slot& product = slots_[product_slot_[parent]];
+  return DivideCells(cells_.data() + product.offset, product.len,
+                     combine.data(), combine.size());
 }
 
-void EngineArena::StoreFromProduct(int node, std::vector<BigInt> product) {
+std::vector<BigInt> EngineArena::ContextOf(int parent, size_t j) const {
+  const std::vector<BigInt> combine = CombineOf(parent, j);
+  const uint32_t zeros = zero_count_[parent];
+  if (zeros == 0) return ProductWithout(parent, combine);
+  if (zeros == 1 && IsZeroCells(combine)) {
+    return CellsOf(product_slot_[parent]);
+  }
+  // A zero sibling: the context is 0 over the parent's universe minus j's.
+  return std::vector<BigInt>(SlotLen(sat_slot_[parent]) - combine.size() + 1);
+}
+
+std::vector<BigInt> EngineArena::SatFromProduct(int node,
+                                                size_t universe) const {
+  const bool zero = zero_count_[node] > 0;
+  if (!zero) SHAPCQ_CHECK(SlotLen(product_slot_[node]) == universe + 1);
   if (kind(node) == NodeKind::kComponent) {
-    StoreSlotAt(sat_slot_[node], std::move(product));
-    return;
+    return zero ? std::vector<BigInt>(universe + 1)
+                : CellsOf(product_slot_[node]);
   }
   SHAPCQ_CHECK(kind(node) == NodeKind::kRootVar);
-  std::vector<BigInt> core = ComplementCells(product.data(), product.size());
-  StoreSlotAt(core_slot_[node], std::move(core));
-  StoreSatFromCore(node);
+  if (zero) return Combinatorics::BinomialRow(universe);
+  const Slot& product = slots_[product_slot_[node]];
+  return ComplementCells(cells_.data() + product.offset, product.len);
 }
 
-void EngineArena::StoreSatFromCore(int node) {
-  const std::vector<BigInt> all = Combinatorics::BinomialRow(free_endo_[node]);
-  const Slot& core = slots_[core_slot_[node]];
-  StoreSlotAt(sat_slot_[node],
-              ConvolveCells(cells_.data() + core.offset, core.len, all.data(),
-                            all.size()));
-}
-
-// ---------------------------------------------------------------------------
-// Sibling partial products
-// ---------------------------------------------------------------------------
-
-void EngineArena::EnsurePartialsAllocated(int parent) {
-  const size_t m = static_cast<size_t>(child_count_[parent]);
-  std::vector<int32_t>& prefix = prefix_slots_[parent];
-  std::vector<int32_t>& suffix = suffix_slots_[parent];
-  if (prefix.size() == m + 1) {
-    SHAPCQ_CHECK(suffix.size() == m + 1);
-    return;
+void EngineArena::StoreSatUpward(int node, std::vector<BigInt> sat) {
+  for (int parent = parent_[node]; parent >= 0;
+       node = parent, parent = parent_[node]) {
+    const size_t j = child_index(node);
+    // The child's old combine vector must be read before its sat is
+    // overwritten.
+    const std::vector<BigInt> old_combine = CombineOf(parent, j);
+    const size_t universe =
+        SlotLen(sat_slot_[parent]) - old_combine.size() + sat.size() - 1;
+    StoreSlotAt(sat_slot_[node], std::move(sat));
+    std::vector<BigInt> product;
+    if (IsZeroCells(old_combine)) {
+      SHAPCQ_CHECK(zero_count_[parent] > 0);
+      --zero_count_[parent];
+      product = CellsOf(product_slot_[parent]);
+    } else {
+      product = ProductWithout(parent, old_combine);
+    }
+    MultiplyIn(product, zero_count_[parent], CombineOf(parent, j));
+    StoreSlotAt(product_slot_[parent], std::move(product));
+    sat = SatFromProduct(parent, universe);
   }
-  SHAPCQ_CHECK(prefix.empty() && suffix.empty());
-  prefix.assign(m + 1, -1);
-  suffix.assign(m + 1, -1);
-  StoreSlotAt(prefix[0], IdentityCells());
-  StoreSlotAt(suffix[m], IdentityCells());
-  prefix_valid_[parent] = 0;
-  suffix_valid_[parent] = static_cast<uint32_t>(m);
-}
-
-void EngineArena::PrefixUpTo(int parent, size_t j) {
-  std::vector<int32_t>& prefix = prefix_slots_[parent];
-  for (size_t i = prefix_valid_[parent]; i < j; ++i) {
-    const std::vector<BigInt> combine = CombineOf(parent, i);
-    ConvolveSlotWithInto(prefix[i + 1], prefix[i], combine.data(),
-                         combine.size());
-  }
-  prefix_valid_[parent] =
-      std::max(prefix_valid_[parent], static_cast<uint32_t>(j));
-}
-
-void EngineArena::SuffixFrom(int parent, size_t i) {
-  std::vector<int32_t>& suffix = suffix_slots_[parent];
-  const size_t m = static_cast<size_t>(child_count_[parent]);
-  if (suffix_valid_[parent] == m && suffix[m] < 0) {
-    // A splice reset the suffix side; re-seed the identity at the new end.
-    StoreSlotAt(suffix[m], IdentityCells());
-  }
-  for (size_t k = suffix_valid_[parent]; k > i; --k) {
-    const std::vector<BigInt> combine = CombineOf(parent, k - 1);
-    ConvolveWithSlotInto(suffix[k - 1], combine.data(), combine.size(),
-                         suffix[k]);
-  }
-  suffix_valid_[parent] =
-      std::min(suffix_valid_[parent], static_cast<uint32_t>(i));
-}
-
-std::vector<BigInt> EngineArena::SiblingCombine(int parent, size_t j) {
-  EnsurePartialsAllocated(parent);
-  PrefixUpTo(parent, j);
-  SuffixFrom(parent, j + 1);
-  // Pointers only after both builders ran: they may grow the cell buffer.
-  const Slot& pre = slots_[prefix_slots_[parent][j]];
-  const Slot& suf = slots_[suffix_slots_[parent][j + 1]];
-  return ConvolveCells(cells_.data() + pre.offset, pre.len,
-                       cells_.data() + suf.offset, suf.len);
+  StoreSlotAt(sat_slot_[node], std::move(sat));
 }
 
 // ---------------------------------------------------------------------------
@@ -402,13 +395,7 @@ std::vector<BigInt> EngineArena::SiblingCombine(int parent, size_t j) {
 
 void EngineArena::SetLeafSat(int leaf, CountVector sat) {
   SHAPCQ_CHECK(kind(leaf) == NodeKind::kGround);
-  StoreSlotAt(sat_slot_[leaf], std::move(sat).TakeCounts());
-}
-
-void EngineArena::SetFreeEndo(int node, uint32_t free_endo) {
-  SHAPCQ_CHECK(kind(node) == NodeKind::kRootVar);
-  free_endo_[node] = free_endo;
-  StoreSatFromCore(node);
+  StoreSatUpward(leaf, std::move(sat).TakeCounts());
 }
 
 void EngineArena::SpliceNewChild(int parent, int child) {
@@ -431,36 +418,12 @@ void EngineArena::SpliceNewChild(int parent, int child) {
   child_index_[child] = static_cast<int32_t>(m);
   topo_dirty_ = true;
 
-  // The old children's unsat product is All − core; fold in the new one.
-  const Slot& core = slots_[core_slot_[parent]];
-  const BigInt* core_cells = cells_.data() + core.offset;
-  const std::vector<BigInt> old_unsat = ComplementCells(core_cells, core.len);
-  StoreFromProduct(parent, TimesCombine(old_unsat, parent, m));
-
-  // Partial products: grown prefixes keep their valid entries (they exclude
-  // the appended child); every suffix entry misses it, so the suffix side
-  // resets to the (new) identity end.
-  if (!prefix_slots_[parent].empty()) {
-    prefix_slots_[parent].resize(m + 2, -1);
-    suffix_slots_[parent].resize(m + 2, -1);
-    prefix_valid_[parent] =
-        std::min(prefix_valid_[parent], static_cast<uint32_t>(m + 1));
-    suffix_valid_[parent] = static_cast<uint32_t>(m + 1);
-    suffix_slots_[parent][m + 1] = -1;  // re-seeded by the next SuffixFrom
-  }
-}
-
-void EngineArena::PatchChildChanged(int parent, size_t j) {
-  StoreFromProduct(parent, TimesCombine(SiblingCombine(parent, j), parent, j));
-  // Shrink the watermarks to exclude entries embedding child j's replaced
-  // combine vector: prefix[0..j] and suffix[j+1..] stay warm for the next
-  // patch through the same child.
-  if (!prefix_slots_[parent].empty()) {
-    prefix_valid_[parent] =
-        std::min(prefix_valid_[parent], static_cast<uint32_t>(j));
-    suffix_valid_[parent] =
-        std::max(suffix_valid_[parent], static_cast<uint32_t>(j + 1));
-  }
+  const std::vector<BigInt> combine = CombineOf(parent, m);
+  const size_t universe = SlotLen(sat_slot_[parent]) + combine.size() - 2;
+  std::vector<BigInt> product = CellsOf(product_slot_[parent]);
+  MultiplyIn(product, zero_count_[parent], combine);
+  StoreSlotAt(product_slot_[parent], std::move(product));
+  StoreSatUpward(parent, SatFromProduct(parent, universe));
 }
 
 void EngineArena::InvalidateValues() { ++epoch_; }
@@ -469,34 +432,15 @@ void EngineArena::InvalidateValues() { ++epoch_; }
 // Evaluation: the difference-propagation sweep
 // ---------------------------------------------------------------------------
 
-void EngineArena::EnsureRFree(int node, size_t global_free_endo) {
-  if (rfree_epoch_[node] == epoch_) return;
-  EnsureR(node, global_free_endo);
-  const bool has_factor =
-      kind(node) == NodeKind::kRootVar && free_endo_[node] > 0;
-  if (!has_factor) {
-    rfree_slot_[node] = r_slot_[node];  // alias: the factor is the identity
-  } else {
-    const std::vector<BigInt> all =
-        Combinatorics::BinomialRow(free_endo_[node]);
-    // A stale alias from an earlier epoch must not clobber r's cells.
-    if (rfree_slot_[node] == r_slot_[node]) rfree_slot_[node] = -1;
-    ConvolveSlotWithInto(rfree_slot_[node], r_slot_[node], all.data(),
-                         all.size());
-  }
-  rfree_epoch_[node] = epoch_;
-}
-
 void EngineArena::EnsureR(int node, size_t global_free_endo) {
   if (r_epoch_[node] == epoch_) return;
   if (node == root_) {
     StoreSlotAt(r_slot_[node], Combinatorics::BinomialRow(global_free_endo));
   } else {
     const int parent = parent_[node];
-    EnsureRFree(parent, global_free_endo);
-    const std::vector<BigInt> ctx =
-        SiblingCombine(parent, static_cast<size_t>(child_index_[node]));
-    ConvolveSlotWithInto(r_slot_[node], rfree_slot_[parent], ctx.data(),
+    EnsureR(parent, global_free_endo);
+    const std::vector<BigInt> ctx = ContextOf(parent, child_index(node));
+    ConvolveSlotWithInto(r_slot_[node], r_slot_[parent], ctx.data(),
                          ctx.size());
   }
   r_epoch_[node] = epoch_;
@@ -560,119 +504,35 @@ bool EngineArena::WarmValuePaths(const std::vector<int>& leaves,
     }
   }
 
-  // Per-parent needs: which child contexts the sweep reads (as a prefix-max
-  // and suffix-min index), and whether rfree must be derived. Parents with a
-  // warm r can still owe partials (a previous round warmed other children).
-  constexpr int32_t kNoIndex = -1;
-  std::vector<int32_t> need_prefix_to(n, kNoIndex);
-  std::vector<int32_t> need_suffix_from(n, kNoIndex);
-  std::vector<uint8_t> need_rfree(n, 0);
-  std::vector<uint8_t> in_worklist(n, 0);
-  bool any = false;
-  for (size_t node = 0; node < n; ++node) {
-    if (need_r[node] == 0) continue;
-    any = true;
-    in_worklist[node] = 1;
-    if (static_cast<int32_t>(node) == root_) continue;
-    const int32_t p = parent_[node];
-    const int32_t j = child_index_[node];
-    in_worklist[p] = 1;
-    need_prefix_to[p] = std::max(need_prefix_to[p], j);
-    need_suffix_from[p] = need_suffix_from[p] == kNoIndex
-                              ? j + 1
-                              : std::min(need_suffix_from[p], j + 1);
-    if (rfree_epoch_[p] != epoch_) need_rfree[p] = 1;
-  }
-  if (!any) return true;
-
-  // Serial prepass, in (depth, id) order: compute every result's exact
-  // length (universes add under convolution, so lengths are static functions
-  // of the child sat lengths) and pin a slot for it. After this pass the
-  // cell buffer never grows again, so the parallel fill below publishes
-  // ranges no reallocation can move.
   std::vector<int32_t> worklist;
   for (int32_t node : topo_) {
-    if (in_worklist[node] != 0) worklist.push_back(node);
+    if (need_r[node] != 0) worklist.push_back(node);
   }
+  if (worklist.empty()) return true;
+
+  // Serial prepass, parents before children: pin every r slot at its exact
+  // length (universes add under convolution, and a context spans the
+  // parent's universe minus the child's). After this pass the cell buffer
+  // never grows again, so the parallel fill below publishes ranges no
+  // reallocation can move.
   size_t max_universe = global_free_endo;
   for (int32_t node : worklist) {
-    const size_t m = static_cast<size_t>(child_count_[node]);
-    if (need_prefix_to[node] != kNoIndex) {
-      EnsurePartialsAllocated(node);
-      std::vector<size_t> combine_len(m);
-      for (size_t t = 0; t < m; ++t) {
-        combine_len[t] = SlotLen(sat_slot_[children_[child_first_[node] +
-                                                     static_cast<int32_t>(t)]]);
-        max_universe = std::max(max_universe, combine_len[t] - 1);
-      }
-      std::vector<int32_t>& prefix = prefix_slots_[node];
-      std::vector<int32_t>& suffix = suffix_slots_[node];
-      size_t prefix_len = 1;
-      for (size_t i = 0; i < m; ++i) {
-        if (i + 1 > static_cast<size_t>(prefix_valid_[node]) &&
-            i + 1 <= static_cast<size_t>(need_prefix_to[node])) {
-          EnsureSlotLen(prefix[i + 1], prefix_len + combine_len[i] - 1);
-        }
-        prefix_len += combine_len[i] - 1;
-      }
-      if (suffix_valid_[node] == m && suffix[m] < 0) {
-        EnsureSlotLen(suffix[m], 1);
-        cells_[slots_[suffix[m]].offset] = BigInt(1);
-      }
-      size_t suffix_len = 1;
-      for (size_t i = m; i-- > 0;) {
-        suffix_len += combine_len[i] - 1;
-        if (i < static_cast<size_t>(suffix_valid_[node]) &&
-            i >= static_cast<size_t>(need_suffix_from[node])) {
-          EnsureSlotLen(suffix[i], suffix_len);
-        }
-      }
+    size_t r_len = global_free_endo + 1;
+    if (node != root_) {
+      const int32_t p = parent_[node];
+      r_len = SlotLen(r_slot_[p]) + SlotLen(sat_slot_[p]) -
+              SlotLen(sat_slot_[node]);
+      max_universe = std::max(max_universe, SlotLen(sat_slot_[node]) - 1);
     }
-    // r and rfree lengths flow top-down: parents precede children in the
-    // worklist, so the parent's rfree slot length is pinned by the time any
-    // child computes its own (aliased to r when the factor is the identity).
-    if (need_r[node] != 0) {
-      size_t r_len;
-      if (node == root_) {
-        r_len = global_free_endo + 1;
-      } else {
-        const int32_t p = parent_[node];
-        const size_t rfree_len = SlotLen(rfree_slot_[p]);
-        // ctx universe = the parent's minus this child's: sum the sibling
-        // sat lengths.
-        size_t ctx_len = 1;
-        const size_t siblings = static_cast<size_t>(child_count_[p]);
-        for (size_t t = 0; t < siblings; ++t) {
-          if (static_cast<int32_t>(t) == child_index_[node]) continue;
-          ctx_len += SlotLen(sat_slot_[children_[child_first_[p] +
-                                                 static_cast<int32_t>(t)]]) -
-                     1;
-        }
-        r_len = rfree_len + ctx_len - 1;
-      }
-      EnsureSlotLen(r_slot_[node], r_len);
-      max_universe = std::max(max_universe, r_len - 1);
-    }
-    if (need_rfree[node] != 0) {
-      const bool has_factor =
-          kind(node) == NodeKind::kRootVar && free_endo_[node] > 0;
-      if (!has_factor) {
-        rfree_slot_[node] = r_slot_[node];
-      } else {
-        if (rfree_slot_[node] == r_slot_[node]) rfree_slot_[node] = -1;
-        const size_t rfree_len = SlotLen(r_slot_[node]) + free_endo_[node];
-        EnsureSlotLen(rfree_slot_[node], rfree_len);
-        max_universe = std::max(max_universe, rfree_len);
-      }
-    }
+    EnsureSlotLen(r_slot_[node], r_len);
   }
   Combinatorics::Prewarm(max_universe);
 
-  // Level-parallel fill. Every task writes only slots its node owns (r,
-  // rfree, its own partial entries, its own watermarks) and reads only its
-  // parent's slots — finished one level earlier, with the ParallelFor join
-  // as the happens-before edge. Values are bit-identical to the serial
-  // sweep: identical exact-integer formulas into pre-assigned slots.
+  // Level-parallel fill. Every task writes only its own node's r slot and
+  // reads only its parent's — finished one level earlier, with the
+  // ParallelFor join as the happens-before edge — and the sat and product
+  // slots, which the sweep never writes. Values are bit-identical to the
+  // serial sweep: identical exact-integer formulas into pre-assigned slots.
   std::vector<std::vector<int32_t>> levels;
   for (int32_t node : worklist) {
     const size_t d = static_cast<size_t>(depth_[node]);
@@ -688,61 +548,18 @@ bool EngineArena::WarmValuePaths(const std::vector<int>& leaves,
     if (cancel != nullptr && cancel->Expired()) return false;
     pool.ParallelFor(level.size(), [&](size_t index) {
       const int32_t node = level[index];
-      if (need_r[node] != 0) {
-        std::vector<BigInt> r;
-        if (node == root_) {
-          r = Combinatorics::BinomialRow(global_free_endo);
-        } else {
-          const int32_t p = parent_[node];
-          const size_t j = static_cast<size_t>(child_index_[node]);
-          const Slot& pre = slots_[prefix_slots_[p][j]];
-          const Slot& suf = slots_[suffix_slots_[p][j + 1]];
-          const std::vector<BigInt> ctx =
-              ConvolveCells(cells_.data() + pre.offset, pre.len,
-                            cells_.data() + suf.offset, suf.len);
-          const Slot& rfree = slots_[rfree_slot_[p]];
-          r = ConvolveCells(cells_.data() + rfree.offset, rfree.len,
-                            ctx.data(), ctx.size());
-        }
-        FillSlotInPlace(r_slot_[node], std::move(r));
-        r_epoch_[node] = epoch_;
+      std::vector<BigInt> r;
+      if (node == root_) {
+        r = Combinatorics::BinomialRow(global_free_endo);
+      } else {
+        const int32_t p = parent_[node];
+        const std::vector<BigInt> ctx = ContextOf(p, child_index(node));
+        const Slot& parent_r = slots_[r_slot_[p]];
+        r = ConvolveCells(cells_.data() + parent_r.offset, parent_r.len,
+                          ctx.data(), ctx.size());
       }
-      if (need_prefix_to[node] != kNoIndex) {
-        const std::vector<int32_t>& prefix = prefix_slots_[node];
-        const std::vector<int32_t>& suffix = suffix_slots_[node];
-        for (size_t i = prefix_valid_[node];
-             i < static_cast<size_t>(need_prefix_to[node]); ++i) {
-          const std::vector<BigInt> combine = CombineOf(node, i);
-          const Slot& prev = slots_[prefix[i]];
-          FillSlotInPlace(prefix[i + 1],
-                          ConvolveCells(cells_.data() + prev.offset, prev.len,
-                                        combine.data(), combine.size()));
-        }
-        prefix_valid_[node] =
-            std::max(prefix_valid_[node],
-                     static_cast<uint32_t>(need_prefix_to[node]));
-        for (size_t k = suffix_valid_[node];
-             k > static_cast<size_t>(need_suffix_from[node]); --k) {
-          const std::vector<BigInt> combine = CombineOf(node, k - 1);
-          const Slot& next = slots_[suffix[k]];
-          FillSlotInPlace(suffix[k - 1],
-                          ConvolveCells(combine.data(), combine.size(),
-                                        cells_.data() + next.offset,
-                                        next.len));
-        }
-        suffix_valid_[node] =
-            std::min(suffix_valid_[node],
-                     static_cast<uint32_t>(need_suffix_from[node]));
-      }
-      if (need_rfree[node] != 0 && rfree_slot_[node] != r_slot_[node]) {
-        const std::vector<BigInt> all =
-            Combinatorics::BinomialRow(free_endo_[node]);
-        const Slot& r = slots_[r_slot_[node]];
-        FillSlotInPlace(rfree_slot_[node],
-                        ConvolveCells(cells_.data() + r.offset, r.len,
-                                      all.data(), all.size()));
-      }
-      if (need_rfree[node] != 0) rfree_epoch_[node] = epoch_;
+      FillSlotInPlace(r_slot_[node], std::move(r));
+      r_epoch_[node] = epoch_;
     });
   }
   return true;
@@ -767,42 +584,25 @@ size_t EngineArena::ApproxMemoryBytes() const {
   bytes += (parent_.capacity() + child_index_.capacity() +
             child_first_.capacity() + child_count_.capacity() +
             children_.capacity() + topo_.capacity() + depth_.capacity() +
-            sat_slot_.capacity() + core_slot_.capacity() +
-            r_slot_.capacity() + rfree_slot_.capacity()) *
+            sat_slot_.capacity() + product_slot_.capacity() +
+            r_slot_.capacity()) *
            sizeof(int32_t);
-  bytes += (free_endo_.capacity() + prefix_valid_.capacity() +
-            suffix_valid_.capacity() + r_epoch_.capacity() +
-            rfree_epoch_.capacity()) *
-           sizeof(uint32_t);
-  for (const std::vector<int32_t>& ids : prefix_slots_) {
-    bytes += sizeof(ids) + ids.capacity() * sizeof(int32_t);
-  }
-  for (const std::vector<int32_t>& ids : suffix_slots_) {
-    bytes += sizeof(ids) + ids.capacity() * sizeof(int32_t);
-  }
+  bytes += (zero_count_.capacity() + r_epoch_.capacity()) * sizeof(uint32_t);
   bytes += (weights_.capacity() - weights_.size()) * sizeof(BigInt);
   for (const BigInt& weight : weights_) bytes += weight.ApproxMemoryBytes();
   return bytes;
 }
 
 void EngineArena::CompactCells() {
-  // Live slots in first-reference order: node-major, vector-kind-minor. An
-  // rfree alias of r is visited once.
+  // Slots in first-reference order: node-major, vector-kind-minor. Every
+  // slot belongs to exactly one node's sat, product or r.
   std::vector<int32_t> live;
-  std::vector<uint8_t> seen(slots_.size(), 0);
-  auto visit = [&](int32_t slot) {
-    if (slot < 0 || seen[slot] != 0) return;
-    seen[slot] = 1;
-    live.push_back(slot);
-  };
   for (size_t node = 0; node < kind_.size(); ++node) {
-    visit(sat_slot_[node]);
-    visit(core_slot_[node]);
-    for (int32_t slot : prefix_slots_[node]) visit(slot);
-    for (int32_t slot : suffix_slots_[node]) visit(slot);
-    visit(r_slot_[node]);
-    visit(rfree_slot_[node]);
+    for (int32_t slot : {sat_slot_[node], product_slot_[node], r_slot_[node]}) {
+      if (slot >= 0) live.push_back(slot);
+    }
   }
+  SHAPCQ_CHECK(live.size() == slots_.size());
   size_t total = 0;
   for (int32_t slot : live) total += slots_[slot].len;
   std::vector<BigInt> packed(total);
@@ -816,11 +616,6 @@ void EngineArena::CompactCells() {
     s.cap = s.len;
     at += s.len;
   }
-  // Slot ids abandoned by re-ranged partial lists keep their structs but
-  // point at an empty range.
-  for (size_t slot = 0; slot < slots_.size(); ++slot) {
-    if (seen[slot] == 0) slots_[slot] = Slot{};
-  }
   cells_ = std::move(packed);
   slack_cells_ = 0;
 }
@@ -829,13 +624,10 @@ void EngineArena::CheckInvariants() const {
   const size_t n = kind_.size();
   SHAPCQ_CHECK(parent_.size() == n && child_index_.size() == n &&
                child_first_.size() == n && child_count_.size() == n &&
-               free_endo_.size() == n && negated_.size() == n &&
-               depth_.size() == n && sat_slot_.size() == n &&
-               core_slot_.size() == n && prefix_slots_.size() == n &&
-               suffix_slots_.size() == n && prefix_valid_.size() == n &&
-               suffix_valid_.size() == n && r_slot_.size() == n &&
-               rfree_slot_.size() == n && r_epoch_.size() == n &&
-               rfree_epoch_.size() == n);
+               negated_.size() == n && depth_.size() == n &&
+               sat_slot_.size() == n && product_slot_.size() == n &&
+               zero_count_.size() == n && r_slot_.size() == n &&
+               r_epoch_.size() == n);
   if (n == 0) return;
   SHAPCQ_CHECK(root_ >= 0 && static_cast<size_t>(root_) < n);
   SHAPCQ_CHECK(parent_[root_] == -1);
@@ -854,14 +646,10 @@ void EngineArena::CheckInvariants() const {
       SHAPCQ_CHECK(child_index_[child] == t);
     }
     SHAPCQ_CHECK(sat_slot_[node] >= 0);
-    SHAPCQ_CHECK((core_slot_[node] >= 0) ==
-                 (kind(static_cast<int>(node)) == NodeKind::kRootVar));
-    SHAPCQ_CHECK(kind(static_cast<int>(node)) != NodeKind::kGround || m == 0);
-    SHAPCQ_CHECK(prefix_slots_[node].empty() ||
-                 prefix_slots_[node].size() == static_cast<size_t>(m) + 1);
-    SHAPCQ_CHECK(prefix_slots_[node].size() == suffix_slots_[node].size());
-    SHAPCQ_CHECK(prefix_valid_[node] <= static_cast<uint32_t>(m));
-    SHAPCQ_CHECK(suffix_valid_[node] <= static_cast<uint32_t>(m));
+    const bool ground = kind(static_cast<int>(node)) == NodeKind::kGround;
+    SHAPCQ_CHECK((product_slot_[node] >= 0) == !ground);
+    SHAPCQ_CHECK(!ground || m == 0);
+    SHAPCQ_CHECK(zero_count_[node] <= static_cast<uint32_t>(m));
   }
   for (const Slot& slot : slots_) {
     SHAPCQ_CHECK(slot.len <= slot.cap);

@@ -4,8 +4,8 @@
 // nodes, root-variable nodes) lives here, and nowhere else numerically:
 //
 //  * Node structure lives in index-linked parallel arrays (kind, parent,
-//    child ranges into one concatenated child-id array, free-endo counters,
-//    leaf polarity) — no per-node objects, no virtual dispatch.
+//    child ranges into one concatenated child-id array, leaf polarity) — no
+//    per-node objects, no virtual dispatch.
 //  * Every count-vector cell lives in ONE flat cell buffer. A logical vector
 //    is a slot (offset, length, capacity) into that buffer; with 64-bit
 //    limbs and |Dn| <= 192 every cell's magnitude is stored inline in its
@@ -15,12 +15,14 @@
 //    slack and reclaimed by CompactCells()).
 //  * ShapleyEngine::Build appends each node the moment its recursion step
 //    finishes, children before parents, and the node's |Sat| cells are
-//    written straight into the buffer. The combine rules are implemented
-//    once, below, and shared by Build and every mutation patch:
+//    written straight into the buffer. Each inner node combines its
+//    children's combine vectors — child sat under a component, All − child
+//    sat under a root-variable node — and stores their product, leaving out
+//    the all-zero ones, which it only counts. The combine rules are
+//    implemented once, below, and shared by Build and every mutation patch:
 //
-//      component:  sat  = Π child sat
-//      root var:   core = All − Π (All − child sat)
-//                  sat  = core ⊛ All(free_endo)
+//      component:  sat = Π child sat                (0 if a factor is zero)
+//      root var:   sat = All − Π (All − child sat)  (All if a factor is zero)
 //
 //  * A topological order (parents before children) turns the all-facts
 //    evaluation into a batched top-down sweep over dense index ranges.
@@ -29,23 +31,23 @@
 // removing it perturbs the recursion LINEARLY along the fact's leaf-to-root
 // path: at a component ancestor the difference vector picks up a
 // convolution with the sibling context, and at a root-var ancestor the two
-// complement steps cancel, leaving the same convolution (plus the free-fact
-// binomial factor). Hence
+// complement steps cancel, leaving the same convolution. Hence
 //
 //   sat_with - sat_without  =  sign * r[leaf],
 //   r[root]  = All(global_free_endo),
-//   r[child] = r[parent] (* All(parent.free_endo)) * ctx_parent[child],
+//   r[child] = r[parent] * ctx_parent[child],
 //
 // with sign = -1 exactly for negated leaves, and Shapley(leaf) assembles
 // from r[leaf] alone. r[] is shared across every leaf below a common
-// ancestor. ctx_parent[j] is the product of every sibling's combine vector
-// (sat for component parents, All − sat for root-var parents), composed
-// from persistent prefix/suffix partial products.
+// ancestor. ctx_parent[j], the product of every sibling's combine vector, is
+// the parent's stored product divided exactly by child j's combine vector;
+// it is the product itself when j is the parent's only zero child, and 0
+// when another child is zero.
 //
-// Incremental maintenance patches the same storage: leaf flips, free-counter
-// moves and new-child splices re-derive the dirtied root-to-leaf path from
-// the prefix/suffix partials, invalidating exactly the partials that embed
-// the changed child.
+// Incremental maintenance patches the same storage: a leaf store or a
+// new-child splice walks the dirtied path to the root, dividing each
+// child's old combine vector out of its parent's product and multiplying
+// the new one in.
 //
 // The arena does NOT know about queries, routing or orbits: the owning
 // ShapleyEngine keeps the routing metadata (slice maps, stored subqueries,
@@ -78,22 +80,20 @@ class EngineArena {
   // -------------------------------------------------------------------------
   // Construction. Each Add* call appends one node (ids are dense, in call
   // order), links the given children under it and writes its |Sat| cells
-  // (and, for root-var nodes, its core) straight into the cell buffer,
-  // computed from the children's. Children must be added before their
-  // parent; SetRoot fixes the root and the topological order once the
-  // recursion returns. Mutations keep appending: a fresh subtree is added
-  // the same way and attached by SpliceNewChild (the topological order
-  // recomputes lazily).
+  // (and, for inner nodes, the product of its children's nonzero combine
+  // vectors) straight into the cell buffer, computed from the children's.
+  // Children must be added before their parent; SetRoot fixes the root and
+  // the topological order once the recursion returns. Mutations keep
+  // appending: a fresh subtree is added the same way and attached by
+  // SpliceNewChild (the topological order recomputes lazily).
   // -------------------------------------------------------------------------
 
   void Reserve(size_t node_count);
   /// A ground leaf whose |Sat| vector is `sat` (GroundLeafSat of its state).
   int AddGround(bool negated, CountVector sat);
-  /// A component node (sat = Π child sat; free_endo must be 0) or a
-  /// root-var node (core = All − Π (All − child sat),
-  /// sat = core ⊛ All(free_endo)) over already-added children.
-  int AddInner(NodeKind kind, const std::vector<int>& children,
-               uint32_t free_endo);
+  /// A component node (sat = Π child sat) or a root-var node
+  /// (sat = All − Π (All − child sat)) over already-added children.
+  int AddInner(NodeKind kind, const std::vector<int>& children);
   void SetRoot(int root);
 
   size_t node_count() const { return kind_.size(); }
@@ -114,7 +114,6 @@ class EngineArena {
   int child(int node, size_t j) const {
     return children_[child_first_[node] + static_cast<int32_t>(j)];
   }
-  uint32_t free_endo(int node) const { return free_endo_[node]; }
   bool negated(int node) const { return negated_[node] != 0; }
 
   /// Materializes the node's memoized |Sat| vector.
@@ -131,30 +130,19 @@ class EngineArena {
   int EfficiencyTotal() const;
 
   // -------------------------------------------------------------------------
-  // Mutation patches. Each re-derives one node from the same combine rules
-  // Build used; the engine walks them up the dirtied root-to-leaf path.
+  // Mutation patches. Each re-derives every ancestor of the changed node
+  // from the same combine rules Build used, walking the dirtied path to the
+  // root: at each parent the child's old combine vector is divided out of
+  // the stored product and the new one multiplied in.
   // -------------------------------------------------------------------------
 
   /// Replaces a ground leaf's |Sat| after its presence state flipped.
   void SetLeafSat(int leaf, CountVector sat);
 
-  /// Updates a root-var node's free-endo counter and re-derives its sat
-  /// (sat = core ⊛ All(free_endo)).
-  void SetFreeEndo(int node, uint32_t free_endo);
-
   /// Attaches the freshly added subtree root `child` as the last child of
-  /// the root-var node `parent` and folds its unsat factor into the
-  /// parent's core and sat — the new-slice splice of an insert. Prefix
-  /// partials keep their valid entries (they exclude the appended child);
-  /// suffix partials reset.
+  /// the root-var node `parent` and multiplies its unsat factor into the
+  /// parent's product — the new-slice splice of an insert.
   void SpliceNewChild(int parent, int child);
-
-  /// Re-derives `parent`'s sat (and core for root-var nodes) after child
-  /// j's sat changed, convolving the child's new combine vector against the
-  /// prefix/suffix sibling product, then shrinks the partial-product
-  /// watermarks to exclude entries embedding the child's old vector. One
-  /// step of the root-to-leaf patch walk.
-  void PatchChildChanged(int parent, size_t j);
 
   /// Drops every cached r-vector (the difference-propagation sweep state).
   /// Every value-affecting mutation must call this: the player count or the
@@ -232,46 +220,39 @@ class EngineArena {
   // Convolves slot `a` with the caller-scratch range `b` (never inside the
   // cell buffer) straight into `dst_ref` — no temporary vector, no
   // per-cell moves. `dst_ref` must not be `a` (re-ranged on demand; a's
-  // cells are resolved after the possible buffer growth). The mirror
-  // overload keeps the scratch range on the left.
+  // cells are resolved after the possible buffer growth).
   void ConvolveSlotWithInto(int32_t& dst_ref, int32_t a_slot, const BigInt* b,
                             size_t b_len);
-  void ConvolveWithSlotInto(int32_t& dst_ref, const BigInt* a, size_t a_len,
-                            int32_t b_slot);
   size_t SlotLen(int32_t slot) const { return slots_[slot].len; }
+  // A copy of the slot's cells.
+  std::vector<BigInt> CellsOf(int32_t slot) const;
 
   // --- structure ---
   // Appends the node's SoA entries (no cells yet) and links `children`
   // under it.
   int AppendNode(NodeKind kind, const std::vector<int>& children,
-                 uint32_t free_endo, bool negated);
+                 bool negated);
 
   // --- the combine rules (used by Build and the patch path alike) ---
   // Child j's combine vector: its sat for component parents, its complement
   // against All for root-var parents.
   std::vector<BigInt> CombineOf(int parent, size_t j) const;
-  // acc ⊛ combine(parent, j), reading the child's cells in place.
-  std::vector<BigInt> TimesCombine(const std::vector<BigInt>& acc, int parent,
-                                   size_t j) const;
-  // Stores the node's numbers from the product of its children's combine
-  // vectors: a component's sat is the product; a root-var node's core is
-  // All − product and its sat core ⊛ All(free_endo).
-  void StoreFromProduct(int node, std::vector<BigInt> product);
-  // sat = core ⊛ All(free_endo) for a root-var node.
-  void StoreSatFromCore(int node);
-
-  // --- sibling partial products ---
-  void EnsurePartialsAllocated(int parent);
-  // prefix[j] = combine[0] * ... * combine[j-1]; suffix[i] likewise from the
-  // right, each valid up to its watermark.
-  void PrefixUpTo(int parent, size_t j);
-  void SuffixFrom(int parent, size_t i);
-  std::vector<BigInt> SiblingCombine(int parent, size_t j);
+  // The parent's stored product divided exactly by `combine`, one of its
+  // nonzero factors.
+  std::vector<BigInt> ProductWithout(int parent,
+                                     const std::vector<BigInt>& combine) const;
+  // Child j's sibling context: the product of every other child's combine
+  // vector. Const, so the level-parallel sweep shares it with EnsureR.
+  std::vector<BigInt> ContextOf(int parent, size_t j) const;
+  // The inner node's sat over `universe` players, from its stored product
+  // and zero count.
+  std::vector<BigInt> SatFromProduct(int node, size_t universe) const;
+  // Stores `sat` as the node's |Sat| and re-derives every ancestor.
+  void StoreSatUpward(int node, std::vector<BigInt> sat);
 
   // --- evaluation sweep (serial half; the parallel half lives in
   // WarmValuePaths) ---
   void EnsureR(int node, size_t global_free_endo);
-  void EnsureRFree(int node, size_t global_free_endo);
   void EnsureTopo();
   void RecomputeTopo();
   // weights_[k] = k!(n−1−k)! for the current player count n.
@@ -284,7 +265,6 @@ class EngineArena {
   std::vector<int32_t> child_first_;  // into children_, -1 when childless
   std::vector<int32_t> child_count_;
   std::vector<int32_t> children_;  // concatenated child-id lists
-  std::vector<uint32_t> free_endo_;
   std::vector<uint8_t> negated_;
   std::vector<int32_t> topo_;   // parents before children (root first)
   std::vector<int32_t> depth_;  // distance from the root
@@ -296,23 +276,15 @@ class EngineArena {
   std::vector<Slot> slots_;
   size_t slack_cells_ = 0;
   std::vector<int32_t> sat_slot_;
-  std::vector<int32_t> core_slot_;  // -1 for non-root-var nodes
-
-  // Partial-product slot ids, lazily sized child_count+1 per node (empty
-  // until the first sibling product is needed). prefix[0..prefix_valid] and
-  // suffix[suffix_valid..m] are built; a splice grows the lists, keeping the
-  // still-valid prefix entries.
-  std::vector<std::vector<int32_t>> prefix_slots_;
-  std::vector<std::vector<int32_t>> suffix_slots_;
-  std::vector<uint32_t> prefix_valid_;
-  std::vector<uint32_t> suffix_valid_;
+  // Inner nodes: the product of the children's nonzero combine vectors
+  // (-1 for ground leaves) and the number of children whose combine vector
+  // is zero.
+  std::vector<int32_t> product_slot_;
+  std::vector<uint32_t> zero_count_;
 
   // Difference-propagation vectors, valid iff the epoch matches epoch_.
-  // rfree_slot_ aliases r_slot_ when the free-endo factor is the identity.
   std::vector<int32_t> r_slot_;
-  std::vector<int32_t> rfree_slot_;
   std::vector<uint32_t> r_epoch_;
-  std::vector<uint32_t> rfree_epoch_;
   uint32_t epoch_ = 1;
 
   // The Shapley weight row over the shared denominator n!, for the n =

@@ -34,20 +34,22 @@ struct ShapleyEngine::Impl {
   using Kind = EngineArena::NodeKind;
 
   // Routing metadata of one recursion node; its structure (kind, parent,
-  // children, free-endo counter, polarity) and counts live in the arena
-  // under the same id. Incremental maintenance uses it to steer an inserted
-  // fact from the root to its leaf (or to build a fresh subtree for a root
-  // value the database has not seen before); orbit keys are built from the
-  // signatures.
+  // children, polarity) and counts live in the arena under the same id.
+  // Incremental maintenance uses it to steer an inserted fact from the root
+  // to its leaf (or to build a fresh subtree for a root value the database
+  // has not seen before); orbit keys are built from the signatures.
   struct Node {
     int sig = -1;  // hash-consed structural signature
     // kGround: presence state of the leaf's (unique) matching fact.
     GroundFactState leaf_state = GroundFactState::kAbsent;
     // kGround: original atom index this leaf grounds.
     size_t atom_id = 0;
-    // kRootVar: the slicing variable and, per local atom, its positions.
+    // kRootVar: the slicing variable and, per local atom, its first
+    // position. The atom patterns admit only facts holding equal values at
+    // a variable's repeated positions, so that one position gives the root
+    // value.
     VarId root_var = -1;
-    std::vector<std::vector<size_t>> root_positions;
+    std::vector<size_t> root_positions;
     // kRootVar: root value id -> child node (the slice map, kept live).
     std::map<int32_t, int> child_by_value;
     // kRootVar: the node's pre-slicing subquery and local->original atom
@@ -75,8 +77,8 @@ struct ShapleyEngine::Impl {
   std::vector<Node> nodes;      // indexed by arena node id
   std::vector<QueryAtom> atoms;
 
-  // The numeric core: node structure, every count vector (memoized
-  // sat/core, partial products, evaluation state) and the evaluation sweep.
+  // The numeric core: node structure, every count vector (memoized sat,
+  // per-node products, evaluation state) and the evaluation sweep.
   EngineArena arena;
 
   // Shared fact arena: matched facts as indices, queried via *db. Append-
@@ -106,12 +108,9 @@ struct ShapleyEngine::Impl {
   BigInt denominator;  // n! for the current player count
   bool orbits_dirty = false;
 
-  // Where each fact lives in the index: its ground leaf (matched facts), or
-  // the kRootVar node counting it as free (endogenous inconsistent facts).
-  // Endogenous facts in neither map are globally free; exogenous facts in
-  // neither map have no effect on any count.
+  // The ground leaf of each matched fact. Endogenous facts without one are
+  // globally free; exogenous facts without one have no effect on any count.
   std::unordered_map<FactId, int> leaf_of_fact;
-  std::unordered_map<FactId, int> free_node_of_fact;
 
   std::unordered_map<std::string, int> sig_interner;
   Stats stats;
@@ -196,9 +195,7 @@ void ShapleyEngine::Impl::ResignNode(int node_id) {
         child_sigs.push_back(nodes[arena.child(node_id, j)].sig);
       }
       std::sort(child_sigs.begin(), child_sigs.end());
-      canonical = arena.kind(node_id) == Kind::kComponent
-                      ? "C"
-                      : "R|f" + std::to_string(arena.free_endo(node_id));
+      canonical = arena.kind(node_id) == Kind::kComponent ? "C" : "R";
       for (int sig : child_sigs) canonical += "|" + std::to_string(sig);
       break;
     }
@@ -248,7 +245,7 @@ int ShapleyEngine::Impl::BuildNode(const CQ& q, IndexLists lists,
       }
       children.push_back(child);
     }
-    const int id = arena.AddInner(Kind::kComponent, children, 0);
+    const int id = arena.AddInner(Kind::kComponent, children);
     return AddNode(id, std::move(node));
   }
 
@@ -282,40 +279,25 @@ int ShapleyEngine::Impl::BuildNode(const CQ& q, IndexLists lists,
   SHAPCQ_CHECK_MSG(rootvar.has_value(),
                    "connected hierarchical subquery lacks a root variable");
 
-  std::vector<std::vector<size_t>> root_positions(q.atom_count());
+  std::vector<size_t> root_positions(q.atom_count());
   for (size_t i = 0; i < q.atom_count(); ++i) {
     const Atom& atom = q.atom(i);
-    for (size_t pos = 0; pos < atom.terms.size(); ++pos) {
-      if (atom.terms[pos].IsVar() && atom.terms[pos].var == *rootvar) {
-        root_positions[i].push_back(pos);
-      }
+    size_t pos = 0;
+    while (pos < atom.terms.size() &&
+           !(atom.terms[pos].IsVar() && atom.terms[pos].var == *rootvar)) {
+      ++pos;
     }
-    SHAPCQ_CHECK(!root_positions[i].empty());
+    SHAPCQ_CHECK(pos < atom.terms.size());
+    root_positions[i] = pos;
   }
 
-  // Facts with unequal values at the root positions can join nothing: free.
-  // Their endogenous members are null players — they stay leaf-less and the
-  // node only remembers their count (an All(free_endo) convolution factor).
   std::map<int32_t, IndexLists> slices;
-  uint32_t free_endo = 0;
-  std::vector<FactId> free_facts;
   for (size_t i = 0; i < q.atom_count(); ++i) {
     for (uint32_t index : lists[i]) {
-      const Tuple& tuple = db->tuple_of(arena_fact[index]);
       // shapcq::Value spelled out: inside ShapleyEngine's scope the bare
       // name resolves to the Value() member function.
-      const shapcq::Value root_value = tuple[root_positions[i][0]];
-      bool consistent = true;
-      for (size_t pos : root_positions[i]) {
-        if (!(tuple[pos] == root_value)) consistent = false;
-      }
-      if (!consistent) {
-        if (arena_endo[index]) {
-          ++free_endo;
-          free_facts.push_back(arena_fact[index]);
-        }
-        continue;
-      }
+      const shapcq::Value root_value =
+          db->tuple_of(arena_fact[index])[root_positions[i]];
       auto [it, inserted] = slices.try_emplace(root_value.id);
       if (inserted) it->second.resize(q.atom_count());
       it->second[i].push_back(index);
@@ -334,10 +316,7 @@ int ShapleyEngine::Impl::BuildNode(const CQ& q, IndexLists lists,
   node.root_positions = std::move(root_positions);
   node.subquery = q;
   node.atom_ids = atom_ids;
-  const int id = arena.AddInner(Kind::kRootVar, children, free_endo);
-  AddNode(id, std::move(node));
-  for (FactId fact : free_facts) free_node_of_fact[fact] = id;
-  return id;
+  return AddNode(arena.AddInner(Kind::kRootVar, children), std::move(node));
 }
 
 // ---------------------------------------------------------------------------
@@ -438,17 +417,13 @@ bool ShapleyEngine::Impl::ValueAllOrbits(const ParallelOptions& options,
 // Incremental maintenance
 // ---------------------------------------------------------------------------
 
-// Re-derives the counts of every ancestor of `dirty` (whose own counts and
-// sig the caller has already updated), bottom-up along the single
-// root-to-leaf path; the arena convolves each child's new combine vector
-// against its sibling product, so the patch never touches a node off the
-// path.
+// Re-signs every ancestor of `dirty` (whose own sig the caller has already
+// updated), bottom-up along the single root-to-leaf path whose counts the
+// arena re-derived when the caller stored the change, then drops the
+// derived state.
 void ShapleyEngine::Impl::PatchAncestors(int dirty) {
-  for (int node = dirty; arena.parent(node) >= 0;) {
-    const int parent = arena.parent(node);
-    arena.PatchChildChanged(parent, arena.child_index(node));
-    ResignNode(parent);
-    node = parent;
+  for (int node = arena.parent(dirty); node >= 0; node = arena.parent(node)) {
+    ResignNode(node);
   }
   RefreshDerivedState();
 }
@@ -509,27 +484,8 @@ void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
   const auto local_it = std::find(ids.begin(), ids.end(), atom_id);
   SHAPCQ_CHECK(local_it != ids.end());
   const size_t local = static_cast<size_t>(local_it - ids.begin());
-  const std::vector<size_t>& positions = node.root_positions[local];
-  const Tuple& tuple = db->tuple_of(fact);
-  const shapcq::Value root_value = tuple[positions[0]];
-  bool consistent = true;
-  for (size_t pos : positions) {
-    if (!(tuple[pos] == root_value)) consistent = false;
-  }
-  if (!consistent) {
-    // Unreachable for pattern-matched facts (the atom pattern already
-    // enforces equal values at repeated positions), kept to mirror the
-    // build-time slicing exactly.
-    if (arena_endo[arena_index]) {
-      arena.SetFreeEndo(node_id, arena.free_endo(node_id) + 1);
-      free_node_of_fact[fact] = node_id;
-      ResignNode(node_id);
-      PatchAncestors(node_id);
-    } else {
-      stats.arena_size = arena_fact.size();
-    }
-    return;
-  }
+  const shapcq::Value root_value =
+      db->tuple_of(fact)[node.root_positions[local]];
   const auto child_it = node.child_by_value.find(root_value.id);
   if (child_it != node.child_by_value.end()) {
     RouteInsert(child_it->second, arena_index, atom_id);
@@ -599,16 +555,6 @@ void ShapleyEngine::Impl::ApplyDelete(FactId fact, bool endo, size_t endo_idx) {
     arena.SetLeafSat(leaf_id, GroundLeafSat(arena.negated(leaf_id), absent));
     ResignNode(leaf_id);
     PatchAncestors(leaf_id);
-    return;
-  }
-  const auto free_it = free_node_of_fact.find(fact);
-  if (free_it != free_node_of_fact.end()) {
-    const int node_id = free_it->second;
-    free_node_of_fact.erase(free_it);
-    SHAPCQ_CHECK(arena.free_endo(node_id) > 0);
-    arena.SetFreeEndo(node_id, arena.free_endo(node_id) - 1);
-    ResignNode(node_id);
-    PatchAncestors(node_id);
     return;
   }
   if (endo) {
@@ -825,10 +771,8 @@ size_t ShapleyEngine::ApproxMemoryBytes() const {
   size_t bytes = sizeof(Impl) + impl.arena.ApproxMemoryBytes();
   for (const Impl::Node& node : impl.nodes) {
     bytes += sizeof(Impl::Node);
-    bytes += node.atom_ids.capacity() * sizeof(size_t);
-    for (const std::vector<size_t>& positions : node.root_positions) {
-      bytes += sizeof(positions) + positions.capacity() * sizeof(size_t);
-    }
+    bytes += (node.atom_ids.capacity() + node.root_positions.capacity()) *
+             sizeof(size_t);
     // Routing maps and the stored subquery, at a flat per-entry estimate:
     // the budget needs growth tracking, not allocator-exact container
     // overheads.
@@ -852,7 +796,6 @@ size_t ShapleyEngine::ApproxMemoryBytes() const {
   }
   bytes += impl.denominator.ApproxMemoryBytes() - sizeof(BigInt);
   bytes += impl.leaf_of_fact.size() * 4 * sizeof(void*);
-  bytes += impl.free_node_of_fact.size() * 4 * sizeof(void*);
   for (const auto& [canonical, sig] : impl.sig_interner) {
     (void)sig;
     bytes += canonical.capacity() + 4 * sizeof(void*);

@@ -12,20 +12,24 @@
 //     vectors of fact-arena indices, never copied Tuples.
 //  2. One numeric core. Every recursion node goes into the flat EngineArena
 //     (engine_arena.h) the moment Build creates it: its |Sat| count vector
-//     sits in one shared cell buffer, and all-facts evaluation is a shared
-//     top-down difference-propagation sweep that reuses each ancestor's
-//     sibling products for every leaf below it. The engine itself keeps
-//     only routing metadata (slice maps, subqueries, signatures).
+//     sits in one shared cell buffer next to, for inner nodes, the product
+//     of its children's combine vectors, and all-facts evaluation is a
+//     shared top-down difference-propagation sweep that divides each
+//     ancestor's product by one child's vector to get that child's sibling
+//     context, shared by every leaf below it. The engine itself keeps only
+//     routing metadata (slice maps, subqueries, signatures).
 //  3. Orbits. Facts whose leaf-to-root paths traverse structurally identical
 //     (hash-consed signature-equal) children are symmetric players of the
 //     game; one Shapley value is computed per orbit. Facts matching no atom
-//     — and facts inconsistent at repeated root positions — are null players
+//     pattern (a relation the query does not mention, a wrong constant,
+//     unequal values at a variable's repeated positions) are null players
 //     with value 0, no computation at all.
 //  4. Mutations. InsertFact/DeleteFact/ApplyDelta splice a fact into (or out
 //     of) the index and the affected leaf, then re-derive the memoized |Sat|
-//     vectors only along the dirtied root-to-leaf path, convolving against
-//     the still-valid sibling products; orbit signatures are re-hashed for
-//     the dirty path and the orbits regenerate lazily on the next query. The
+//     vectors only along the dirtied root-to-leaf path, dividing each
+//     child's old combine vector out of its parent's product and
+//     multiplying the new one in; orbit signatures are re-hashed for the
+//     dirty path and the orbits regenerate lazily on the next query. The
 //     engine therefore tracks a changing database without rebuilds — see
 //     "Incremental maintenance" in DESIGN.md.
 //
@@ -184,9 +188,9 @@ class ShapleyEngine {
 
   /// Adds the fact to the database and splices it into the index: into an
   /// existing empty leaf, a freshly built subtree for an unseen root value,
-  /// or the free-fact counters for facts the query cannot join. Returns the
-  /// new FactId, or an error for a duplicate tuple or arity mismatch (the
-  /// database is untouched on error).
+  /// or the global free-fact counter for a fact no atom pattern matches.
+  /// Returns the new FactId, or an error for a duplicate tuple or arity
+  /// mismatch (the database is untouched on error).
   Result<FactId> InsertFact(Database& db, const std::string& relation,
                             Tuple tuple, bool endogenous);
 
@@ -215,7 +219,7 @@ class ShapleyEngine {
   Stats stats() const;
 
   /// Approximate heap footprint of the engine's index in bytes: the arena
-  /// (memoized count vectors, partial products, sweep state), the fact
+  /// (memoized count vectors, per-node products, sweep state), the fact
   /// arena, routing maps, orbit ids and the per-orbit value memo. An
   /// estimate for the serving layer's byte-budgeted LRU eviction — monotone
   /// in index size, not an allocator audit. Excludes the Database itself

@@ -909,7 +909,6 @@ void BigInt::DivMod(const BigInt& dividend, const BigInt& divisor,
       q[i] = Div2By1(r, u[i], d, &r);
     }
     quot.size_ = static_cast<uint32_t>(an);
-    rem = BigInt();
     if (r != 0) {
       rem.storage_.inline_limbs[0] = r;
       rem.size_ = 1;

@@ -122,6 +122,25 @@ TEST(ShapleyEngineTest, NullPlayersGetZeroWithoutComputation) {
   // Differential: the per-fact reference agrees on the null players.
   EXPECT_EQ(ShapleyViaCountSat(q, db, wrong_pattern).value(), Rational(0));
   EXPECT_EQ(ShapleyViaCountSat(q, db, other_rel).value(), Rational(0));
+
+  // The incremental path keeps the same invariant: an endogenous R(c,d)
+  // inserted after Build fails the pattern as well, so it is a null player
+  // until it is deleted again, and the values equal a fresh Build's.
+  auto expect_fresh_values = [&](const std::string& step) {
+    auto fresh = ShapleyEngine::Build(q, db);
+    ASSERT_TRUE(fresh.ok()) << fresh.error();
+    EXPECT_EQ(built.AllValues(), std::move(fresh).value().AllValues())
+        << step;
+  };
+  auto inserted =
+      built.InsertFact(db, "R", {V("c"), V("d")}, /*endogenous=*/true);
+  ASSERT_TRUE(inserted.ok()) << inserted.error();
+  EXPECT_EQ(built.Value(inserted.value()), Rational(0));
+  EXPECT_EQ(built.stats().null_player_count, 3u);
+  expect_fresh_values("after the insert");
+  ASSERT_TRUE(built.DeleteFact(db, inserted.value()).ok());
+  EXPECT_EQ(built.stats().null_player_count, 2u);
+  expect_fresh_values("after the delete");
 }
 
 TEST(ShapleyEngineTest, ExoShapAllMatchesPerFact) {

@@ -59,7 +59,7 @@ EngineArena MakeSmallArena() {
   EngineArena arena;
   const int left = arena.AddGround(/*negated=*/false, Counts({1, 2, 1}));
   const int right = arena.AddGround(/*negated=*/true, Counts({1, 1}));
-  const int root = arena.AddInner(kComponent, {left, right}, /*free_endo=*/0);
+  const int root = arena.AddInner(kComponent, {left, right});
   arena.SetRoot(root);
   return arena;
 }
@@ -90,21 +90,69 @@ TEST(EngineArenaTest, RootVarRuleComplementsTheUnsatProduct) {
   EngineArena arena;
   const int a = arena.AddGround(/*negated=*/false, Counts({0, 1}));
   const int b = arena.AddGround(/*negated=*/false, Counts({0, 1}));
-  const int root = arena.AddInner(kRootVar, {a, b}, /*free_endo=*/1);
+  const int root = arena.AddInner(kRootVar, {a, b});
   arena.SetRoot(root);
   arena.CheckInvariants();
-  // core = All(2) − [1,0] ⊛ [1,0] = [0,2,1]; sat = core ⊛ All(1).
-  EXPECT_EQ(arena.SatOf(root), Counts({0, 2, 3, 1}));
-  EXPECT_EQ(arena.free_endo(root), 1u);
-  arena.SetFreeEndo(root, 0);
+  // sat = All(2) − [1,0] ⊛ [1,0] = [0,2,1].
   EXPECT_EQ(arena.SatOf(root), Counts({0, 2, 1}));
+}
+
+// One leaf of the hand-built tree below: its polarity and its |Sat| vector.
+struct HandLeaf {
+  bool negated = false;
+  CountVector sat;
+};
+
+// root = Component(V, X, W), V = RootVar(a, b), X = Component(c, g),
+// W = RootVar(d, e1, e2), over `leaves` in the order a, b, c, g, d, e1, e2.
+// Returns the leaf ids in that order.
+std::vector<int> BuildHandTree(EngineArena& arena,
+                               const std::vector<HandLeaf>& leaves) {
+  std::vector<int> ids;
+  for (const HandLeaf& leaf : leaves) {
+    ids.push_back(arena.AddGround(leaf.negated, leaf.sat));
+  }
+  const int v = arena.AddInner(kRootVar, {ids[0], ids[1]});
+  const int x = arena.AddInner(kComponent, {ids[2], ids[3]});
+  const int w = arena.AddInner(kRootVar, {ids[4], ids[5], ids[6]});
+  arena.SetRoot(arena.AddInner(kComponent, {v, x, w}));
+  return ids;
+}
+
+// r[leaf] by its definition: All(global_free) convolved with every
+// sibling's combine vector along the leaf's path (its sat under a
+// component, All − sat under a root-var node), read from `arena`.
+CountVector ExpectedR(const EngineArena& arena, int leaf, size_t global_free) {
+  CountVector r = CountVector::All(global_free);
+  for (int node = leaf; arena.parent(node) >= 0; node = arena.parent(node)) {
+    const int parent = arena.parent(node);
+    for (size_t j = 0; j < arena.child_count(parent); ++j) {
+      if (arena.child(parent, j) == node) continue;
+      const CountVector sat = arena.SatOf(arena.child(parent, j));
+      r.ConvolveWith(arena.kind(parent) == kRootVar
+                         ? sat.ComplementAgainstAll()
+                         : sat);
+    }
+  }
+  return r;
+}
+
+// Σ_k k!(n−1−k)!·r_k over the n = |r| players, negated for negated leaves.
+BigInt ExpectedNumerator(const CountVector& r, bool negated) {
+  const size_t n = r.universe_size() + 1;
+  BigInt numerator;
+  for (size_t k = 0; k < n; ++k) {
+    numerator += Combinatorics::Factorial(k) *
+                 Combinatorics::Factorial(n - 1 - k) * r.at(k);
+  }
+  return negated ? -numerator : numerator;
 }
 
 TEST(EngineArenaTest, PatchAndSpliceMatchAFreshBuild) {
   EngineArena arena;
   const int a = arena.AddGround(/*negated=*/false, Counts({0, 1}));
   const int b = arena.AddGround(/*negated=*/true, Counts({1, 0}));
-  const int root = arena.AddInner(kRootVar, {a, b}, /*free_endo=*/0);
+  const int root = arena.AddInner(kRootVar, {a, b});
   arena.SetRoot(root);
 
   // The same root-var node built from scratch over the given leaf vectors.
@@ -114,12 +162,11 @@ TEST(EngineArenaTest, PatchAndSpliceMatchAFreshBuild) {
     for (const CountVector& leaf : leaves) {
       children.push_back(fresh.AddGround(/*negated=*/false, leaf));
     }
-    return fresh.SatOf(fresh.AddInner(kRootVar, children, /*free_endo=*/0));
+    return fresh.SatOf(fresh.AddInner(kRootVar, children));
   };
 
-  // A leaf flip patched through its parent equals a fresh build.
+  // A leaf flip re-derives its parent as a fresh build would.
   arena.SetLeafSat(b, Counts({1}));
-  arena.PatchChildChanged(root, 1);
   EXPECT_EQ(arena.SatOf(root), fresh_sat({Counts({0, 1}), Counts({1})}));
 
   // So does a spliced-in slice.
@@ -130,6 +177,48 @@ TEST(EngineArenaTest, PatchAndSpliceMatchAFreshBuild) {
   EXPECT_EQ(arena.child_index(c), 2u);
   EXPECT_EQ(arena.SatOf(root),
             fresh_sat({Counts({0, 1}), Counts({1}), Counts({0, 1})}));
+
+  // Zero combine vectors and a non-unit divisor: V's sat [0,2,1] is a factor
+  // of the root's product whose lowest nonzero cell is 2; W's exogenous e1
+  // and e2 are always true, two zero unsat factors at once; c walks never
+  // true (absent) → endogenous → absent, a zero factor of X — and X one of
+  // the root — before and after. After each step every node's sat equals a
+  // fresh build's and every leaf's numerator, serial and level-parallel,
+  // equals the one assembled from its definition.
+  std::vector<HandLeaf> leaves = {
+      {false, Counts({0, 1})}, {false, Counts({0, 1})},  // a, b
+      {false, Counts({0})},    {true, Counts({1, 0})},   // c, g
+      {false, Counts({0, 1})}, {false, Counts({1})},     // d, e1
+      {false, Counts({1})}};                             // e2
+  EngineArena tree;
+  const std::vector<int> ids = BuildHandTree(tree, leaves);
+  constexpr size_t kGlobalFree = 1;
+  auto expect_fresh = [&](const std::string& step) {
+    tree.CheckInvariants();
+    EngineArena fresh;
+    BuildHandTree(fresh, leaves);
+    for (size_t node = 0; node < fresh.node_count(); ++node) {
+      const int id = static_cast<int>(node);
+      EXPECT_EQ(tree.SatOf(id), fresh.SatOf(id)) << step << ", node " << id;
+    }
+    for (size_t threads : {1, 4}) {
+      tree.InvalidateValues();
+      ASSERT_TRUE(tree.WarmValuePaths(ids, kGlobalFree, threads));
+      for (size_t i = 0; i < ids.size(); ++i) {
+        const CountVector r = ExpectedR(fresh, ids[i], kGlobalFree);
+        EXPECT_EQ(
+            tree.NumeratorAtLeaf(ids[i], r.universe_size() + 1, kGlobalFree),
+            ExpectedNumerator(r, leaves[i].negated))
+            << step << ", leaf " << i << ", t=" << threads;
+      }
+    }
+  };
+  expect_fresh("built");
+  for (const CountVector& sat : {Counts({0, 1}), Counts({0})}) {
+    leaves[2].sat = sat;
+    tree.SetLeafSat(ids[2], sat);
+    expect_fresh("c = " + sat.ToString());
+  }
 }
 
 TEST(EngineArenaTest, LeafStoreReusesCapacityInPlace) {
@@ -150,9 +239,10 @@ TEST(EngineArenaTest, WideningStoreStrandsSlackAndCompactReclaims) {
   EngineArena arena = MakeSmallArena();
   const size_t bytes_before = arena.ApproxMemoryBytes();
   // Universe grew past the slot's capacity (3 cells): the vector moves to a
-  // fresh range and the old one becomes slack.
+  // fresh range and the old one becomes slack, and so do the root's product
+  // and sat (4 cells each), which the store re-derives as All(6).
   arena.SetLeafSat(0, CountVector::All(5));
-  EXPECT_EQ(arena.SlackCells(), 3u);
+  EXPECT_EQ(arena.SlackCells(), 11u);
   EXPECT_EQ(arena.SatOf(0), CountVector::All(5));
   EXPECT_GT(arena.ApproxMemoryBytes(), bytes_before);
   arena.CheckInvariants();
@@ -164,15 +254,16 @@ TEST(EngineArenaTest, WideningStoreStrandsSlackAndCompactReclaims) {
   // Values are untouched by compaction.
   EXPECT_EQ(arena.SatOf(0), CountVector::All(5));
   EXPECT_EQ(arena.SatOf(1), Counts({1, 1}));
-  EXPECT_EQ(arena.SatOf(2), CountVector::All(3));
+  EXPECT_EQ(arena.SatOf(2), CountVector::All(6));
   arena.CheckInvariants();
 }
 
 TEST(EngineArenaTest, ApproxMemoryBytesCoversTheCellBuffer) {
   EngineArena arena = MakeSmallArena();
-  // 3 + 2 + 4 stored cells at 40 bytes of inline BigInt each is a hard
-  // floor for the buffer term of the estimate.
-  EXPECT_GE(arena.ApproxMemoryBytes(), 9 * sizeof(BigInt));
+  // 3 + 2 leaf cells plus the root's 4-cell product and 4-cell sat, at 40
+  // bytes of inline BigInt each, is a hard floor for the buffer term of the
+  // estimate.
+  EXPECT_GE(arena.ApproxMemoryBytes(), 13 * sizeof(BigInt));
 }
 
 // ---------------------------------------------------------------------------
