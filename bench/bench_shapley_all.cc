@@ -61,8 +61,8 @@ void BM_PerFactCountSatLoop(benchmark::State& state) {
 BENCHMARK(BM_PerFactCountSatLoop)->Arg(4)->Arg(8)->Arg(16)->Arg(20)->Arg(32);
 
 void BM_EngineAllFactsParallel(benchmark::State& state) {
-  // The worker-pool path: args = {students, threads}. threads=1 routes to
-  // the serial engine inside AllValues, so the t=1 rows double as the
+  // The worker-pool path: args = {students, threads}. threads=1 runs the
+  // same level sweep inline on the caller, so the t=1 rows double as the
   // baseline for the per-thread speedup curve BENCH_shapley.json records.
   // Output is bit-identical across the thread axis (asserted by the
   // determinism tests); only wall-clock should move.

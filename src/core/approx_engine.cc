@@ -225,18 +225,9 @@ struct ApproxEngine::Impl {
   std::atomic<size_t> eval_calls{0};
   ApproxRunInfo info;
 
-  // Packs `world` into `words` and answers q(Dx ∪ world) through the
-  // execution cache. `words` is caller-owned scratch, already sized.
-  bool CachedEval(const World& world, std::vector<uint64_t>* words) {
-    std::fill(words->begin(), words->end(), 0);
-    for (size_t i = 0; i < world.size(); ++i) {
-      if (world[i]) (*words)[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-    return CachedEvalPacked(world, *words);
-  }
-
-  // As CachedEval, with `words` already packed to match `world`.
-  bool CachedEvalPacked(const World& world,
+  // Answers q(Dx ∪ world) through the execution cache, keyed by `words`:
+  // `world` packed one bit per player.
+  bool EvalThroughCache(const World& world,
                         const std::vector<uint64_t>& words) {
     const int cached = cache.Lookup(words);
     if (cached >= 0) return cached == 1;
@@ -285,10 +276,10 @@ struct ApproxEngine::Impl {
         world[others[i]] = true;
         words[others[i] >> 6] |= uint64_t{1} << (others[i] & 63);
       }
-      const bool before = CachedEvalPacked(world, words);
+      const bool before = EvalThroughCache(world, words);
       world[rep] = true;
       words[rep >> 6] |= uint64_t{1} << (rep & 63);
-      const bool after = CachedEvalPacked(world, words);
+      const bool after = EvalThroughCache(world, words);
       const int64_t contribution = (after ? 1 : 0) - (before ? 1 : 0);
       accum->sum += contribution;
       accum->nonzero += contribution != 0;
@@ -381,6 +372,14 @@ Result<std::vector<ApproxRow>> ApproxEngine::EstimateAll(
     samples = spec.max_samples;
     impl.info.budget_capped = true;
   }
+  if (samples > ApproxEngine::kMaxSamplesPerRun / sampled.size()) {
+    return R::Error("approx needs " + std::to_string(samples) +
+                    " samples per orbit over " +
+                    std::to_string(sampled.size()) +
+                    " sampled orbits, past the ceiling of " +
+                    std::to_string(ApproxEngine::kMaxSamplesPerRun) +
+                    " samples per run; cap them with max_samples=");
+  }
   impl.info.samples_per_orbit = samples;
   impl.info.samples_total = samples * sampled.size();
 
@@ -389,7 +388,14 @@ Result<std::vector<ApproxRow>> ApproxEngine::EstimateAll(
                            : samples;
   const size_t chunks = (samples + chunk - 1) / chunk;
   std::vector<Impl::ChunkAccum> slots(sampled.size() * chunks);
+  // Cancellation polls sit at chunk boundaries: a chunk is one
+  // deterministic RNG stream, so skipping whole chunks never perturbs the
+  // streams an uncancelled retry replays. Once the token expires every
+  // remaining task is skipped, and the run then fails as a whole below
+  // (partial sums are discarded — only the coalition cache, which cannot
+  // affect values, keeps its warmth).
   auto run_task = [&](size_t task) {
+    if (cancel != nullptr && cancel->Expired()) return;
     const size_t ordinal = task / chunks;
     const uint64_t chunk_index = task % chunks;
     const size_t rep = representative[sampled[ordinal]];
@@ -398,29 +404,15 @@ Result<std::vector<ApproxRow>> ApproxEngine::EstimateAll(
                              : chunk;
     impl.RunChunk(rep, chunk_index, count, spec.seed, &slots[task]);
   };
-  // Cancellation polls sit at chunk boundaries: a chunk is one
-  // deterministic RNG stream, so skipping whole chunks never perturbs the
-  // streams an uncancelled retry replays. Workers that observe an expired
-  // token skip their remaining tasks; the run then fails as a whole below
-  // (partial sums are discarded — only the coalition cache, which cannot
-  // affect values, keeps its warmth).
   const size_t threads = ThreadPool::ResolveThreadCount(num_threads);
   if (threads <= 1 || slots.size() <= 1) {
-    for (size_t task = 0; task < slots.size(); ++task) {
-      if (cancel != nullptr && cancel->Expired()) {
-        return R::Error(CancelToken::kCancelledMessage);
-      }
-      run_task(task);
-    }
+    for (size_t task = 0; task < slots.size(); ++task) run_task(task);
   } else {
     ThreadPool pool(threads);
-    pool.ParallelFor(slots.size(), [&](size_t task) {
-      if (cancel != nullptr && cancel->Expired()) return;
-      run_task(task);
-    });
-    if (cancel != nullptr && cancel->Expired()) {
-      return R::Error(CancelToken::kCancelledMessage);
-    }
+    pool.ParallelFor(slots.size(), run_task);
+  }
+  if (cancel != nullptr && cancel->Expired()) {
+    return R::Error(CancelToken::kCancelledMessage);
   }
 
   // Serial fixed-order reduction: per-orbit integer totals, then the exact

@@ -141,6 +141,12 @@ class CoalitionCache {
 /// shared coalition cache across calls.
 class ApproxEngine {
  public:
+  /// Ceiling on the samples one EstimateAll run draws: samples per orbit
+  /// (after max_samples) times sampled orbits. 2^26 samples keep the
+  /// per-chunk accumulators at 8 MB under the default chunk size; a spec
+  /// past it fails with an error that names the count.
+  static constexpr size_t kMaxSamplesPerRun = size_t{1} << 26;
+
   struct Options {
     /// Bound on memoized coalitions (the execution cache); 0 disables
     /// memoization entirely (every sample hits the evaluator).
@@ -165,7 +171,8 @@ class ApproxEngine {
 
   /// Estimates every endogenous fact's Shapley value (endo-index order).
   /// `num_threads`: 1 = serial, 0 = hardware concurrency; bit-identical
-  /// output at every setting. `spec` must validate. A non-null `cancel`
+  /// output at every setting. `spec` must validate, and its sample count
+  /// must stay within kMaxSamplesPerRun. A non-null `cancel`
   /// token is polled at chunk boundaries (each chunk is one deterministic
   /// RNG stream); on expiry EstimateAll returns the cancellation error.
   /// The coalition cache keeps whatever a cancelled run warmed — cache

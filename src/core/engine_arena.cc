@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "util/cancel.h"
@@ -13,31 +14,6 @@
 namespace shapcq {
 
 namespace {
-
-// Exact mirror of CountVector::Convolve on raw cell ranges: skip-zero outer
-// and inner loops, partial products accumulated in place (no per-pair
-// temporary BigInt). Any summation order yields the same exact integers; the
-// loop shape is kept identical for performance parity.
-std::vector<BigInt> ConvolveCells(const BigInt* a, size_t a_len,
-                                  const BigInt* b, size_t b_len) {
-  std::vector<BigInt> out(a_len + b_len - 1, BigInt(0));
-  for (size_t i = 0; i < a_len; ++i) {
-    if (a[i].IsZero()) continue;
-    for (size_t j = 0; j < b_len; ++j) {
-      if (b[j].IsZero()) continue;
-      out[i + j].AddProductOf(a[i], b[j]);
-    }
-  }
-  return out;
-}
-
-// Mirror of CountVector::ComplementAgainstAll: row[k] = C(n, k) - a[k] over
-// the universe n = a_len - 1.
-std::vector<BigInt> ComplementCells(const BigInt* a, size_t a_len) {
-  std::vector<BigInt> row = Combinatorics::BinomialRow(a_len - 1);
-  for (size_t k = 0; k < a_len; ++k) row[k] -= a[k];
-  return row;
-}
 
 bool IsZeroCells(const std::vector<BigInt>& cells) {
   return std::all_of(cells.begin(), cells.end(),
@@ -52,8 +28,10 @@ void MultiplyIn(std::vector<BigInt>& product, uint32_t& zero_count,
     ++zero_count;
     return;
   }
-  product = ConvolveCells(product.data(), product.size(), combine.data(),
-                          combine.size());
+  std::vector<BigInt> out(product.size() + combine.size() - 1);
+  ConvolveCounts(product.data(), product.size(), combine.data(),
+                 combine.size(), out.data());
+  product = std::move(out);
 }
 
 // Exact quotient p / d of two count vectors, d nonzero and dividing p. Solved
@@ -129,23 +107,9 @@ int EngineArena::NewSlotFrom(std::vector<BigInt> cells) {
 
 void EngineArena::StoreSlotAt(int32_t& slot_ref, std::vector<BigInt> cells) {
   SHAPCQ_CHECK(!cells.empty());
-  if (slot_ref < 0) {
-    slot_ref = NewSlotFrom(std::move(cells));
-    return;
-  }
-  Slot& slot = slots_[slot_ref];
-  if (cells.size() > slot.cap) {
-    // Out of place: the old range is stranded until CompactCells.
-    slack_cells_ += slot.cap;
-    slot.offset = static_cast<uint32_t>(cells_.size());
-    slot.len = slot.cap = static_cast<uint32_t>(cells.size());
-    cells_.insert(cells_.end(), std::make_move_iterator(cells.begin()),
-                  std::make_move_iterator(cells.end()));
-    return;
-  }
-  slot.len = static_cast<uint32_t>(cells.size());
-  BigInt* dst = cells_.data() + slot.offset;
-  for (size_t i = 0; i < cells.size(); ++i) dst[i] = std::move(cells[i]);
+  EnsureSlotLen(slot_ref, cells.size());
+  std::move(cells.begin(), cells.end(),
+            cells_.begin() + slots_[slot_ref].offset);
 }
 
 void EngineArena::EnsureSlotLen(int32_t& slot_ref, size_t len) {
@@ -155,6 +119,7 @@ void EngineArena::EnsureSlotLen(int32_t& slot_ref, size_t len) {
   }
   Slot& slot = slots_[slot_ref];
   if (len > slot.cap) {
+    // Out of place: the old range is stranded until CompactCells.
     slack_cells_ += slot.cap;
     slot.offset = static_cast<uint32_t>(cells_.size());
     slot.len = slot.cap = static_cast<uint32_t>(len);
@@ -162,35 +127,6 @@ void EngineArena::EnsureSlotLen(int32_t& slot_ref, size_t len) {
     return;
   }
   slot.len = static_cast<uint32_t>(len);
-}
-
-void EngineArena::ConvolveSlotWithInto(int32_t& dst_ref, int32_t a_slot,
-                                       const BigInt* b, size_t b_len) {
-  SHAPCQ_CHECK(a_slot >= 0 && b_len > 0);
-  const size_t a_len = slots_[a_slot].len;
-  EnsureSlotLen(dst_ref, a_len + b_len - 1);  // may grow the cell buffer
-  SHAPCQ_CHECK(dst_ref != a_slot);
-  const Slot& a = slots_[a_slot];
-  const Slot& d = slots_[dst_ref];
-  const BigInt* av = cells_.data() + a.offset;
-  BigInt* dst = cells_.data() + d.offset;
-  for (size_t k = 0; k < d.len; ++k) dst[k] = BigInt();
-  for (size_t i = 0; i < a_len; ++i) {
-    if (av[i].IsZero()) continue;
-    for (size_t j = 0; j < b_len; ++j) {
-      if (b[j].IsZero()) continue;
-      dst[i + j].AddProductOf(av[i], b[j]);
-    }
-  }
-}
-
-void EngineArena::FillSlotInPlace(int32_t slot_id, std::vector<BigInt> cells) {
-  SHAPCQ_CHECK(slot_id >= 0);
-  // The serial prepass pinned the exact length; the parallel fill must never
-  // move the buffer (concurrent readers hold pointers into it).
-  SHAPCQ_CHECK(cells.size() == slots_[slot_id].len);
-  BigInt* dst = cells_.data() + slots_[slot_id].offset;
-  for (size_t i = 0; i < cells.size(); ++i) dst[i] = std::move(cells[i]);
 }
 
 std::vector<BigInt> EngineArena::CellsOf(int32_t slot_id) const {
@@ -327,7 +263,7 @@ std::vector<BigInt> EngineArena::CombineOf(int parent, size_t j) const {
   const Slot& slot = slots_[sat_slot_[child(parent, j)]];
   const BigInt* cells = cells_.data() + slot.offset;
   if (kind(parent) == NodeKind::kRootVar) {
-    return ComplementCells(cells, slot.len);
+    return ComplementCounts(cells, slot.len);
   }
   return std::vector<BigInt>(cells, cells + slot.len);
 }
@@ -361,7 +297,7 @@ std::vector<BigInt> EngineArena::SatFromProduct(int node,
   SHAPCQ_CHECK(kind(node) == NodeKind::kRootVar);
   if (zero) return Combinatorics::BinomialRow(universe);
   const Slot& product = slots_[product_slot_[node]];
-  return ComplementCells(cells_.data() + product.offset, product.len);
+  return ComplementCounts(cells_.data() + product.offset, product.len);
 }
 
 void EngineArena::StoreSatUpward(int node, std::vector<BigInt> sat) {
@@ -432,20 +368,6 @@ void EngineArena::InvalidateValues() { ++epoch_; }
 // Evaluation: the difference-propagation sweep
 // ---------------------------------------------------------------------------
 
-void EngineArena::EnsureR(int node, size_t global_free_endo) {
-  if (r_epoch_[node] == epoch_) return;
-  if (node == root_) {
-    StoreSlotAt(r_slot_[node], Combinatorics::BinomialRow(global_free_endo));
-  } else {
-    const int parent = parent_[node];
-    EnsureR(parent, global_free_endo);
-    const std::vector<BigInt> ctx = ContextOf(parent, child_index(node));
-    ConvolveSlotWithInto(r_slot_[node], r_slot_[parent], ctx.data(),
-                         ctx.size());
-  }
-  r_epoch_[node] = epoch_;
-}
-
 void EngineArena::EnsureWeights(size_t n) {
   if (weights_.size() == n) return;
   std::vector<BigInt> factorial(n, BigInt(1));  // factorial[k] = k!
@@ -462,7 +384,9 @@ BigInt EngineArena::NumeratorAtLeaf(int leaf, size_t endo_count,
                                     size_t global_free_endo) {
   SHAPCQ_CHECK(kind(leaf) == NodeKind::kGround);
   SHAPCQ_CHECK(endo_count >= 1);
-  EnsureR(leaf, global_free_endo);
+  if (r_epoch_[leaf] != epoch_) {
+    WarmValuePaths({leaf}, global_free_endo, /*num_threads=*/1);
+  }
   EnsureWeights(endo_count);
   const Slot& slot = slots_[r_slot_[leaf]];
   // r spans the universe of the other endo_count - 1 players, exactly like
@@ -482,20 +406,11 @@ bool EngineArena::WarmValuePaths(const std::vector<int>& leaves,
                                  const CancelToken* cancel) {
   if (root_ < 0 || leaves.empty()) return true;
   if (cancel != nullptr && cancel->Expired()) return false;
-  const size_t threads = ThreadPool::ResolveThreadCount(num_threads);
-  if (threads <= 1) {
-    for (int leaf : leaves) {
-      if (cancel != nullptr && cancel->Expired()) return false;
-      EnsureR(leaf, global_free_endo);
-    }
-    return true;
-  }
   EnsureTopo();
-  const size_t n = kind_.size();
 
   // Mark every node whose r is cold along the leaves' root paths. A warm
   // node's ancestors are warm by construction, so climbing stops early.
-  std::vector<uint8_t> need_r(n, 0);
+  std::vector<uint8_t> need_r(kind_.size(), 0);
   for (int leaf : leaves) {
     for (int node = leaf;; node = parent_[node]) {
       if (r_epoch_[node] == epoch_ || need_r[node] != 0) break;
@@ -504,19 +419,15 @@ bool EngineArena::WarmValuePaths(const std::vector<int>& leaves,
     }
   }
 
-  std::vector<int32_t> worklist;
-  for (int32_t node : topo_) {
-    if (need_r[node] != 0) worklist.push_back(node);
-  }
-  if (worklist.empty()) return true;
-
-  // Serial prepass, parents before children: pin every r slot at its exact
-  // length (universes add under convolution, and a context spans the
-  // parent's universe minus the child's). After this pass the cell buffer
-  // never grows again, so the parallel fill below publishes ranges no
-  // reallocation can move.
+  // Serial prepass, parents before children: pin every marked r slot at its
+  // exact length (universes add under convolution, and a context spans the
+  // parent's universe minus the child's) and group the nodes by depth. After
+  // this pass the cell buffer never grows again, so the fill below writes
+  // into ranges no reallocation can move.
+  std::vector<std::vector<int32_t>> levels;
   size_t max_universe = global_free_endo;
-  for (int32_t node : worklist) {
+  for (int32_t node : topo_) {
+    if (need_r[node] == 0) continue;
     size_t r_len = global_free_endo + 1;
     if (node != root_) {
       const int32_t p = parent_[node];
@@ -525,42 +436,52 @@ bool EngineArena::WarmValuePaths(const std::vector<int>& leaves,
       max_universe = std::max(max_universe, SlotLen(sat_slot_[node]) - 1);
     }
     EnsureSlotLen(r_slot_[node], r_len);
-  }
-  Combinatorics::Prewarm(max_universe);
-
-  // Level-parallel fill. Every task writes only its own node's r slot and
-  // reads only its parent's — finished one level earlier, with the
-  // ParallelFor join as the happens-before edge — and the sat and product
-  // slots, which the sweep never writes. Values are bit-identical to the
-  // serial sweep: identical exact-integer formulas into pre-assigned slots.
-  std::vector<std::vector<int32_t>> levels;
-  for (int32_t node : worklist) {
     const size_t d = static_cast<size_t>(depth_[node]);
     if (levels.size() <= d) levels.resize(d + 1);
     levels[d].push_back(node);
   }
-  // Cancellation polls sit BETWEEN levels: inside a level every slot write
-  // is all-or-nothing per task, and the epoch watermarks of a level that
-  // never ran simply stay cold — a cancelled sweep leaves the arena in a
-  // state the serial on-demand path recomputes from correctly.
-  ThreadPool pool(threads);
+  if (levels.empty()) return true;
+
+  // The per-node fill: r[root] = All(global_free_endo), and r[child] =
+  // r[parent] ⊛ ctx convolved straight into the child's pinned slot. It
+  // writes only that slot and reads only the parent's r — finished one level
+  // earlier — and the sat and product slots, which the sweep never writes.
+  auto fill = [&](int32_t node) {
+    const Slot& dst = slots_[r_slot_[node]];
+    BigInt* out = cells_.data() + dst.offset;
+    if (node == root_) {
+      std::vector<BigInt> row = Combinatorics::BinomialRow(global_free_endo);
+      std::move(row.begin(), row.end(), out);
+    } else {
+      const int32_t p = parent_[node];
+      const std::vector<BigInt> ctx = ContextOf(p, child_index(node));
+      const Slot& parent_r = slots_[r_slot_[p]];
+      SHAPCQ_CHECK(parent_r.len + ctx.size() - 1 == dst.len);
+      ConvolveCounts(cells_.data() + parent_r.offset, parent_r.len,
+                     ctx.data(), ctx.size(), out);
+    }
+    r_epoch_[node] = epoch_;
+  };
+
+  // One thread fills each level inline on the caller; more hand the same
+  // fill to a pool, with the ParallelFor join as the happens-before edge
+  // between levels. Either way each slot is written once by the same
+  // exact-integer formula, so values are bit-identical at every count.
+  // Cancellation polls sit BETWEEN levels: the epoch watermarks of a level
+  // that never ran simply stay cold, and the next sweep recomputes them.
+  const size_t threads = ThreadPool::ResolveThreadCount(num_threads);
+  std::optional<ThreadPool> pool;
+  if (threads > 1) {
+    Combinatorics::Prewarm(max_universe);
+    pool.emplace(threads);
+  }
   for (const std::vector<int32_t>& level : levels) {
     if (cancel != nullptr && cancel->Expired()) return false;
-    pool.ParallelFor(level.size(), [&](size_t index) {
-      const int32_t node = level[index];
-      std::vector<BigInt> r;
-      if (node == root_) {
-        r = Combinatorics::BinomialRow(global_free_endo);
-      } else {
-        const int32_t p = parent_[node];
-        const std::vector<BigInt> ctx = ContextOf(p, child_index(node));
-        const Slot& parent_r = slots_[r_slot_[p]];
-        r = ConvolveCells(cells_.data() + parent_r.offset, parent_r.len,
-                          ctx.data(), ctx.size());
-      }
-      FillSlotInPlace(r_slot_[node], std::move(r));
-      r_epoch_[node] = epoch_;
-    });
+    if (pool.has_value()) {
+      pool->ParallelFor(level.size(), [&](size_t i) { fill(level[i]); });
+    } else {
+      for (int32_t node : level) fill(node);
+    }
   }
   return true;
 }

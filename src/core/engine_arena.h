@@ -44,6 +44,10 @@
 // it is the product itself when j is the parent's only zero child, and 0
 // when another child is zero.
 //
+// One sweep computes r at every thread count (WarmValuePaths): it pins the
+// cold r slots on the requested paths, then fills them level by level,
+// inline on the caller at one thread and over a pool at more.
+//
 // Incremental maintenance patches the same storage: a leaf store or a
 // new-child splice walks the dirtied path to the root, dividing each
 // child's old combine vector out of its parent's product and multiplying
@@ -156,21 +160,23 @@ class EngineArena {
   /// n!·Shapley of the endogenous fact at `leaf` (n = endo_count): the
   /// integer numerator of the paper's
   /// Σ_k k!(n−1−k)!/n! · (|Sat_k with f exogenous| − |Sat_k without f|)
-  /// over the denominator n! that every value shares, assembled from
-  /// r[leaf] (computed and memoized along the path on demand) against the
-  /// weight row w_k = k!(n−1−k)!, built once per n.
+  /// over the denominator n! that every value shares, assembled from r[leaf]
+  /// against the weight row w_k = k!(n−1−k)!, built once per n. A cold
+  /// r[leaf] is first warmed by a one-thread WarmValuePaths over the leaf's
+  /// path; a warm one is read as is.
   BigInt NumeratorAtLeaf(int leaf, size_t endo_count,
                          size_t global_free_endo);
 
-  /// Warms r[] along the paths of all `leaves` — level-parallel over the
-  /// marked nodes when num_threads > 1, serial otherwise. Results of
+  /// The evaluation sweep: warms r[] along the paths of all `leaves`, level
+  /// by level from the root, inline on the caller when num_threads <= 1 and
+  /// over a worker pool otherwise (0 = hardware concurrency). Results of
   /// subsequent NumeratorAtLeaf calls are bit-identical at every thread count
   /// (each slot is written once, and every vector is a pure function of the
-  /// built index). A non-null `cancel` token is polled at level boundaries
-  /// (serial mode: per leaf); returns false when the sweep stopped early on
-  /// an expired token. A partial warm is fully consistent: epoch watermarks
-  /// advance only for completed slots, so cold nodes simply recompute on
-  /// the next (possibly undeadlined) sweep — values stay bit-identical.
+  /// built index). A non-null `cancel` token is polled before the sweep and
+  /// between levels; returns false when the sweep stopped early on an
+  /// expired token. A partial warm is fully consistent: epoch watermarks
+  /// advance only for completed slots, so cold nodes simply recompute on the
+  /// next (possibly undeadlined) sweep — values stay bit-identical.
   bool WarmValuePaths(const std::vector<int>& leaves, size_t global_free_endo,
                       size_t num_threads, const CancelToken* cancel = nullptr);
 
@@ -210,19 +216,10 @@ class EngineArena {
   // Moves `cells` into the slot, allocating it (or a wider range) on demand.
   // In place whenever the new length fits the slot's capacity.
   void StoreSlotAt(int32_t& slot_ref, std::vector<BigInt> cells);
-  // Parallel-phase variant: the slot must exist with len pre-set to
-  // cells.size() (the warm sweep's serial prepass guarantees it), so the
-  // store never moves the buffer under a concurrent reader.
-  void FillSlotInPlace(int32_t slot, std::vector<BigInt> cells);
-  // Serial-prepass half of FillSlotInPlace: allocates the slot (or re-ranges
-  // an existing one whose capacity is too small) and pins len = `len`.
+  // Allocates the slot (or re-ranges an existing one whose capacity is too
+  // small) and pins len = `len`. The warm sweep's prepass runs it, so the
+  // fill has nothing left to grow.
   void EnsureSlotLen(int32_t& slot_ref, size_t len);
-  // Convolves slot `a` with the caller-scratch range `b` (never inside the
-  // cell buffer) straight into `dst_ref` — no temporary vector, no
-  // per-cell moves. `dst_ref` must not be `a` (re-ranged on demand; a's
-  // cells are resolved after the possible buffer growth).
-  void ConvolveSlotWithInto(int32_t& dst_ref, int32_t a_slot, const BigInt* b,
-                            size_t b_len);
   size_t SlotLen(int32_t slot) const { return slots_[slot].len; }
   // A copy of the slot's cells.
   std::vector<BigInt> CellsOf(int32_t slot) const;
@@ -242,7 +239,7 @@ class EngineArena {
   std::vector<BigInt> ProductWithout(int parent,
                                      const std::vector<BigInt>& combine) const;
   // Child j's sibling context: the product of every other child's combine
-  // vector. Const, so the level-parallel sweep shares it with EnsureR.
+  // vector. Const, so the sweep's fill may run it on pool workers.
   std::vector<BigInt> ContextOf(int parent, size_t j) const;
   // The inner node's sat over `universe` players, from its stored product
   // and zero count.
@@ -250,9 +247,7 @@ class EngineArena {
   // Stores `sat` as the node's |Sat| and re-derives every ancestor.
   void StoreSatUpward(int node, std::vector<BigInt> sat);
 
-  // --- evaluation sweep (serial half; the parallel half lives in
-  // WarmValuePaths) ---
-  void EnsureR(int node, size_t global_free_endo);
+  // --- evaluation sweep (the sweep itself is WarmValuePaths) ---
   void EnsureTopo();
   void RecomputeTopo();
   // weights_[k] = k!(n−1−k)! for the current player count n.

@@ -1,6 +1,7 @@
 #include "core/monte_carlo.h"
 
 #include <cmath>
+#include <limits>
 
 #include "eval/homomorphism.h"
 #include "util/check.h"
@@ -9,8 +10,12 @@ namespace shapcq {
 
 size_t HoeffdingSampleCount(double epsilon, double delta) {
   SHAPCQ_CHECK(epsilon > 0 && epsilon < 1 && delta > 0 && delta < 1);
-  return static_cast<size_t>(
-      std::ceil(2.0 * std::log(2.0 / delta) / (epsilon * epsilon)));
+  const double count =
+      std::ceil(2.0 * std::log(2.0 / delta) / (epsilon * epsilon));
+  // Converting a double past size_t's range is undefined: saturate instead.
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  if (count >= static_cast<double>(kMax)) return kMax;
+  return static_cast<size_t>(count);
 }
 
 namespace {

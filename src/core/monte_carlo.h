@@ -21,7 +21,8 @@
 namespace shapcq {
 
 /// Smallest m with 2·exp(−m·ε²/2) ≤ δ, i.e. m ≥ 2·ln(2/δ)/ε²
-/// (Hoeffding for variables in [−1, 1]).
+/// (Hoeffding for variables in [−1, 1]), saturating at SIZE_MAX when m
+/// exceeds size_t's range.
 size_t HoeffdingSampleCount(double epsilon, double delta);
 
 /// Mean marginal contribution of f over `samples` random permutations.

@@ -14,7 +14,6 @@
 #include "util/cancel.h"
 #include "util/check.h"
 #include "util/combinatorics.h"
-#include "util/thread_pool.h"
 
 namespace shapcq {
 
@@ -144,8 +143,6 @@ struct ShapleyEngine::Impl {
   void ResignNode(int node_id);
   const Orbit& ValuedOrbit(size_t id);
   void RefreshOrbitsIfDirty();
-  bool WarmRepresentatives(const std::vector<size_t>& ids, size_t num_threads,
-                           const CancelToken* cancel);
   bool ValueAllOrbits(const ParallelOptions& options,
                       const CancelToken* cancel);
 
@@ -368,44 +365,28 @@ void ShapleyEngine::Impl::RefreshOrbitsIfDirty() {
   orbits_dirty = false;
 }
 
-// Fills the given orbits' representative r-vectors with the arena's
-// level-parallel sweep (slot lengths pinned by a serial prepass, so workers
-// never move the cell buffer); the serial assembly afterwards reads warm
-// state only. Bit-identical to the serial path at every thread count by the
-// slot-per-result argument in engine_arena.h. A no-op serially or for a
-// single orbit. Returns false when `cancel` expired mid-sweep.
-bool ShapleyEngine::Impl::WarmRepresentatives(const std::vector<size_t>& ids,
-                                              size_t num_threads,
-                                              const CancelToken* cancel) {
-  if (num_threads <= 1 || ids.size() <= 1) return true;
-  Combinatorics::Prewarm(endo_count);
-  std::vector<int> rep_leaves;
-  rep_leaves.reserve(ids.size());
-  for (size_t id : ids) rep_leaves.push_back(orbits[id].leaf);
-  return arena.WarmValuePaths(rep_leaves, global_free_endo, num_threads,
-                              cancel);
-}
-
-// Values every orbit still missing from the memo, in id order — so the
-// representatives are exactly the leaves the serial path evaluates,
-// whichever path warms them. Values already memoized (by an earlier,
-// possibly cancelled, query) are pure functions of the built index, so
-// reusing them preserves bit-identity. The level-parallel warm polls
-// `cancel` between levels (a partial warm leaves only cold watermarks
-// behind — see EngineArena::WarmValuePaths) and the assembly at each
-// orbit; returns false on expiry.
+// Values every orbit still missing from the memo, in id order: one arena
+// sweep warms the missing representatives' paths (inline at one thread, over
+// a pool at more — see EngineArena::WarmValuePaths), then a serial assembly
+// reads warm state only. Values already memoized (by an earlier, possibly
+// cancelled, query) are pure functions of the built index, so reusing them
+// preserves bit-identity. The sweep polls `cancel` between levels (a partial
+// warm leaves only cold watermarks behind) and the assembly at each orbit;
+// returns false on expiry.
 bool ShapleyEngine::Impl::ValueAllOrbits(const ParallelOptions& options,
                                          const CancelToken* cancel) {
   if (cancel != nullptr && !cancel->Enabled()) cancel = nullptr;
   RefreshOrbitsIfDirty();
-  std::vector<size_t> missing;
-  for (size_t id = 0; id < orbits.size(); ++id) {
-    if (!orbits[id].valued) missing.push_back(id);
+  std::vector<int> leaves;
+  for (const Orbit& orbit : orbits) {
+    if (!orbit.valued) leaves.push_back(orbit.leaf);
   }
-  const size_t num_threads =
-      ThreadPool::ResolveThreadCount(options.num_threads);
-  if (!WarmRepresentatives(missing, num_threads, cancel)) return false;
-  for (size_t id : missing) {
+  if (!arena.WarmValuePaths(leaves, global_free_endo, options.num_threads,
+                            cancel)) {
+    return false;
+  }
+  for (size_t id = 0; id < orbits.size(); ++id) {
+    if (orbits[id].valued) continue;
     if (cancel != nullptr && cancel->Expired()) return false;
     ValuedOrbit(id);
   }

@@ -82,16 +82,17 @@ struct FactDelta {
   }
 };
 
-/// Execution options for the all-facts entry points. The default is the
-/// serial path; num_threads > 1 runs the arena's evaluation sweep level by
-/// level over a worker pool. Results are bit-identical to serial at every
-/// thread count: representatives are chosen in fixed endo-index order,
-/// every swept vector is a pure function of the built index written into a
-/// pre-assigned slot, and the values are assembled serially (see
-/// "Threading contract" in DESIGN.md).
+/// Execution options for the all-facts entry points. Every thread count runs
+/// the same level-by-level arena sweep: one thread fills each level inline,
+/// num_threads > 1 hands each level to a worker pool. Results are
+/// bit-identical at every thread count: representatives are chosen in fixed
+/// endo-index order, every swept vector is a pure function of the built
+/// index written into a pre-assigned slot, and the values are assembled
+/// serially (see "Threading contract" in DESIGN.md).
 struct ParallelOptions {
-  /// Worker threads for all-facts queries. 1 = serial (no pool, no locks on
-  /// the hot path); 0 = auto (std::thread::hardware_concurrency).
+  /// Worker threads for all-facts queries. 1 = inline on the caller (no
+  /// pool, no locks on the hot path); 0 = auto
+  /// (std::thread::hardware_concurrency).
   size_t num_threads = 1;
 };
 
@@ -143,21 +144,21 @@ class ShapleyEngine {
   /// members.
   std::vector<Rational> AllValues();
 
-  /// As AllValues(), with options.num_threads workers warming the orbit
-  /// representatives' paths in a level-parallel arena sweep. Output is
-  /// bit-identical to the serial path for every thread count. Concurrent
-  /// calls into one engine are NOT supported — the engine parallelizes
-  /// internally, it is not re-entrant.
+  /// As AllValues(), with options.num_threads workers filling each level of
+  /// the arena sweep that warms the orbit representatives' paths. Output is
+  /// bit-identical for every thread count. Concurrent calls into one engine
+  /// are NOT supported — the engine parallelizes internally, it is not
+  /// re-entrant.
   std::vector<Rational> AllValues(const ParallelOptions& options);
 
   /// Cancellable all-facts query: as AllValues(options), polling `cancel`
-  /// before each orbit-representative evaluation (and between the
-  /// level-parallel sweep's levels). On expiry it returns the
-  /// cancellation error; every representative already evaluated stays
-  /// memoized — each is a pure function of the built index, so a later
-  /// (undeadlined) AllValues resumes from the partial memo and returns
-  /// values bit-identical to a fresh engine's. A nullptr or disabled token
-  /// never expires, so the call then always succeeds.
+  /// before the arena sweep, between its levels (at every thread count) and
+  /// before each orbit's assembly. On expiry it returns the cancellation
+  /// error; every level and orbit already finished stays memoized — each is
+  /// a pure function of the built index, so a later (undeadlined) AllValues
+  /// resumes from the partial memo and returns values bit-identical to a
+  /// fresh engine's. A nullptr or disabled token never expires, so the call
+  /// then always succeeds.
   Result<std::vector<Rational>> AllValues(const ParallelOptions& options,
                                           const CancelToken* cancel);
 

@@ -77,8 +77,8 @@ struct TransportStats {
 struct CommandLoopOptions {
   RegistryOptions registry;
   /// Worker threads for REPORT when the command has no threads= key
-  /// (1 = serial, 0 = hardware concurrency). Values are identical at any
-  /// setting.
+  /// (1 = serial, 0 = hardware concurrency, at most kMaxReportThreads).
+  /// Values are identical at any setting.
   size_t default_threads = 1;
 
   /// Directory of per-session write-ahead logs; "" disables durability.

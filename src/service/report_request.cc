@@ -80,6 +80,10 @@ Result<ReportRequest> ParseReportRequest(const std::string& args,
       if (!ParseSizeStrict(value, &request.threads)) {
         return R::Error("bad threads value '" + value + "'");
       }
+      if (request.threads > kMaxReportThreads) {
+        return R::Error("bad threads value '" + value + "' (at most " +
+                        std::to_string(kMaxReportThreads) + ")");
+      }
     } else if (key == "approx") {
       const size_t comma = value.find(',');
       const std::string eps_text = value.substr(0, comma);

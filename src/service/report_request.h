@@ -5,7 +5,8 @@
 // Grammar: zero or more key=value tokens, each key at most once:
 //
 //   top_k=K          keep only the K highest-ranked rows (0 = all)
-//   threads=N        worker threads (1 = serial, 0 = hardware concurrency)
+//   threads=N        worker threads (1 = serial, 0 = hardware concurrency,
+//                    at most kMaxReportThreads)
 //   approx=EPS,DELTA sampling tier: additive error EPS at joint failure
 //                    probability DELTA, both in (0,1); "approx=EPS" defaults
 //                    DELTA to 0.05
@@ -34,6 +35,11 @@
 #include "util/result.h"
 
 namespace shapcq {
+
+/// Ceiling on a request's threads=N (and on the server's --threads
+/// default): a pool spawns every worker up front, and values are
+/// bit-identical at any count, so nothing is lost past the core count.
+constexpr size_t kMaxReportThreads = 256;
 
 /// A parsed report request. Fields not mentioned keep their defaults.
 struct ReportRequest {

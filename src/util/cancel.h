@@ -55,12 +55,17 @@ class CancelToken {
 
   /// Arms a deadline `ms` from now on an existing (typically
   /// default-constructed) token. Call before sharing the token with workers
-  /// — arming is not synchronized against concurrent Expired() polls.
+  /// — arming is not synchronized against concurrent Expired() polls. A
+  /// deadline past the clock's range never fires.
   void ArmDeadlineMillis(uint64_t ms) {
+    using Clock = std::chrono::steady_clock;
     enabled_ = true;
-    has_deadline_ = true;
-    deadline_ =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+    const Clock::time_point now = Clock::now();
+    const auto headroom =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            Clock::time_point::max() - now);
+    has_deadline_ = ms < static_cast<uint64_t>(headroom.count());
+    if (has_deadline_) deadline_ = now + std::chrono::milliseconds(ms);
   }
 
   /// Deterministic test mode: expires on the k-th Expired() call (1-based;

@@ -51,9 +51,7 @@ class CountVector {
   size_t ApproxMemoryBytes() const;
 
   /// Counts of subsets of the combined (disjoint) universe whose restriction
-  /// to each part qualifies in that part. Accumulates partial products
-  /// directly into the result cells (BigInt::AddProductOf), so no temporary
-  /// BigInt is allocated per (i, j) pair.
+  /// to each part qualifies in that part (ConvolveCounts, below).
   CountVector Convolve(const CountVector& other) const;
   /// *this = *this ⊛ other. Convolution needs a fresh output buffer, but the
   /// assignment is a move — use this form in convolution cascades to make
@@ -79,6 +77,18 @@ class CountVector {
 
   std::vector<BigInt> counts_;  // counts_[k] for k = 0..universe_size
 };
+
+/// The library's one convolution kernel, on raw cell ranges (the engine
+/// arena keeps its vectors in one flat cell buffer): writes the
+/// a_len + b_len - 1 cells of a ⊛ b to `out`, which must not overlap either
+/// input. Skip-zero outer and inner loops, partial products accumulated in
+/// place, so no temporary BigInt is allocated per (i, j) pair.
+void ConvolveCounts(const BigInt* a, size_t a_len, const BigInt* b,
+                    size_t b_len, BigInt* out);
+
+/// The library's one complement loop: C(n, k) - a[k] for k = 0..n, over the
+/// universe n = a_len - 1.
+std::vector<BigInt> ComplementCounts(const BigInt* a, size_t a_len);
 
 }  // namespace shapcq
 

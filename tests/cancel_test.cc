@@ -46,6 +46,15 @@ TEST(CancelTokenTest, DistantDeadlineDoesNotFire) {
   CancelToken token = CancelToken::AfterMillis(1000 * 60 * 60);
   EXPECT_TRUE(token.Enabled());
   EXPECT_FALSE(token.Expired());
+  // Past the clock's range (~317 years here): milliseconds that would
+  // overflow the clock's nanosecond ticks must not wrap into the past.
+  CancelToken far = CancelToken::AfterMillis(10000000000000ull);
+  EXPECT_TRUE(far.Enabled());
+  EXPECT_FALSE(far.Expired());
+  CancelToken farthest;
+  farthest.ArmDeadlineMillis(UINT64_MAX);
+  EXPECT_TRUE(farthest.Enabled());
+  EXPECT_FALSE(farthest.Expired());
 }
 
 TEST(CancelTokenTest, AtCheckFiresOnTheKthPollAndLatches) {
@@ -484,8 +493,8 @@ TEST(DeadlineRegistryTest, CancelledSweepKeepsEngineAccountingConsistent) {
   ASSERT_TRUE(registry.ApplyMutation("s", Insert("Reg(s1,late)*")).ok());
 
   // AtCheck(2): poll #1 is the registry's fast-path check (passes), poll #2
-  // is the first orbit boundary of the sweep — a cancellation mid-sweep on
-  // a resident engine, deterministically.
+  // is the value sweep's first poll — a cancellation mid-report on a
+  // resident engine, deterministically.
   CancelToken token = CancelToken::AtCheck(2);
   ReportOptions cancelled;
   cancelled.cancel = &token;

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/brute_force.h"
@@ -308,6 +309,21 @@ TEST(ApproxEngineTest, EstimateAllRejectsInvalidSpec) {
   ApproxSpec bad;
   bad.epsilon = 2.0;
   EXPECT_FALSE(approx.EstimateAll(bad, 1).ok());
+  // Valid specs whose sample count no run may draw: past size_t's range
+  // (1e-10) and within it but past kMaxSamplesPerRun (1e-9). Each fails
+  // with an error naming the count, instead of a wrapped or huge run.
+  for (const double epsilon : {1e-10, 0.000000001}) {
+    ApproxSpec huge;
+    huge.epsilon = epsilon;
+    auto rows = approx.EstimateAll(huge, 1);
+    ASSERT_FALSE(rows.ok()) << epsilon;
+    EXPECT_NE(rows.error().find("samples per orbit"), std::string::npos)
+        << rows.error();
+    EXPECT_NE(rows.error().find("max_samples="), std::string::npos);
+    // Capped by max_samples, the same epsilon runs.
+    huge.max_samples = 32;
+    EXPECT_TRUE(approx.EstimateAll(huge, 1).ok()) << epsilon;
+  }
 }
 
 // ---------------------------------------------------------------------------

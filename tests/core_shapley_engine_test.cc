@@ -50,6 +50,28 @@ TEST(ShapleyEngineTest, SingleFactQueriesMatchAllFacts) {
   auto engine = ShapleyEngine::Build(UniversityQ1(), u.db);
   ASSERT_TRUE(engine.ok()) << engine.error();
   ShapleyEngine built = std::move(engine).value();
+  // Cold rounds: Value(f) for every fact before any AllValues, so each call
+  // warms its leaf's path through the arena sweep. Asked on the fresh
+  // engine, after a delete and after the re-insert, each round against a
+  // fresh Build's AllValues.
+  auto cold_round = [&](const std::string& round) {
+    auto fresh = ShapleyEngine::Build(UniversityQ1(), u.db);
+    ASSERT_TRUE(fresh.ok()) << fresh.error();
+    const std::vector<Rational> all = std::move(fresh).value().AllValues();
+    for (FactId f : u.db.endogenous_facts()) {
+      EXPECT_EQ(built.Value(f), all[u.db.endo_index(f)])
+          << round << ": " << u.db.FactToString(f);
+    }
+  };
+  cold_round("fresh");
+  const std::string relation = u.db.schema().name(u.db.relation_of(u.fr3));
+  const Tuple tuple = u.db.tuple_of(u.fr3);
+  ASSERT_TRUE(built.DeleteFact(u.db, u.fr3).ok());
+  cold_round("after delete");
+  ASSERT_TRUE(built.InsertFact(u.db, relation, tuple, true).ok());
+  cold_round("after re-insert");
+
+  // Warm: Value(f) after AllValues reads the memo.
   const std::vector<Rational> all = built.AllValues();
   for (FactId f : u.db.endogenous_facts()) {
     EXPECT_EQ(built.Value(f), all[u.db.endo_index(f)])

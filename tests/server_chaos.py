@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Chaos harness for shapcq_server --listen: socket faults and timeouts.
 
-Six checks against a real server process, driving the transport through
+Seven checks against a real server process, driving the transport through
 its unhappy paths:
 
   1. Idle-watchdog reap: with --idle-timeout-ms, a client that opens a
@@ -27,6 +27,15 @@ its unhappy paths:
      byte-identical to a fault-free serial oracle — cancellation leaves
      the engine consistent even when every reply dribbles out one byte at
      a time.
+  7. Hostile REPORT keys: on a live server, one client sends numeric keys
+     that once ended the process or misfired — approx=1e-10 and
+     approx=0.000000001 (sample counts past size_t's range and past the
+     per-run ceiling), threads=1000000 (a pool of a million workers) and
+     deadline_ms=10000000000000 (a deadline past the clock's range). It
+     must get an error line for each of the first three, a served table
+     for the long deadline, and a served approx=0.1 table afterwards,
+     while a concurrent client's transcript stays byte-identical to a
+     serial replay and SIGTERM still drains with exit 0.
 
 The net faults ride the SHAPCQ_FAULT environment hook of
 src/util/fault_injector.h, same switch the WAL crash harness uses.
@@ -345,6 +354,84 @@ def check_deadline_under_faults(server_bin):
     )
 
 
+def hostile_script():
+    lines = [
+        "OPEN hx q() :- R(x,y), S(x), T(y)",
+        "DELTA hx + R(a,b)*",
+        "DELTA hx + S(a)*",
+        "DELTA hx + T(b)*",
+        "REPORT hx approx=1e-10",
+        "REPORT hx approx=0.000000001",
+        "REPORT hx approx=0.1",
+        "OPEN he %s" % QUERY,
+        "DELTA he + Stud(ann)",
+        "DELTA he + Reg(ann,os)*",
+        "DELTA he + TA(ann)*",
+        "REPORT he threads=1000000",
+        "REPORT he deadline_ms=10000000000000",
+        "CLOSE hx",
+        "CLOSE he",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def replies(transcript):
+    """Maps each echoed command line to the reply text that follows it."""
+    out = {}
+    command = None
+    for line in transcript.decode(errors="replace").splitlines(True):
+        if line.startswith("> "):
+            command = line[2:].rstrip("\n")
+            out[command] = ""
+        elif command is not None:
+            out[command] += line
+    return out
+
+
+def check_hostile_report_keys(server_bin):
+    proc, port = start_listen_server(server_bin, [])
+    hostile = {}
+
+    def run_hostile():
+        hostile["transcript"] = roundtrip(port, hostile_script())
+
+    thread = threading.Thread(target=run_hostile)
+    thread.start()
+    neighbor = roundtrip(port, client_script("calm"))
+    thread.join(timeout=60)
+    if thread.is_alive():
+        fail("hostile client got no answer within 60s")
+    code, _ = finish_server(proc)
+
+    got = replies(hostile.get("transcript", b""))
+    expect_error = {
+        "REPORT hx approx=1e-10": "error: report hx: approx needs ",
+        "REPORT hx approx=0.000000001": "error: report hx: approx needs ",
+        "REPORT he threads=1000000":
+            "error: report he: bad threads value '1000000' (at most 256)",
+    }
+    for command, prefix in expect_error.items():
+        if not got.get(command, "").startswith(prefix):
+            fail("%s answered %r, expected a line starting %r"
+                 % (command, got.get(command), prefix))
+    for command, session in [("REPORT hx approx=0.1", "hx"),
+                             ("REPORT he deadline_ms=10000000000000", "he")]:
+        reply = got.get(command, "")
+        if "error" in reply or not reply.endswith("end report %s\n" % session):
+            fail("%s was not served a table: %r" % (command, reply))
+    for session in ["hx", "he"]:
+        if got.get("CLOSE %s" % session) != "ok close %s\n" % session:
+            fail("CLOSE %s not acked after the hostile reports" % session)
+
+    expected = serial_replay(server_bin, client_script("calm"))
+    if neighbor != expected:
+        fail("neighbor transcript changed beside the hostile client")
+    if code != 0:
+        fail("hostile-keys server exited %d" % code)
+    print("hostile report keys: 3 error lines, 2 served tables, neighbor "
+          "byte-identical, clean drain")
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("server", help="path to shapcq_server")
@@ -356,6 +443,7 @@ def main():
     check_drop_mid_response(args.server)
     check_eintr_storm_transparent(args.server)
     check_deadline_under_faults(args.server)
+    check_hostile_report_keys(args.server)
     print("OK")
 
 

@@ -225,10 +225,37 @@ TEST(CommandLoopTest, ReportArgumentParsingIsStrict) {
   EXPECT_NE(Exec(&loop, "REPORT s1 threads=-1")
                 .find("bad threads value '-1'"),
             std::string::npos);
+  // Past the thread ceiling: a pool would spawn every worker up front.
+  EXPECT_NE(Exec(&loop, "REPORT s1 threads=1000000")
+                .find("bad threads value '1000000' (at most 256)"),
+            std::string::npos);
   // In-range values still parse after the strictness change.
   EXPECT_NE(Exec(&loop, "REPORT s1 top_k=5 threads=2").find("end report s1"),
             std::string::npos);
-  EXPECT_EQ(loop.error_count(), 4u);
+  EXPECT_EQ(loop.error_count(), 5u);
+}
+
+TEST(CommandLoopTest, UnboundedSampleCountIsAnErrorAndTheSessionServesOn) {
+  // A tiny epsilon asks for more samples than one run may draw: past
+  // size_t's range (approx=1e-10) or within it but far over the ceiling
+  // (approx=0.000000001). Both answer an error line; the session serves on.
+  CommandLoop loop = MakeLoop();
+  EXPECT_NE(Exec(&loop, "OPEN s q() :- R(x,y), S(x), T(y)")
+                .find("ok open s approx-only"),
+            std::string::npos);
+  Exec(&loop, "DELTA s + R(a,b)*");
+  Exec(&loop, "DELTA s + S(a)*");
+  Exec(&loop, "DELTA s + T(b)*");
+  for (const char* epsilon : {"1e-10", "0.000000001"}) {
+    const std::string out =
+        Exec(&loop, std::string("REPORT s approx=") + epsilon);
+    EXPECT_NE(out.find("\nerror: report s: approx needs "), std::string::npos)
+        << out;
+    EXPECT_NE(out.find("max_samples="), std::string::npos) << out;
+  }
+  EXPECT_NE(Exec(&loop, "REPORT s approx=0.1").find("end report s\n"),
+            std::string::npos);
+  EXPECT_EQ(loop.error_count(), 2u);
 }
 
 TEST(CommandLoopTest, DeltaAfterCloseIsAnError) {

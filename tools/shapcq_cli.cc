@@ -58,7 +58,8 @@ void PrintUsage() {
       "Report request (one grammar with the server's REPORT command):\n"
       "  top_k=K          keep only the K highest-ranked rows (0 = all)\n"
       "  threads=N        worker threads (1 = serial, 0 = all hardware\n"
-      "                   threads); values are identical at any count\n"
+      "                   threads, at most 256); values are identical at\n"
+      "                   any count\n"
       "  approx=EPS,DELTA sampling tier: additive error EPS at joint\n"
       "                   failure probability DELTA, both in (0,1);\n"
       "                   approx=EPS defaults DELTA to 0.05. Serves any\n"

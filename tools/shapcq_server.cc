@@ -22,6 +22,7 @@
 #include "db/textio.h"
 #include "service/command_loop.h"
 #include "service/net/tcp_server.h"
+#include "service/report_request.h"
 
 namespace {
 
@@ -70,8 +71,8 @@ void PrintUsage() {
       "        top_k=K          keep only the K highest-ranked rows\n"
       "                         (0 = all)\n"
       "        threads=N        worker threads (1 = serial, 0 = all\n"
-      "                         hardware threads; values are identical\n"
-      "                         at any count)\n"
+      "                         hardware threads, at most 256; values\n"
+      "                         are identical at any count)\n"
       "        approx=EPS,DELTA sampling tier: additive error EPS at\n"
       "                         joint failure probability DELTA, both in\n"
       "                         (0,1); approx=EPS defaults DELTA to 0.05.\n"
@@ -116,8 +117,8 @@ void PrintUsage() {
       "\n"
       "  --script FILE      replay FILE instead of reading stdin\n"
       "  --threads N        default REPORT worker threads (1 = serial,\n"
-      "                     0 = all hardware threads; values are identical\n"
-      "                     at any thread count)\n"
+      "                     0 = all hardware threads, at most 256; values\n"
+      "                     are identical at any thread count)\n"
       "  --budget-bytes B   total resident engine bytes before LRU eviction\n"
       "                     (0 = unlimited)\n"
       "  --max-resident K   max resident engines before LRU eviction\n"
@@ -212,6 +213,11 @@ int main(int argc, char** argv) {
       script_path = next();
     } else if (arg == "--threads") {
       options.default_threads = next_size("--threads");
+      if (options.default_threads > kMaxReportThreads) {
+        std::fprintf(stderr, "bad --threads value: %zu (at most %zu)\n",
+                     options.default_threads, kMaxReportThreads);
+        return 2;
+      }
     } else if (arg == "--budget-bytes") {
       options.registry.engine_byte_budget = next_size("--budget-bytes");
     } else if (arg == "--max-resident") {
