@@ -54,8 +54,8 @@
 // the new one in.
 //
 // The arena does NOT know about queries, routing or orbits: the owning
-// ShapleyEngine keeps the routing metadata (slice maps, stored subqueries,
-// structural signatures) under the same node ids and drives the arena
+// ShapleyEngine keeps the routing metadata (each node's plan step, slice
+// maps, structural signatures) under the same node ids and drives the arena
 // through the calls below.
 
 #ifndef SHAPCQ_CORE_ENGINE_ARENA_H_

@@ -1,6 +1,8 @@
 #include "core/plan.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <numeric>
+#include <unordered_set>
 
 #include "query/analysis.h"
 #include "util/check.h"
@@ -9,48 +11,63 @@ namespace shapcq {
 
 namespace {
 
-// Placeholder constants stand for the value of a projected root variable;
-// the evaluator binds them per slice.
-Value FreshPlaceholder(const CQ& q, VarId root) {
-  return ValueDictionary::Global().Fresh("$" + q.var_name(root));
-}
+using PlanResult = Result<std::unique_ptr<SafePlan>>;
 
-Result<std::unique_ptr<SafePlan>> CompileNode(const CQ& q) {
-  auto node = std::make_unique<SafePlan>();
-  node->query = q;
+// Compiles the step covering q's atoms `atom_ids`. `sub` is the subquery the
+// recursion sees there: those atoms (sub's atom i is q's atom atom_ids[i])
+// with every variable projected above replaced by a constant. The analysis
+// helpers read variables only, so they see the variable tables the data
+// recursion sees (the root choice and component order are CoreCount's), and
+// no constant is ever looked at: an unbound Value{} stands in for every
+// root value, and nothing is interned.
+PlanResult CompileStep(const CQ& q, const CQ& sub,
+                       std::vector<size_t> atom_ids) {
+  auto step = std::make_unique<SafePlan>();
+  step->atom_ids = std::move(atom_ids);
 
-  const auto components = AtomComponents(q);
+  const auto components = AtomComponents(sub);
   if (components.size() > 1) {
-    node->kind = SafePlan::Kind::kIndependentJoin;
+    step->kind = SafePlan::Kind::kIndependentJoin;
+    step->child_of_atom.resize(q.atom_count());
     for (const auto& component : components) {
-      auto child = CompileNode(q.Restrict(component));
-      if (!child.ok()) {
-        return Result<std::unique_ptr<SafePlan>>::Error(child.error());
+      std::vector<size_t> child_atoms;
+      for (size_t local : component) {
+        child_atoms.push_back(step->atom_ids[local]);
+        step->child_of_atom[step->atom_ids[local]] = step->children.size();
       }
-      node->children.push_back(std::move(child).value());
+      auto child =
+          CompileStep(q, sub.Restrict(component), std::move(child_atoms));
+      if (!child.ok()) return child;
+      step->children.push_back(std::move(child).value());
     }
-    return Result<std::unique_ptr<SafePlan>>::Ok(std::move(node));
+    return PlanResult::Ok(std::move(step));
   }
 
-  if (q.UsedVars().empty()) {
-    SHAPCQ_CHECK(q.atom_count() == 1);
-    node->kind = SafePlan::Kind::kAtomLeaf;
-    return Result<std::unique_ptr<SafePlan>>::Ok(std::move(node));
+  if (sub.UsedVars().empty()) {
+    SHAPCQ_CHECK(sub.atom_count() == 1);
+    step->kind = SafePlan::Kind::kAtomLeaf;
+    return PlanResult::Ok(std::move(step));
   }
 
-  auto root = FindRootVariable(q);
+  const auto root = FindRootVariable(sub);
   if (!root.has_value()) {
-    return Result<std::unique_ptr<SafePlan>>::Error(
-        "no root variable: the query is not hierarchical");
+    return PlanResult::Error("no root variable: the query is not hierarchical");
   }
-  node->kind = SafePlan::Kind::kRootProject;
-  node->root = *root;
-  auto child = CompileNode(q.Substitute(*root, FreshPlaceholder(q, *root)));
-  if (!child.ok()) {
-    return Result<std::unique_ptr<SafePlan>>::Error(child.error());
+  step->kind = SafePlan::Kind::kRootProject;
+  // Restrict and Substitute keep variable names, which are unique per query.
+  step->root = q.FindVar(sub.var_name(*root));
+  step->root_position.resize(q.atom_count());
+  for (size_t a : step->atom_ids) {
+    const std::vector<Term>& terms = q.atom(a).terms;
+    const auto it =
+        std::find(terms.begin(), terms.end(), Term::MakeVar(step->root));
+    SHAPCQ_CHECK(it != terms.end());
+    step->root_position[a] = static_cast<size_t>(it - terms.begin());
   }
-  node->children.push_back(std::move(child).value());
-  return Result<std::unique_ptr<SafePlan>>::Ok(std::move(node));
+  auto child = CompileStep(q, sub.Substitute(*root, Value{}), step->atom_ids);
+  if (!child.ok()) return child;
+  step->children.push_back(std::move(child).value());
+  return PlanResult::Ok(std::move(step));
 }
 
 std::string AtomToString(const CQ& q, const Atom& atom) {
@@ -65,122 +82,100 @@ std::string AtomToString(const CQ& q, const Atom& atom) {
   return out + ")";
 }
 
-void ExplainInto(const SafePlan& plan, int depth, std::string* out) {
+void ExplainInto(const CQ& q, const SafePlan& step, int depth,
+                 std::string* out) {
   out->append(static_cast<size_t>(2 * depth), ' ');
-  switch (plan.kind) {
+  switch (step.kind) {
     case SafePlan::Kind::kAtomLeaf:
-      *out += "leaf: " + AtomToString(plan.query, plan.query.atom(0)) + "\n";
+      *out += "leaf: " + AtomToString(q, q.atom(step.atom_ids[0])) + "\n";
       return;
     case SafePlan::Kind::kIndependentJoin:
       *out += "join\n";
       break;
     case SafePlan::Kind::kRootProject:
-      *out += "project[" + plan.query.var_name(plan.root) + "]\n";
+      *out += "project[" + q.var_name(step.root) + "]\n";
       break;
   }
-  for (const auto& child : plan.children) {
-    ExplainInto(*child, depth + 1, out);
+  for (const auto& child : step.children) {
+    ExplainInto(q, *child, depth + 1, out);
   }
 }
 
-// Placeholder bindings: placeholder value id -> concrete value id.
-using Bindings = std::unordered_map<int32_t, int32_t>;
+// The root values bound on the way down, by the query's VarIds; a variable
+// not projected yet holds Value{} (id -1).
+using Bindings = std::vector<Value>;
 
-Value Resolve(Value value, const Bindings& bindings) {
-  auto it = bindings.find(value.id);
-  return it == bindings.end() ? value : Value{it->second};
+// The value a term takes under the bindings (Value{} for a free variable).
+Value Bind(const Term& term, const Bindings& bindings) {
+  return term.IsConst() ? term.constant
+                        : bindings[static_cast<size_t>(term.var)];
 }
 
-double EvalNode(const SafePlan& plan, const ProbDatabase& pdb,
-                const Bindings& bindings);
+double EvalStep(const CQ& q, const SafePlan& step, const ProbDatabase& pdb,
+                Bindings* bindings);
 
-double EvalLeaf(const SafePlan& plan, const ProbDatabase& pdb,
+double EvalLeaf(const CQ& q, const SafePlan& step, const ProbDatabase& pdb,
                 const Bindings& bindings) {
-  const Atom& atom = plan.query.atom(0);
-  Tuple tuple(atom.terms.size());
-  for (size_t i = 0; i < atom.terms.size(); ++i) {
-    SHAPCQ_CHECK_MSG(atom.terms[i].IsConst(), "leaf atom must be ground");
-    tuple[i] = Resolve(atom.terms[i].constant, bindings);
+  const Atom& atom = q.atom(step.atom_ids[0]);
+  Tuple tuple;
+  tuple.reserve(atom.terms.size());
+  for (const Term& term : atom.terms) {
+    tuple.push_back(Bind(term, bindings));
+    SHAPCQ_CHECK_MSG(tuple.back().id >= 0, "leaf atom must be ground");
   }
   const FactId fact = pdb.db().FindFact(atom.relation, tuple);
   const double present = fact == kNoFact ? 0.0 : pdb.probability(fact);
   return atom.negated ? 1.0 - present : present;
 }
 
-double EvalRootProject(const SafePlan& plan, const ProbDatabase& pdb,
-                       const Bindings& bindings) {
-  const CQ& q = plan.query;
-  const SafePlan& child = *plan.children[0];
-  // The child's query replaced the root by a placeholder: recover it as the
-  // constant of the child's query that is absent from ours. Simpler: it is
-  // the constant that Resolve cannot find and was minted by CompileNode —
-  // identified structurally: any term that is a variable here and a
-  // constant in the child occupies the same position.
-  Value placeholder{-1};
-  for (size_t a = 0; a < q.atom_count() && placeholder.id < 0; ++a) {
-    const Atom& ours = q.atom(a);
-    const Atom& theirs = child.query.atom(a);
-    for (size_t i = 0; i < ours.terms.size(); ++i) {
-      if (ours.terms[i].IsVar() && ours.terms[i].var == plan.root) {
-        placeholder = theirs.terms[i].constant;
-        break;
-      }
-    }
-  }
-  SHAPCQ_CHECK(placeholder.id >= 0);
-
-  // Candidate slice values: root-position values of facts matching each
-  // atom's resolved constants, with consistent root positions.
-  std::unordered_map<int32_t, bool> slice_values;
-  for (size_t a = 0; a < q.atom_count(); ++a) {
+double EvalRootProject(const CQ& q, const SafePlan& step,
+                       const ProbDatabase& pdb, Bindings* bindings) {
+  // Candidate slice values: the root value of every fact that agrees with
+  // its atom's constants and bound variables and holds that one value at
+  // all of the root's positions.
+  std::unordered_set<int32_t> slice_values;
+  for (size_t a : step.atom_ids) {
     const Atom& atom = q.atom(a);
-    std::vector<size_t> root_positions;
-    for (size_t i = 0; i < atom.terms.size(); ++i) {
-      if (atom.terms[i].IsVar() && atom.terms[i].var == plan.root) {
-        root_positions.push_back(i);
-      }
-    }
     const RelationId rel = pdb.db().schema().Find(atom.relation);
     for (FactId fact : pdb.db().facts_of(rel)) {
       const Tuple& tuple = pdb.db().tuple_of(fact);
+      const Value value = tuple[step.root_position[a]];
       bool consistent = true;
-      const Value value = tuple[root_positions[0]];
-      for (size_t pos : root_positions) {
-        if (!(tuple[pos] == value)) consistent = false;
-      }
       for (size_t i = 0; i < atom.terms.size() && consistent; ++i) {
-        if (atom.terms[i].IsConst() &&
-            !(Resolve(atom.terms[i].constant, bindings) == tuple[i])) {
-          consistent = false;
-        }
+        const Term& term = atom.terms[i];
+        const Value bound = term.IsVar() && term.var == step.root
+                                ? value
+                                : Bind(term, *bindings);
+        consistent = bound.id < 0 || bound == tuple[i];
       }
-      if (consistent) slice_values.emplace(value.id, true);
+      if (consistent) slice_values.insert(value.id);
     }
   }
 
+  Value& root_value = (*bindings)[static_cast<size_t>(step.root)];
   double none = 1.0;
-  for (const auto& [value_id, unused] : slice_values) {
-    Bindings extended = bindings;
-    extended[placeholder.id] = value_id;
-    none *= 1.0 - EvalNode(child, pdb, extended);
+  for (int32_t value_id : slice_values) {
+    root_value = Value{value_id};
+    none *= 1.0 - EvalStep(q, *step.children[0], pdb, bindings);
   }
+  root_value = Value{};
   return 1.0 - none;
 }
 
-double EvalNode(const SafePlan& plan, const ProbDatabase& pdb,
-                const Bindings& bindings) {
-  switch (plan.kind) {
+double EvalStep(const CQ& q, const SafePlan& step, const ProbDatabase& pdb,
+                Bindings* bindings) {
+  switch (step.kind) {
     case SafePlan::Kind::kAtomLeaf:
-      return EvalLeaf(plan, pdb, bindings);
+      return EvalLeaf(q, step, pdb, *bindings);
     case SafePlan::Kind::kIndependentJoin: {
       double product = 1.0;
-      for (const auto& child : plan.children) {
-        product *= EvalNode(*child, pdb, bindings);
+      for (const auto& child : step.children) {
+        product *= EvalStep(q, *child, pdb, bindings);
       }
       return product;
     }
     case SafePlan::Kind::kRootProject:
-      return EvalRootProject(plan, pdb, bindings);
+      return EvalRootProject(q, step, pdb, bindings);
   }
   SHAPCQ_CHECK_MSG(false, "unreachable");
   return 0.0;
@@ -190,30 +185,31 @@ double EvalNode(const SafePlan& plan, const ProbDatabase& pdb,
 
 Result<std::unique_ptr<SafePlan>> CompileSafePlan(const CQ& q) {
   if (!IsSafe(q)) {
-    return Result<std::unique_ptr<SafePlan>>::Error(
-        "safe plans require safe negation");
+    return PlanResult::Error("safe plans require safe negation");
   }
   if (!IsSelfJoinFree(q)) {
-    return Result<std::unique_ptr<SafePlan>>::Error(
-        "safe plans require a self-join-free query");
+    return PlanResult::Error("safe plans require a self-join-free query");
   }
   if (!IsHierarchical(q)) {
-    return Result<std::unique_ptr<SafePlan>>::Error(
+    return PlanResult::Error(
         "no safe plan: the query is not hierarchical (Theorems 3.1/4.10)");
   }
-  return CompileNode(q);
+  std::vector<size_t> atom_ids(q.atom_count());
+  std::iota(atom_ids.begin(), atom_ids.end(), size_t{0});
+  return CompileStep(q, q, std::move(atom_ids));
 }
 
-std::string ExplainPlan(const SafePlan& plan) {
+std::string ExplainPlan(const CQ& q, const SafePlan& plan) {
   std::string out;
-  ExplainInto(plan, 0, &out);
+  ExplainInto(q, plan, 0, &out);
   return out;
 }
 
 Result<double> PlanProbability(const CQ& q, const ProbDatabase& pdb) {
   auto plan = CompileSafePlan(q);
   if (!plan.ok()) return Result<double>::Error(plan.error());
-  return Result<double>::Ok(EvalNode(*plan.value(), pdb, {}));
+  Bindings bindings(q.var_count());
+  return Result<double>::Ok(EvalStep(q, *plan.value(), pdb, &bindings));
 }
 
 }  // namespace shapcq

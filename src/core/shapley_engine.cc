@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "core/atom_pattern.h"
 #include "core/count_sat.h"
 #include "core/engine_arena.h"
+#include "core/plan.h"
 #include "query/analysis.h"
 #include "util/cancel.h"
 #include "util/check.h"
@@ -19,8 +19,9 @@ namespace shapcq {
 
 namespace {
 
-// Per-atom lists of arena indices: the recursion's working set. Slicing
-// copies 32-bit indices, never Tuples.
+// Lists of arena indices by query atom id: the recursion's working set. A
+// step reads the entries of its own atoms; slicing copies 32-bit indices,
+// never Tuples.
 using IndexLists = std::vector<std::vector<uint32_t>>;
 
 }  // namespace
@@ -32,49 +33,34 @@ using IndexLists = std::vector<std::vector<uint32_t>>;
 struct ShapleyEngine::Impl {
   using Kind = EngineArena::NodeKind;
 
-  // Routing metadata of one recursion node; its structure (kind, parent,
-  // children, polarity) and counts live in the arena under the same id.
-  // Incremental maintenance uses it to steer an inserted fact from the root
-  // to its leaf (or to build a fresh subtree for a root value the database
-  // has not seen before); orbit keys are built from the signatures.
+  // Routing metadata of one recursion node: the plan step it instantiates
+  // and the state that step leaves to the data. Its structure (kind,
+  // parent, children, polarity) and counts live in the arena under the
+  // same id. Incremental maintenance reads the step to steer an inserted
+  // fact from the root to its leaf (or to build a fresh subtree for a root
+  // value the database has not seen before); orbit keys are built from the
+  // signatures.
   struct Node {
-    int sig = -1;  // hash-consed structural signature
+    int sig = -1;                    // hash-consed structural signature
+    const SafePlan* step = nullptr;  // null only in a cancelled build
     // kGround: presence state of the leaf's (unique) matching fact.
     GroundFactState leaf_state = GroundFactState::kAbsent;
-    // kGround: original atom index this leaf grounds.
-    size_t atom_id = 0;
-    // kRootVar: the slicing variable and, per local atom, its first
-    // position. The atom patterns admit only facts holding equal values at
-    // a variable's repeated positions, so that one position gives the root
-    // value.
-    VarId root_var = -1;
-    std::vector<size_t> root_positions;
     // kRootVar: root value id -> child node (the slice map, kept live).
     std::map<int32_t, int> child_by_value;
-    // kRootVar: the node's pre-slicing subquery and local->original atom
-    // indices, for building subtrees of unseen root values.
-    CQ subquery;
-    std::vector<size_t> atom_ids;
-    // kComponent: original atom index -> child owning that atom.
-    std::unordered_map<size_t, int> child_by_atom;
-  };
-
-  // An atom of the query, precompiled for fact matching. Relations are
-  // matched by name: a relation may enter the schema only after Build (the
-  // first insert into a previously fact-free relation declares it) — which
-  // is also why the atom's arity is kept, to validate such inserts before
-  // the schema can.
-  struct QueryAtom {
-    std::string relation;
-    size_t arity = 0;
-    AtomPattern pattern;
   };
 
   const Database* db = nullptr;
+  // The query, its safe plan (compiled once per Build and never replaced,
+  // so the nodes' step pointers stay valid; steps name atoms by their index
+  // in `query`) and each atom's match pattern by atom id. Relations are
+  // matched by name: a relation may enter the schema only after Build (the
+  // first insert into a previously fact-free relation declares it).
+  CQ query;
+  std::unique_ptr<SafePlan> plan;
+  std::vector<AtomPattern> patterns;
   size_t endo_count = 0;
   size_t global_free_endo = 0;  // endo facts matching no atom pattern
   std::vector<Node> nodes;      // indexed by arena node id
-  std::vector<QueryAtom> atoms;
 
   // The numeric core: node structure, every count vector (memoized sat,
   // per-node products, evaluation state) and the evaluation sweep.
@@ -138,8 +124,7 @@ struct ShapleyEngine::Impl {
     return id;
   }
 
-  int BuildNode(const CQ& q, IndexLists lists,
-                const std::vector<size_t>& atom_ids);
+  int BuildNode(const SafePlan& step, const IndexLists& lists);
   void ResignNode(int node_id);
   const Orbit& ValuedOrbit(size_t id);
   void RefreshOrbitsIfDirty();
@@ -201,16 +186,14 @@ void ShapleyEngine::Impl::ResignNode(int node_id) {
 }
 
 // ---------------------------------------------------------------------------
-// Recursion (mirrors CoreCount in count_sat.cc; runs at Build and,
-// incrementally, whenever an insert opens a subtree for an unseen root
-// value). Every node goes into the arena as soon as its children exist.
+// Recursion: instantiates the compiled plan over the data (mirrors CoreCount
+// in count_sat.cc). Runs at Build and, incrementally, whenever an insert
+// opens a subtree for an unseen root value. Every node goes into the arena
+// as soon as its children exist.
 // ---------------------------------------------------------------------------
 
-int ShapleyEngine::Impl::BuildNode(const CQ& q, IndexLists lists,
-                                   const std::vector<size_t>& atom_ids) {
-  SHAPCQ_CHECK(q.atom_count() == lists.size());
-  SHAPCQ_CHECK(q.atom_count() == atom_ids.size());
-
+int ShapleyEngine::Impl::BuildNode(const SafePlan& step,
+                                   const IndexLists& lists) {
   // Cancelled build: synthesize an inert leaf so every pending ancestor
   // finishes constructing with its invariants intact (Build() throws the
   // whole engine away afterwards). Numeric content is irrelevant — no value
@@ -221,98 +204,66 @@ int ShapleyEngine::Impl::BuildNode(const CQ& q, IndexLists lists,
     return AddNode(arena.AddGround(false, std::move(inert)), Node());
   }
 
-  // Disconnected subquery: one child per variable-connected component.
-  const auto components = AtomComponents(q);
-  if (components.size() > 1) {
-    std::vector<int> children;
-    Node node;
-    for (const auto& component : components) {
-      CQ sub = q.Restrict(component);
-      IndexLists sub_lists;
-      std::vector<size_t> sub_atom_ids;
-      sub_lists.reserve(component.size());
-      sub_atom_ids.reserve(component.size());
-      for (size_t index : component) {
-        sub_lists.push_back(std::move(lists[index]));
-        sub_atom_ids.push_back(atom_ids[index]);
+  Node node;
+  node.step = &step;
+  switch (step.kind) {
+    case SafePlan::Kind::kIndependentJoin: {
+      // One child per variable-connected component. Components cover
+      // disjoint atoms, so each child reads its own entries of `lists`.
+      std::vector<int> children;
+      children.reserve(step.children.size());
+      for (const auto& child : step.children) {
+        children.push_back(BuildNode(*child, lists));
       }
-      const int child = BuildNode(sub, std::move(sub_lists), sub_atom_ids);
-      for (size_t index : component) {
-        node.child_by_atom[atom_ids[index]] = child;
+      return AddNode(arena.AddInner(Kind::kComponent, children),
+                     std::move(node));
+    }
+    case SafePlan::Kind::kAtomLeaf: {
+      // A single ground atom (Lemma 3.2 base case, extended for negation).
+      const std::vector<uint32_t>& list = lists[step.atom_ids[0]];
+      SHAPCQ_CHECK_MSG(list.size() <= 1,
+                       "ground atom with more than one matching fact");
+      const bool negated = query.atom(step.atom_ids[0]).negated;
+      if (!list.empty()) {
+        node.leaf_state = arena_endo[list[0]] ? GroundFactState::kEndogenous
+                                              : GroundFactState::kExogenous;
       }
-      children.push_back(child);
+      CountVector sat = GroundLeafSat(negated, node.leaf_state);
+      const int id = AddNode(arena.AddGround(negated, std::move(sat)),
+                             std::move(node));
+      if (!list.empty()) {
+        const FactId fact = arena_fact[list[0]];
+        leaf_of_fact[fact] = id;
+        if (arena_endo[list[0]]) leaf_of_endo[db->endo_index(fact)] = id;
+      }
+      return id;
     }
-    const int id = arena.AddInner(Kind::kComponent, children);
-    return AddNode(id, std::move(node));
+    case SafePlan::Kind::kRootProject:
+      break;
   }
 
-  if (q.UsedVars().empty()) {
-    // Connected and variable-free: a single ground atom (Lemma 3.2 base
-    // case, extended for negation).
-    SHAPCQ_CHECK(q.atom_count() == 1);
-    const std::vector<uint32_t>& list = lists[0];
-    SHAPCQ_CHECK_MSG(list.size() <= 1,
-                     "ground atom with more than one matching fact");
-    const bool negated = q.atom(0).negated;
-    Node node;
-    node.atom_id = atom_ids[0];
-    if (!list.empty()) {
-      node.leaf_state = arena_endo[list[0]] ? GroundFactState::kEndogenous
-                                            : GroundFactState::kExogenous;
-    }
-    CountVector sat = GroundLeafSat(negated, node.leaf_state);
-    const int id = arena.AddGround(negated, std::move(sat));
-    AddNode(id, std::move(node));
-    if (!list.empty()) {
-      const FactId fact = arena_fact[list[0]];
-      leaf_of_fact[fact] = id;
-      if (arena_endo[list[0]]) leaf_of_endo[db->endo_index(fact)] = id;
-    }
-    return id;
-  }
-
-  // Connected with variables: slice by the root variable's value.
-  std::optional<VarId> rootvar = FindRootVariable(q);
-  SHAPCQ_CHECK_MSG(rootvar.has_value(),
-                   "connected hierarchical subquery lacks a root variable");
-
-  std::vector<size_t> root_positions(q.atom_count());
-  for (size_t i = 0; i < q.atom_count(); ++i) {
-    const Atom& atom = q.atom(i);
-    size_t pos = 0;
-    while (pos < atom.terms.size() &&
-           !(atom.terms[pos].IsVar() && atom.terms[pos].var == *rootvar)) {
-      ++pos;
-    }
-    SHAPCQ_CHECK(pos < atom.terms.size());
-    root_positions[i] = pos;
-  }
-
+  // Slice by the root variable's value, read at its first position: the
+  // atom patterns admit only facts holding one value at all of a variable's
+  // positions.
   std::map<int32_t, IndexLists> slices;
-  for (size_t i = 0; i < q.atom_count(); ++i) {
-    for (uint32_t index : lists[i]) {
+  for (size_t atom_id : step.atom_ids) {
+    for (uint32_t index : lists[atom_id]) {
       // shapcq::Value spelled out: inside ShapleyEngine's scope the bare
       // name resolves to the Value() member function.
       const shapcq::Value root_value =
-          db->tuple_of(arena_fact[index])[root_positions[i]];
+          db->tuple_of(arena_fact[index])[step.root_position[atom_id]];
       auto [it, inserted] = slices.try_emplace(root_value.id);
-      if (inserted) it->second.resize(q.atom_count());
-      it->second[i].push_back(index);
+      if (inserted) it->second.resize(query.atom_count());
+      it->second[atom_id].push_back(index);
     }
   }
 
   std::vector<int> children;
-  Node node;
-  for (auto& [value_id, slice_lists] : slices) {
-    CQ sliced = q.Substitute(*rootvar, shapcq::Value{value_id});
-    const int child = BuildNode(sliced, std::move(slice_lists), atom_ids);
+  for (const auto& [value_id, slice_lists] : slices) {
+    const int child = BuildNode(*step.children[0], slice_lists);
     children.push_back(child);
     node.child_by_value[value_id] = child;
   }
-  node.root_var = *rootvar;
-  node.root_positions = std::move(root_positions);
-  node.subquery = q;
-  node.atom_ids = atom_ids;
   return AddNode(arena.AddInner(Kind::kRootVar, children), std::move(node));
 }
 
@@ -427,16 +378,18 @@ void ShapleyEngine::Impl::RefreshDerivedState() {
 }
 
 // Steers an inserted fact (already in the database and the fact arena) down
-// the recursion: through its atom's component, then slice by slice along its
-// root values, ending in an existing empty leaf or a freshly built subtree
-// for an unseen root value. Exactly one root-to-leaf path is dirtied.
+// the recursion by the nodes' plan steps: through its atom's component, then
+// slice by slice along its root values, ending in an existing empty leaf or
+// a freshly built subtree for an unseen root value. Exactly one root-to-leaf
+// path is dirtied.
 void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
                                       size_t atom_id) {
   const FactId fact = arena_fact[arena_index];
+  const SafePlan& step = *nodes[node_id].step;
   switch (arena.kind(node_id)) {
     case Kind::kGround: {
       Node& leaf = nodes[node_id];
-      SHAPCQ_CHECK_MSG(leaf.atom_id == atom_id &&
+      SHAPCQ_CHECK_MSG(step.atom_ids[0] == atom_id &&
                            leaf.leaf_state == GroundFactState::kAbsent,
                        "insert routed to an occupied ground leaf");
       leaf.leaf_state = arena_endo[arena_index] ? GroundFactState::kEndogenous
@@ -452,23 +405,19 @@ void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
       return;
     }
     case Kind::kComponent: {
-      RouteInsert(nodes[node_id].child_by_atom.at(atom_id), arena_index,
-                  atom_id);
+      RouteInsert(arena.child(node_id, step.child_of_atom[atom_id]),
+                  arena_index, atom_id);
       return;
     }
     case Kind::kRootVar:
       break;
   }
 
-  const Node& node = nodes[node_id];
-  const std::vector<size_t>& ids = node.atom_ids;
-  const auto local_it = std::find(ids.begin(), ids.end(), atom_id);
-  SHAPCQ_CHECK(local_it != ids.end());
-  const size_t local = static_cast<size_t>(local_it - ids.begin());
   const shapcq::Value root_value =
-      db->tuple_of(fact)[node.root_positions[local]];
-  const auto child_it = node.child_by_value.find(root_value.id);
-  if (child_it != node.child_by_value.end()) {
+      db->tuple_of(fact)[step.root_position[atom_id]];
+  const std::map<int32_t, int>& slices = nodes[node_id].child_by_value;
+  const auto child_it = slices.find(root_value.id);
+  if (child_it != slices.end()) {
     RouteInsert(child_it->second, arena_index, atom_id);
     return;
   }
@@ -476,12 +425,10 @@ void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
   // Unseen root value: the fact opens a new slice. Build its subtree (just
   // this fact in its atom's list; every other atom of the slice is empty)
   // and splice it in as a fresh child.
-  CQ sliced = node.subquery.Substitute(node.root_var, root_value);
-  IndexLists slice_lists(node.atom_ids.size());
-  slice_lists[local].push_back(arena_index);
-  const std::vector<size_t> atom_ids_copy = node.atom_ids;
-  const int child = BuildNode(sliced, std::move(slice_lists), atom_ids_copy);
-  // BuildNode grew the node vector: `node` may dangle, index afresh.
+  IndexLists slice_lists(query.atom_count());
+  slice_lists[atom_id].push_back(arena_index);
+  const int child = BuildNode(*step.children[0], slice_lists);
+  // BuildNode grew the node vector: `slices` may dangle, index afresh.
   nodes[node_id].child_by_value[root_value.id] = child;
   arena.SpliceNewChild(node_id, child);
   ResignNode(node_id);
@@ -498,9 +445,9 @@ void ShapleyEngine::Impl::ApplyInsert(FactId fact) {
   }
   const std::string& relation = db->schema().name(db->relation_of(fact));
   int atom_id = -1;
-  for (size_t i = 0; i < atoms.size(); ++i) {
-    if (atoms[i].relation == relation &&
-        MatchesPattern(atoms[i].pattern, db->tuple_of(fact))) {
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    if (query.atom(i).relation == relation &&
+        MatchesPattern(patterns[i], db->tuple_of(fact))) {
       atom_id = static_cast<int>(i);
       break;  // self-join-free: at most one atom per relation
     }
@@ -575,24 +522,24 @@ Result<ShapleyEngine> ShapleyEngine::Build(const CQ& q, const Database& db,
   engine.impl_ = std::make_unique<Impl>();
   Impl& impl = *engine.impl_;
   impl.db = &db;
+  impl.query = q;
+  auto plan = CompileSafePlan(q);
+  SHAPCQ_CHECK_MSG(plan.ok(), "a safe, self-join-free, hierarchical query "
+                              "has a safe plan");
+  impl.plan = std::move(plan).value();
   impl.endo_count = db.endogenous_count();
   impl.leaf_of_endo.assign(impl.endo_count, -1);
 
   // Shared matched-fact index: every fact of every atom's relation, matched
   // once against the precompiled pattern and interned into the fact arena.
   IndexLists lists(q.atom_count());
-  std::vector<size_t> atom_ids(q.atom_count());
   size_t relevant_endo = 0;
   for (size_t i = 0; i < q.atom_count(); ++i) {
     const Atom& atom = q.atom(i);
-    atom_ids[i] = i;
-    impl.atoms.push_back(Impl::QueryAtom{atom.relation, atom.arity(),
-                                         BuildAtomPattern(atom)});
+    impl.patterns.push_back(BuildAtomPattern(atom));
     const RelationId rel = db.schema().Find(atom.relation);
     for (FactId fact : db.facts_of(rel)) {
-      if (!MatchesPattern(impl.atoms.back().pattern, db.tuple_of(fact))) {
-        continue;
-      }
+      if (!MatchesPattern(impl.patterns.back(), db.tuple_of(fact))) continue;
       const uint32_t index = static_cast<uint32_t>(impl.arena_fact.size());
       impl.arena_fact.push_back(fact);
       impl.arena_endo.push_back(db.is_endogenous(fact));
@@ -608,7 +555,7 @@ Result<ShapleyEngine> ShapleyEngine::Build(const CQ& q, const Database& db,
   impl.arena.Reserve(impl.nodes.capacity());
   impl.build_cancel =
       (cancel != nullptr && cancel->Enabled()) ? cancel : nullptr;
-  const int root = impl.BuildNode(q, std::move(lists), atom_ids);
+  const int root = impl.BuildNode(*impl.plan, lists);
   impl.build_cancel = nullptr;  // mutations' subtree builds never cancel
   if (impl.build_cancelled) {
     return Result<ShapleyEngine>::Error(CancelToken::kCancelledMessage);
@@ -664,6 +611,29 @@ std::vector<size_t> ShapleyEngine::OrbitIds() {
   return impl.orbit_of_endo;
 }
 
+Result<bool> ShapleyEngine::CheckInsert(const CQ& q, const Database& db,
+                                        const std::string& relation,
+                                        const Tuple& tuple) {
+  const RelationId rel = db.schema().Find(relation);
+  if (rel != kNoRelation && db.schema().arity(rel) != tuple.size()) {
+    return Result<bool>::Error("InsertFact: arity mismatch for relation " +
+                               relation);
+  }
+  // A relation the schema has not seen yet (no facts so far) can still be
+  // mentioned by the query: validate against the atom's arity, or pattern
+  // matching would index positions past the tuple's end.
+  for (const Atom& atom : q.atoms()) {
+    if (atom.relation == relation && atom.arity() != tuple.size()) {
+      return Result<bool>::Error(
+          "InsertFact: arity mismatch with query atom " + relation);
+    }
+  }
+  if (rel != kNoRelation && db.FindFact(rel, tuple) != kNoFact) {
+    return Result<bool>::Error("InsertFact: duplicate fact in " + relation);
+  }
+  return Result<bool>::Ok(true);
+}
+
 Result<FactId> ShapleyEngine::InsertFact(Database& db,
                                          const std::string& relation,
                                          Tuple tuple, bool endogenous) {
@@ -671,23 +641,8 @@ Result<FactId> ShapleyEngine::InsertFact(Database& db,
   Impl& impl = *impl_;
   SHAPCQ_CHECK_MSG(&db == impl.db,
                    "InsertFact on a database the engine was not built on");
-  const RelationId rel = db.schema().Find(relation);
-  if (rel != kNoRelation && db.schema().arity(rel) != tuple.size()) {
-    return Result<FactId>::Error(
-        "InsertFact: arity mismatch for relation " + relation);
-  }
-  // A relation the schema has not seen yet (no facts at Build, none since)
-  // can still be mentioned by the query: validate against the atom's arity,
-  // or pattern matching would index positions past the tuple's end.
-  for (const Impl::QueryAtom& atom : impl.atoms) {
-    if (atom.relation == relation && atom.arity != tuple.size()) {
-      return Result<FactId>::Error(
-          "InsertFact: arity mismatch with query atom " + relation);
-    }
-  }
-  if (rel != kNoRelation && db.FindFact(rel, tuple) != kNoFact) {
-    return Result<FactId>::Error("InsertFact: duplicate fact in " + relation);
-  }
+  auto checked = CheckInsert(impl.query, db, relation, tuple);
+  if (!checked.ok()) return Result<FactId>::Error(checked.error());
   const FactId fact = db.AddFact(relation, std::move(tuple), endogenous);
   impl.ApplyInsert(fact);
   return Result<FactId>::Ok(fact);
@@ -752,17 +707,9 @@ size_t ShapleyEngine::ApproxMemoryBytes() const {
   size_t bytes = sizeof(Impl) + impl.arena.ApproxMemoryBytes();
   for (const Impl::Node& node : impl.nodes) {
     bytes += sizeof(Impl::Node);
-    bytes += (node.atom_ids.capacity() + node.root_positions.capacity()) *
-             sizeof(size_t);
-    // Routing maps and the stored subquery, at a flat per-entry estimate:
-    // the budget needs growth tracking, not allocator-exact container
-    // overheads.
+    // The slice map, at a flat per-entry estimate: the budget needs growth
+    // tracking, not allocator-exact container overheads.
     bytes += node.child_by_value.size() * 4 * sizeof(void*);
-    bytes += node.child_by_atom.size() * 4 * sizeof(void*);
-    bytes += node.subquery.atom_count() * 64;
-  }
-  for (const Impl::QueryAtom& atom : impl.atoms) {
-    bytes += sizeof(Impl::QueryAtom) + atom.relation.capacity();
   }
   bytes += impl.arena_fact.capacity() * sizeof(FactId);
   bytes += impl.arena_endo.capacity() / 8;

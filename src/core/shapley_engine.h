@@ -8,8 +8,10 @@
 //
 //  1. Shared index. The matched-fact index (every fact matched against every
 //     atom pattern) and the root-variable slicing of the CntSat recursion
-//     are built ONCE. Facts live in a flat fact arena; recursion slices are
-//     vectors of fact-arena indices, never copied Tuples.
+//     are built ONCE, by instantiating the query's safe plan (plan.h),
+//     itself compiled once per Build. Facts live in a flat fact arena;
+//     recursion slices are vectors of fact-arena indices, never copied
+//     Tuples.
 //  2. One numeric core. Every recursion node goes into the flat EngineArena
 //     (engine_arena.h) the moment Build creates it: its |Sat| count vector
 //     sits in one shared cell buffer next to, for inner nodes, the product
@@ -17,7 +19,7 @@
 //     shared top-down difference-propagation sweep that divides each
 //     ancestor's product by one child's vector to get that child's sibling
 //     context, shared by every leaf below it. The engine itself keeps only
-//     routing metadata (slice maps, subqueries, signatures).
+//     routing metadata (each node's plan step, slice maps, signatures).
 //  3. Orbits. Facts whose leaf-to-root paths traverse structurally identical
 //     (hash-consed signature-equal) children are symmetric players of the
 //     game; one Shapley value is computed per orbit. Facts matching no atom
@@ -190,10 +192,19 @@ class ShapleyEngine {
   /// Adds the fact to the database and splices it into the index: into an
   /// existing empty leaf, a freshly built subtree for an unseen root value,
   /// or the global free-fact counter for a fact no atom pattern matches.
-  /// Returns the new FactId, or an error for a duplicate tuple or arity
-  /// mismatch (the database is untouched on error).
+  /// Returns the new FactId, or CheckInsert's error (the database is
+  /// untouched on error).
   Result<FactId> InsertFact(Database& db, const std::string& relation,
                             Tuple tuple, bool endogenous);
+
+  /// The checks InsertFact runs before it writes: the relation's schema
+  /// arity, the arity of q's atoms over the relation (which may be absent
+  /// from the schema until its first fact) and duplicates. Callers that
+  /// insert into db while no engine is built run the same checks, so a
+  /// failed insert reads the same either way.
+  static Result<bool> CheckInsert(const CQ& q, const Database& db,
+                                  const std::string& relation,
+                                  const Tuple& tuple);
 
   /// Removes a live fact (tombstoning its id) and patches its leaf or free
   /// counter out of the index. Returns the removed id, or an error if the

@@ -559,25 +559,12 @@ Result<MutationOutcome> EngineRegistry::Mutate(
     applied = session->engine->InsertFact(db, fact.relation, fact.tuple,
                                           fact.endogenous);
   } else {
-    // No resident engine: run the same checks InsertFact would, with the
-    // SAME message strings, then mutate the database directly — a protocol
-    // transcript must not depend on whether the engine happened to be
-    // resident (or evicted) when a delta failed.
-    const RelationId rel = db.schema().Find(fact.relation);
-    if (rel != kNoRelation && db.schema().arity(rel) != fact.tuple.size()) {
-      return R::Error("InsertFact: arity mismatch for relation " +
-                      fact.relation);
-    }
-    for (const Atom& atom : session->query.atoms()) {
-      if (atom.relation == fact.relation &&
-          atom.arity() != fact.tuple.size()) {
-        return R::Error("InsertFact: arity mismatch with query atom " +
-                        fact.relation);
-      }
-    }
-    if (rel != kNoRelation && db.FindFact(rel, fact.tuple) != kNoFact) {
-      return R::Error("InsertFact: duplicate fact in " + fact.relation);
-    }
+    // No resident engine: run InsertFact's own checks, then mutate the
+    // database directly — a protocol transcript must not depend on whether
+    // the engine happened to be resident (or evicted) when a delta failed.
+    auto checked = ShapleyEngine::CheckInsert(session->query, db,
+                                              fact.relation, fact.tuple);
+    if (!checked.ok()) return R::Error(checked.error());
     applied = Result<FactId>::Ok(
         db.AddFact(fact.relation, fact.tuple, fact.endogenous));
   }

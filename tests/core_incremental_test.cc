@@ -153,6 +153,63 @@ TEST(ShapleyEngineIncrementalTest, InsertOpensNewRootSlice) {
   ExpectMatchesRebuild(q, u.db, engine, "after Reg(Eve,OS) insert");
 }
 
+TEST(ShapleyEngineIncrementalTest, JoinRoutesByAtomIdAcrossComponents) {
+  // The components {R, T} and {S} interleave atom ids (0, 2 | 1): the join
+  // step must send T's inserts to its first child and S's to its second.
+  const CQ q = MustParseCQ("q() :- R(x), S(y), not T(x)");
+  Database db;
+  db.AddEndo("R", {V("a")});
+  db.AddEndo("R", {V("b")});
+  db.AddEndo("S", {V("c")});
+  db.AddExo("S", {V("d")});
+  db.AddEndo("T", {V("b")});
+  auto built = ShapleyEngine::Build(q, db);
+  ASSERT_TRUE(built.ok()) << built.error();
+  ShapleyEngine engine = std::move(built).value();
+
+  auto check = [&](const std::string& label) {
+    ExpectMatchesRebuild(q, db, engine, label);
+    for (FactId f : db.endogenous_facts()) {
+      auto reference = ShapleyViaCountSat(q, db, f);
+      ASSERT_TRUE(reference.ok()) << reference.error();
+      EXPECT_EQ(engine.Value(f), reference.value())
+          << label << ": " << db.FactToString(f);
+    }
+  };
+  check("after Build");
+
+  struct Insert {
+    const char* relation;
+    const char* value;
+    bool endogenous;
+    bool opens_slice;
+  };
+  const Insert inserts[] = {
+      {"T", "a", true, false},  // the existing empty T leaf of slice a
+      {"R", "e", true, true},   // a new root value under {R, T}
+      {"S", "f", true, true},   // a new root value under {S}
+      {"T", "g", false, true},  // a new {R, T} root value opened by T
+  };
+  std::vector<FactId> added;
+  for (const Insert& insert : inserts) {
+    const std::string label =
+        std::string(insert.relation) + "(" + insert.value + ")";
+    const size_t nodes_before = engine.stats().node_count;
+    auto inserted = engine.InsertFact(db, insert.relation, {V(insert.value)},
+                                      insert.endogenous);
+    ASSERT_TRUE(inserted.ok()) << inserted.error();
+    added.push_back(inserted.value());
+    EXPECT_EQ(engine.stats().node_count > nodes_before, insert.opens_slice)
+        << label;
+    check("after " + label + " insert");
+  }
+  for (FactId fact : added) {
+    const std::string label = db.FactToString(fact);
+    ASSERT_TRUE(engine.DeleteFact(db, fact).ok()) << label;
+    check("after " + label + " delete");
+  }
+}
+
 TEST(ShapleyEngineIncrementalTest, NegatedLeafAndExogenousMutations) {
   UniversityDb u = BuildUniversityDb();
   const CQ q = UniversityQ1();

@@ -1,16 +1,20 @@
-// Safe-plan compilation and plan-driven probabilistic evaluation — the
-// third, independently structured implementation of the hierarchical
-// algorithm, tested against lifted inference and world enumeration.
+// Safe-plan compilation — the step layout ShapleyEngine instantiates — and
+// plan-driven probabilistic evaluation, the third, independently structured
+// implementation of the hierarchical algorithm, tested against lifted
+// inference and world enumeration.
 
 #include "core/plan.h"
 
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
+#include "core/shapley_engine.h"
 #include "datasets/query_gen.h"
 #include "datasets/synthetic.h"
 #include "datasets/university.h"
+#include "db/value_dictionary.h"
 #include "probdb/lifted.h"
 #include "query/parser.h"
 
@@ -27,25 +31,74 @@ TEST(PlanTest, CompilesHierarchicalOnly) {
 }
 
 TEST(PlanTest, ExplainShowsStructure) {
-  auto plan = CompileSafePlan(UniversityQ1());
+  const CQ q = UniversityQ1();
+  auto plan = CompileSafePlan(q);
   ASSERT_TRUE(plan.ok());
-  const std::string text = ExplainPlan(*plan.value());
-  // q1 = Stud(x), ¬TA(x), Reg(x,y): project on x, then join of two ground
-  // leaves and a projection on y.
-  EXPECT_EQ(text.find("project[x]"), 0u) << text;
-  EXPECT_NE(text.find("join"), std::string::npos) << text;
-  EXPECT_NE(text.find("leaf: Stud("), std::string::npos) << text;
-  EXPECT_NE(text.find("leaf: not TA("), std::string::npos) << text;
-  EXPECT_NE(text.find("project[y]"), std::string::npos) << text;
+  // q1 = Stud(x), ¬TA(x), Reg(x,y): project on x, then a join of two ground
+  // leaves and a projection on y. Leaves print the query's own variables.
+  EXPECT_EQ(ExplainPlan(q, *plan.value()),
+            "project[x]\n"
+            "  join\n"
+            "    leaf: Stud(x)\n"
+            "    leaf: not TA(x)\n"
+            "    project[y]\n"
+            "      leaf: Reg(x,y)\n");
 }
 
 TEST(PlanTest, DisconnectedQueryStartsWithJoin) {
-  auto plan = CompileSafePlan(MustParseCQ("q() :- R(x), S(y)"));
+  const CQ q = MustParseCQ("q() :- R(x), S(y)");
+  auto plan = CompileSafePlan(q);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan.value()->kind, SafePlan::Kind::kIndependentJoin);
   EXPECT_EQ(plan.value()->children.size(), 2u);
-  const std::string text = ExplainPlan(*plan.value());
+  const std::string text = ExplainPlan(q, *plan.value());
   EXPECT_EQ(text.find("join"), 0u) << text;
+}
+
+TEST(PlanTest, StepsNameTheQueryAtoms) {
+  // Components {R, T} and {S} interleave atom ids; B holds its root second.
+  const CQ q = MustParseCQ("q() :- R(x), S(y), not T(x), B(z,y)");
+  auto compiled = CompileSafePlan(q);
+  ASSERT_TRUE(compiled.ok());
+  const SafePlan& join = *compiled.value();
+  ASSERT_EQ(join.kind, SafePlan::Kind::kIndependentJoin);
+  EXPECT_EQ(join.atom_ids, (std::vector<size_t>{0, 1, 2, 3}));
+  ASSERT_EQ(join.children.size(), 2u);
+  EXPECT_EQ(join.child_of_atom[0], 0u);
+  EXPECT_EQ(join.child_of_atom[1], 1u);
+  EXPECT_EQ(join.child_of_atom[2], 0u);
+  EXPECT_EQ(join.child_of_atom[3], 1u);
+
+  const SafePlan& rt = *join.children[0];
+  ASSERT_EQ(rt.kind, SafePlan::Kind::kRootProject);
+  EXPECT_EQ(rt.atom_ids, (std::vector<size_t>{0, 2}));
+  EXPECT_EQ(q.var_name(rt.root), "x");
+  EXPECT_EQ(rt.root_position[0], 0u);
+  EXPECT_EQ(rt.root_position[2], 0u);
+
+  const SafePlan& sb = *join.children[1];
+  ASSERT_EQ(sb.kind, SafePlan::Kind::kRootProject);
+  EXPECT_EQ(sb.atom_ids, (std::vector<size_t>{1, 3}));
+  EXPECT_EQ(q.var_name(sb.root), "y");
+  EXPECT_EQ(sb.root_position[1], 0u);
+  EXPECT_EQ(sb.root_position[3], 1u);
+}
+
+TEST(PlanTest, CompilingInternsNoConstants) {
+  // Root variables are bound by VarId, so compiling, building and opening a
+  // slice mint no constant (the process-wide dictionary never shrinks).
+  const CQ q = UniversityQ1();
+  UniversityDb u = BuildUniversityDb();
+  const Tuple eve = {V("Eve")};  // interned before the count is taken
+  const size_t before = ValueDictionary::Global().size();
+  ASSERT_TRUE(CompileSafePlan(q).ok());
+  auto built = ShapleyEngine::Build(q, u.db);
+  ASSERT_TRUE(built.ok()) << built.error();
+  ShapleyEngine engine = std::move(built).value();
+  const size_t nodes = engine.stats().node_count;
+  ASSERT_TRUE(engine.InsertFact(u.db, "Stud", eve, true).ok());
+  EXPECT_GT(engine.stats().node_count, nodes);  // Eve opened a new slice
+  EXPECT_EQ(ValueDictionary::Global().size(), before);
 }
 
 TEST(PlanTest, GroundQueryIsLeaf) {

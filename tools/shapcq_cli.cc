@@ -251,7 +251,8 @@ int main(int argc, char** argv) {
   if (explain) {
     auto plan = CompileSafePlan(query.value());
     if (plan.ok()) {
-      std::printf("safe plan:\n%s", ExplainPlan(*plan.value()).c_str());
+      std::printf("safe plan:\n%s",
+                  ExplainPlan(query.value(), *plan.value()).c_str());
     } else {
       std::printf("safe plan: %s\n", plan.error().c_str());
     }
