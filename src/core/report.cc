@@ -120,16 +120,6 @@ Result<AttributionReport> EngineReport(const char* label,
   return Result<AttributionReport>::Ok(std::move(report));
 }
 
-// The one-shot CntSat report: EngineReport on a freshly built engine.
-Result<AttributionReport> CntSatReport(const CQ& q, const Database& db,
-                                       const ReportOptions& options,
-                                       const CancelToken* cancel) {
-  auto built = ShapleyEngine::Build(q, db, cancel);
-  if (!built.ok()) return Result<AttributionReport>::Error(built.error());
-  ShapleyEngine engine = std::move(built).value();
-  return EngineReport("CntSat", engine, db, options, cancel);
-}
-
 // The exact rows and total from reduced values (ExoShap, brute force):
 // each value's denominator must divide n!, which scales it to its
 // numerator, and the numerators must sum to a multiple of n!, the total.
@@ -217,8 +207,8 @@ Result<AttributionReport> BuildApproxReport(const CQ& q, const Database& db,
   return Result<AttributionReport>::Ok(std::move(report));
 }
 
-}  // namespace
-
+// The deadline-degradation answer: a prompt, work-bounded sampling report
+// for a query whose exact report just blew its deadline.
 Result<AttributionReport> BuildDegradedApproxReport(
     const CQ& q, const Database& db, const ReportOptions& options) {
   // Work-bounded, never re-deadlined, never rebuilding the exact index
@@ -241,8 +231,11 @@ Result<AttributionReport> BuildDegradedApproxReport(
                            /*cancel=*/nullptr);
 }
 
+}  // namespace
+
 Result<AttributionReport> BuildAttributionReport(
-    const CQ& q, const Database& db, const ReportOptions& options) {
+    const CQ& q, const Database& db, const ReportOptions& options,
+    std::optional<ShapleyEngine>* engine) {
   AttributionReport report;
   const bool approx_requested = options.approx.enabled();
   if (approx_requested) {
@@ -254,6 +247,7 @@ Result<AttributionReport> BuildAttributionReport(
       !hierarchical && IsSafe(q) && IsSelfJoinFree(q) && !options.exo.empty() &&
       !FindNonHierarchicalPath(q, options.exo).has_value();
   const bool force_approx = approx_requested && options.approx.force;
+  const bool cntsat = hierarchical && !force_approx;
 
   // One token per report: a caller-owned token wins, else a deadline_ms
   // budget arms a local one. nullptr = uncancellable (the default), and the
@@ -268,23 +262,14 @@ Result<AttributionReport> BuildAttributionReport(
                                          ? &deadline_token
                                          : nullptr);
 
-  if (hierarchical && !force_approx) {
-    report.engine = "CntSat";
+  if (cntsat) {
+    report.engine = engine != nullptr ? "CntSat (incremental)" : "CntSat";
   } else if (exoshap_applies && !force_approx) {
     report.engine = "ExoShap";
   } else if (approx_requested) {
     // The sampling tier works for ANY query the evaluator can decide —
-    // exactly the fallback the dichotomy's hard side needs. A deadline
-    // expiry here is terminal ([E_DEADLINE]): there is no tier left to
-    // degrade to.
-    auto approx_report = BuildApproxReport(q, db, options, hierarchical,
-                                           cancel);
-    if (!approx_report.ok() &&
-        CancelToken::IsCancelled(approx_report.error())) {
-      return Result<AttributionReport>::Error(
-          DeadlineExceededMessage(options.deadline_ms));
-    }
-    return approx_report;
+    // exactly the fallback the dichotomy's hard side needs.
+    report.engine = "approx-fpras";
   } else if (options.allow_brute_force &&
              db.endogenous_count() <= options.brute_force_limit) {
     report.engine = "brute-force";
@@ -294,18 +279,48 @@ Result<AttributionReport> BuildAttributionReport(
         " (FP^#P-hard per the dichotomies) and brute force is not allowed; "
         "the sampling tier (approx=eps,delta) serves such queries");
   }
+  const bool sampling = report.engine == "approx-fpras";
 
-  // All-facts attribution is served by the single-pass engines: one shared
-  // CntSat recursion (and, for ExoShap, one transformation) for the whole
-  // table instead of a from-scratch computation per fact.
-  if (report.engine == "CntSat") {
-    auto exact = CntSatReport(q, db, options, cancel);
-    if (exact.ok() || !CancelToken::IsCancelled(exact.error())) return exact;
-    if (options.on_deadline == OnDeadline::kApprox) {
+  // An exact tier's expiry degrades to sampling when the caller asks; the
+  // sampling tier's is terminal, there being no tier left below it.
+  auto expired = [&]() -> Result<AttributionReport> {
+    if (!sampling && options.on_deadline == OnDeadline::kApprox) {
       return BuildDegradedApproxReport(q, db, options);
     }
     return Result<AttributionReport>::Error(
         DeadlineExceededMessage(options.deadline_ms));
+  };
+  // The one entry poll: an already-expired token starts no build and no
+  // sampling.
+  if (cancel != nullptr && cancel->Expired()) return expired();
+
+  if (sampling) {
+    auto sampled = BuildApproxReport(q, db, options, hierarchical, cancel);
+    if (!sampled.ok() && CancelToken::IsCancelled(sampled.error())) {
+      return expired();
+    }
+    return sampled;
+  }
+  // All-facts attribution is served by the single-pass engines: one shared
+  // CntSat recursion (and, for ExoShap, one transformation) for the whole
+  // table instead of a from-scratch computation per fact.
+  if (cntsat) {
+    // Only a finished build enters the slot, so a cancelled one leaves it
+    // empty; a cancelled sweep keeps the finished values memoized.
+    std::optional<ShapleyEngine> one_shot;
+    std::optional<ShapleyEngine>& slot = engine != nullptr ? *engine : one_shot;
+    if (!slot.has_value()) {
+      auto built = ShapleyEngine::Build(q, db, cancel);
+      if (!built.ok()) {
+        if (CancelToken::IsCancelled(built.error())) return expired();
+        return Result<AttributionReport>::Error(built.error());
+      }
+      slot.emplace(std::move(built).value());
+    }
+    auto exact =
+        EngineReport(report.engine.c_str(), *slot, db, options, cancel);
+    if (exact.ok() || !CancelToken::IsCancelled(exact.error())) return exact;
+    return expired();
   }
   std::vector<Rational> values;
   if (report.engine == "ExoShap") {
@@ -326,20 +341,8 @@ Result<AttributionReport> BuildAttributionReport(
 
 AttributionReport BuildAttributionReportFromEngine(
     ShapleyEngine& engine, const Database& db, const ReportOptions& options) {
-  return BuildAttributionReportFromEngine(engine, db, options, nullptr)
+  return EngineReport("CntSat (incremental)", engine, db, options, nullptr)
       .value();
-}
-
-Result<AttributionReport> BuildAttributionReportFromEngine(
-    ShapleyEngine& engine, const Database& db, const ReportOptions& options,
-    const CancelToken* cancel) {
-  auto exact = EngineReport("CntSat (incremental)", engine, db, options,
-                            cancel);
-  if (!exact.ok() && CancelToken::IsCancelled(exact.error())) {
-    return Result<AttributionReport>::Error(
-        DeadlineExceededMessage(options.deadline_ms));
-  }
-  return exact;
 }
 
 std::string RenderReport(const AttributionReport& report, const Database& db) {

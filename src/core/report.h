@@ -6,6 +6,7 @@
 #define SHAPCQ_CORE_REPORT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,8 +95,9 @@ struct ReportOptions {
   OnDeadline on_deadline =        // policy when the deadline expires on an
       OnDeadline::kError;         // exact report (see OnDeadline)
   const CancelToken* cancel =     // caller-owned token; non-null overrides
-      nullptr;                    // deadline_ms (used by the service layer,
-                                  // which scopes one token per request)
+      nullptr;                    // deadline_ms. Tests use it to cancel at a
+                                  // chosen poll; the service layer sets only
+                                  // deadline_ms
 };
 
 /// Computes Shapley values for every endogenous fact, choosing CntSat for
@@ -105,38 +107,32 @@ struct ReportOptions {
 /// limit; with approx.force it preempts the exact engines too), and (only
 /// if allowed) brute force otherwise. Returns an error when no permitted
 /// engine applies.
-Result<AttributionReport> BuildAttributionReport(const CQ& q,
-                                                 const Database& db,
-                                                 const ReportOptions& options);
+///
+/// The one place a report's deadline is decided: options.cancel, else a
+/// token armed for options.deadline_ms, is polled once on entry (before any
+/// build or sampling) and then by the CntSat build and sweep and by the
+/// sampler. Expiry on an exact tier returns the [E_DEADLINE] payload or,
+/// with on_deadline = kApprox, a work-bounded sampled report; expiry on the
+/// sampling tier is always the error.
+///
+/// `engine` (nullable) is a resident-engine slot for the CntSat tier: the
+/// report is served from *engine, which is built into when empty, and is
+/// labelled "CntSat (incremental)". The engine must have been built on
+/// `db` and kept in step with it (InsertFact/DeleteFact). A cancelled
+/// build leaves the slot empty; a cancelled sweep leaves it engaged with
+/// every finished value memoized, so a later undeadlined report is
+/// bit-identical to a fresh engine's. Other tiers never touch the slot.
+Result<AttributionReport> BuildAttributionReport(
+    const CQ& q, const Database& db, const ReportOptions& options,
+    std::optional<ShapleyEngine>* engine = nullptr);
 
-/// The deadline-degradation entry: a prompt, work-bounded sampling report
-/// for a query whose exact report just blew its deadline. Honors a
-/// caller-provided approx spec; otherwise uses a coarse default
-/// (eps=0.25, delta=0.1, max_samples=512). Signature-stratified — it never
-/// rebuilds the exact index — and never re-deadlined (the deadline budget
-/// belonged to the exact attempt). Shared by BuildAttributionReport's
-/// on_deadline=approx path and the serving registry's.
-Result<AttributionReport> BuildDegradedApproxReport(
-    const CQ& q, const Database& db, const ReportOptions& options);
-
-/// Attribution table served from a live (possibly mutated) ShapleyEngine:
-/// the long-lived-service path, where the index is maintained incrementally
-/// by InsertFact/DeleteFact instead of rebuilt per report. `db` must be the
-/// database the engine was built on and has been mutating. Like every exact
-/// report, it is assembled on the values' numerators over n! = |Dn|!
-/// (ranked by integer compare) and checks that they sum to n! times the
-/// total q(D) − q(Dx).
+/// The exact table of a live engine, uncancellable: what
+/// BuildAttributionReport serves from an engaged slot without a deadline.
+/// Like every exact report, it is assembled on the values' numerators over
+/// n! = |Dn|! (ranked by integer compare) and checks that they sum to n!
+/// times the total q(D) − q(Dx).
 AttributionReport BuildAttributionReportFromEngine(
     ShapleyEngine& engine, const Database& db, const ReportOptions& options);
-
-/// Cancellable form of the above: polls `cancel` at orbit boundaries of the
-/// value sweep and returns the [E_DEADLINE] payload on expiry. The engine
-/// keeps every orbit value it finished (each is a pure function of the
-/// index), so a later undeadlined report is bit-identical to a fresh
-/// engine's. A nullptr or disabled token never cancels.
-Result<AttributionReport> BuildAttributionReportFromEngine(
-    ShapleyEngine& engine, const Database& db, const ReportOptions& options,
-    const CancelToken* cancel);
 
 /// Fixed-width text rendering of a report (fact, exact value, decimal).
 /// Approximate reports add an "approx:" provenance line and per-row

@@ -1,8 +1,6 @@
 #include "core/shapley.h"
 
-#include "core/brute_force.h"
 #include "core/count_sat.h"
-#include "core/exoshap.h"
 #include "core/shapley_engine.h"
 #include "util/check.h"
 #include "util/combinatorics.h"
@@ -50,21 +48,6 @@ Result<std::vector<Rational>> ShapleyAllViaCountSat(
   }
   ShapleyEngine built = std::move(engine).value();
   return built.AllValues(options, cancel);
-}
-
-Rational ShapleyExact(const CQ& q, const Database& db, FactId f,
-                      const ExoRelations& exo) {
-  if (IsSafe(q) && IsSelfJoinFree(q)) {
-    if (IsHierarchical(q)) {
-      return ShapleyEngine::Build(q, db).value().Value(f);
-    }
-    if (!exo.empty() && !FindNonHierarchicalPath(q, exo).has_value() &&
-        exo.count(db.schema().name(db.relation_of(f))) == 0) {
-      return ExoShapShapley(q, db, exo, f).value();
-    }
-  }
-  // FP^{#P}-hard territory (or out-of-scope query shape): exponential oracle.
-  return ShapleyBruteForce(q, db, f);
 }
 
 }  // namespace shapcq

@@ -16,7 +16,6 @@
 
 #include "core/shapley_engine.h"
 #include "db/database.h"
-#include "query/analysis.h"
 #include "query/cq.h"
 #include "util/count_vector.h"
 #include "util/rational.h"
@@ -49,13 +48,6 @@ Result<Rational> ShapleyViaCountSat(const CQ& q, const Database& db, FactId f);
 Result<std::vector<Rational>> ShapleyAllViaCountSat(
     const CQ& q, const Database& db, const ParallelOptions& options = {},
     const CancelToken* cancel = nullptr);
-
-/// Convenience dispatcher: hierarchical self-join-free queries go through
-/// CntSat; with a non-empty `exo` set, non-hierarchical queries without a
-/// non-hierarchical path go through ExoShap; anything else falls back to
-/// exponential brute force (only acceptable for small |Dn|).
-Rational ShapleyExact(const CQ& q, const Database& db, FactId f,
-                      const ExoRelations& exo = {});
 
 }  // namespace shapcq
 

@@ -668,34 +668,6 @@ Result<FactId> ShapleyEngine::DeleteFact(Database& db, FactId fact) {
   return Result<FactId>::Ok(fact);
 }
 
-Result<std::vector<FactId>> ShapleyEngine::ApplyDelta(
-    Database& db, const std::vector<FactDelta>& delta,
-    const CancelToken* cancel) {
-  std::vector<FactId> applied;
-  applied.reserve(delta.size());
-  for (const FactDelta& d : delta) {
-    // Poll between records only: each record's root-to-leaf patch is
-    // atomic w.r.t. cancellation, so the engine always equals a fresh
-    // build on the applied prefix.
-    if (cancel != nullptr && cancel->Expired()) {
-      return Result<std::vector<FactId>>::Error(
-          "ApplyDelta: " + std::string(CancelToken::kCancelledMessage) +
-          " after " + std::to_string(applied.size()) + " deltas");
-    }
-    Result<FactId> result =
-        d.op == FactDelta::Op::kInsert
-            ? InsertFact(db, d.relation, d.tuple, d.endogenous)
-            : DeleteFact(db, d.fact);
-    if (!result.ok()) {
-      return Result<std::vector<FactId>>::Error(
-          "ApplyDelta: delta " + std::to_string(applied.size()) +
-          " failed: " + result.error());
-    }
-    applied.push_back(result.value());
-  }
-  return Result<std::vector<FactId>>::Ok(std::move(applied));
-}
-
 ShapleyEngine::Stats ShapleyEngine::stats() const {
   SHAPCQ_CHECK(impl_ != nullptr);
   return impl_->stats;

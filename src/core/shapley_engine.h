@@ -26,14 +26,14 @@
 //     pattern (a relation the query does not mention, a wrong constant,
 //     unequal values at a variable's repeated positions) are null players
 //     with value 0, no computation at all.
-//  4. Mutations. InsertFact/DeleteFact/ApplyDelta splice a fact into (or out
-//     of) the index and the affected leaf, then re-derive the memoized |Sat|
-//     vectors only along the dirtied root-to-leaf path, dividing each
-//     child's old combine vector out of its parent's product and
-//     multiplying the new one in; orbit signatures are re-hashed for the
-//     dirty path and the orbits regenerate lazily on the next query. The
-//     engine therefore tracks a changing database without rebuilds — see
-//     "Incremental maintenance" in DESIGN.md.
+//  4. Mutations. InsertFact/DeleteFact splice a fact into (or out of) the
+//     index and the affected leaf, then re-derive the memoized |Sat| vectors
+//     only along the dirtied root-to-leaf path, dividing each child's old
+//     combine vector out of its parent's product and multiplying the new
+//     one in; orbit signatures are re-hashed for the dirty path and the
+//     orbits regenerate lazily on the next query. The engine therefore
+//     tracks a changing database without rebuilds — see "Incremental
+//     maintenance" in DESIGN.md.
 //
 // Values equal the per-fact path's (ShapleyViaCountSat) exactly, and after
 // any mutation sequence they equal a fresh Build() on the mutated database;
@@ -55,34 +55,6 @@
 namespace shapcq {
 
 class CancelToken;  // util/cancel.h
-
-/// One fact mutation for ShapleyEngine::ApplyDelta: an insert carries the
-/// fact literal, a delete the (stable) FactId of a live fact.
-struct FactDelta {
-  enum class Op { kInsert, kDelete };
-
-  Op op = Op::kInsert;
-  std::string relation;    ///< kInsert: relation name
-  Tuple tuple;             ///< kInsert: the tuple
-  bool endogenous = true;  ///< kInsert: player or given
-  FactId fact = kNoFact;   ///< kDelete: fact to remove
-
-  static FactDelta Insert(std::string relation, Tuple tuple,
-                          bool endogenous = true) {
-    FactDelta delta;
-    delta.op = Op::kInsert;
-    delta.relation = std::move(relation);
-    delta.tuple = std::move(tuple);
-    delta.endogenous = endogenous;
-    return delta;
-  }
-  static FactDelta Delete(FactId fact) {
-    FactDelta delta;
-    delta.op = Op::kDelete;
-    delta.fact = fact;
-    return delta;
-  }
-};
 
 /// Execution options for the all-facts entry points. Every thread count runs
 /// the same level-by-level arena sweep: one thread fills each level inline,
@@ -180,7 +152,7 @@ class ShapleyEngine {
   std::vector<size_t> OrbitIds();
 
   // -------------------------------------------------------------------------
-  // Incremental maintenance. All three mutators take the SAME database the
+  // Incremental maintenance. Both mutators take the SAME database the
   // engine was built on (passed mutably so the call site owns the write;
   // aborts on a different database). They update the database and patch the
   // memoized counts along the single dirtied root-to-leaf path, so subsequent
@@ -210,21 +182,6 @@ class ShapleyEngine {
   /// counter out of the index. Returns the removed id, or an error if the
   /// fact id is invalid or already removed (the database is untouched).
   Result<FactId> DeleteFact(Database& db, FactId fact);
-
-  /// Applies the deltas in order; stops at the first failing delta (earlier
-  /// deltas stay applied). Returns the FactId per delta: the inserted id for
-  /// inserts, the removed id for deletes.
-  ///
-  /// An enabled `cancel` is polled between delta records (never inside a
-  /// patch — each record's root-to-leaf patch is atomic with respect to
-  /// cancellation). On expiry it returns the cancellation error; deltas
-  /// applied before the expiry stay applied, in line with the
-  /// first-failing-delta contract above, and engine state remains exactly
-  /// "the prefix was applied" — bit-identical to a fresh Build() on the
-  /// prefix-mutated database.
-  Result<std::vector<FactId>> ApplyDelta(Database& db,
-                                         const std::vector<FactDelta>& delta,
-                                         const CancelToken* cancel = nullptr);
 
   /// Statistics of the built engine. orbit_count is populated by AllValues /
   /// AllNumerators / OrbitIds (0 before the first all-facts query).

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "query/analysis.h"
-#include "util/cancel.h"
 #include "util/check.h"
 
 namespace shapcq {
@@ -220,44 +219,6 @@ struct EngineRegistry::Impl {
     }
   }
 
-  // The sampling-tier report path: cached per (ApproxSpec key, epoch),
-  // recomputed statelessly through BuildAttributionReport otherwise (the
-  // approx engine needs no residency — its state is the database itself).
-  // Caller holds the stripe mutex.
-  Result<AttributionReport> ApproxReportLocked(Stripe& stripe,
-                                               Session& session,
-                                               const ReportOptions& options) {
-    approx_reports.fetch_add(1, std::memory_order_relaxed);
-    const std::string key = options.approx.CacheKey();
-    auto it = session.report_cache.find(key);
-    if (it != session.report_cache.end() &&
-        it->second.epoch == session.mutation_epoch) {
-      report_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      ++session.reports_served;
-      session.last_used = ++stripe.clock;
-      it->second.last_served = session.last_used;
-      return Result<AttributionReport>::Ok(
-          TruncatedCopy(it->second.table, options.top_k));
-    }
-    ReportOptions full = options;
-    full.top_k = 0;
-    auto built = BuildAttributionReport(session.query, *session.db, full);
-    if (!built.ok()) return Result<AttributionReport>::Error(built.error());
-    ++session.reports_served;
-    session.last_used = ++stripe.clock;
-    AttributionReport served =
-        TruncatedCopy(built.value(), options.top_k);
-    if (this->options.max_approx_cached_reports > 0) {
-      Session::CachedTable entry;
-      entry.table = std::move(built).value();
-      entry.epoch = session.mutation_epoch;
-      entry.last_served = session.last_used;
-      session.report_cache[key] = std::move(entry);
-      EnforceApproxCacheBound(session);
-    }
-    return Result<AttributionReport>::Ok(std::move(served));
-  }
-
   // Drops least-recently-served approx entries (and any stale-epoch ones
   // first — they can never be served again) until the per-session bound
   // holds. Caller holds the stripe mutex.
@@ -290,149 +251,95 @@ struct EngineRegistry::Impl {
     }
   }
 
-  // One deadline expiry, resolved under the stripe lock: bump the counters,
-  // then either degrade to a prompt work-bounded sampling answer
-  // (on_deadline = kApprox and the caller allows it) or return the
-  // structured [E_DEADLINE] error. Degraded tables are never cached — they
-  // are a deadline artifact, not a requested spec, and must not shadow a
-  // future honest approx entry.
-  Result<AttributionReport> DeadlineOutcomeLocked(Stripe& stripe,
-                                                  Session& session,
-                                                  const ReportOptions& options,
-                                                  bool allow_degrade) {
-    deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    ++session.deadline_exceeded;
-    if (allow_degrade && options.on_deadline == OnDeadline::kApprox) {
-      degraded_to_approx.fetch_add(1, std::memory_order_relaxed);
-      approx_reports.fetch_add(1, std::memory_order_relaxed);
-      ReportOptions full = options;
-      full.top_k = 0;
-      auto built =
-          BuildDegradedApproxReport(session.query, *session.db, full);
-      if (!built.ok()) {
-        return Result<AttributionReport>::Error(built.error());
-      }
-      ++session.reports_served;
-      session.last_used = ++stripe.clock;
-      return Result<AttributionReport>::Ok(
-          TruncatedCopy(built.value(), options.top_k));
-    }
-    return Result<AttributionReport>::Error(
-        DeadlineExceededMessage(options.deadline_ms));
-  }
-
-  // The locked core of Report/ReportRendered: dispatches exact vs approx,
-  // ensures residency on the exact path, serves from the epoch cache when
-  // valid, re-ranks otherwise, then enforces the stripe budget. Caller
+  // The locked core of Report/ReportRendered. The tier is the session's:
+  // approx-only sessions and forced sampling use the sampling tier, every
+  // other report the resident engine. A current table of that tier is
+  // served from the cache; otherwise BuildAttributionReport computes the
+  // full table (building into the session's engine slot on the exact tier)
+  // and decides the deadline outcome, and this records what it did. Caller
   // holds the stripe mutex.
   Result<AttributionReport> ReportLocked(Stripe& stripe, Session& session,
                                          const ReportOptions& options) {
     InflightGuard inflight_guard(&inflight);
-    // One token per request: a caller-owned token wins, else deadline_ms
-    // arms a local one; nullptr keeps the whole machinery off the path.
-    CancelToken deadline_token;
-    const CancelToken* cancel = options.cancel;
-    if (cancel == nullptr && options.deadline_ms > 0) {
-      deadline_token.ArmDeadlineMillis(options.deadline_ms);
-      cancel = &deadline_token;
-    }
-    if (cancel != nullptr && !cancel->Enabled()) cancel = nullptr;
-    // Auto-dispatch: exact-capable sessions keep their exact path unless
-    // the caller forces sampling; approx-only sessions require a spec.
     const bool use_approx =
         options.approx.enabled() &&
         (!session.exact_capable || options.approx.force);
-    if (cancel != nullptr && cancel->Expired()) {
-      // Already expired at admission (a zero/elapsed deadline): fail — or
-      // degrade — before touching the cache or the engine, so the fast
-      // path is deterministic. Sampling requests have no tier left below
-      // them, so their expiry is always the error.
-      return DeadlineOutcomeLocked(
-          stripe, session, options,
-          /*allow_degrade=*/!use_approx && session.exact_capable);
-    }
-    if (use_approx) {
-      auto valid = options.approx.Validate();
-      if (!valid.ok()) return Result<AttributionReport>::Error(valid.error());
-      ReportOptions deadlined = options;
-      deadlined.cancel = cancel;
-      auto served = ApproxReportLocked(stripe, session, deadlined);
-      if (!served.ok() && IsDeadlineError(served.error())) {
-        // Terminal for the sampling tier: count it, no degradation.
-        deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-        ++session.deadline_exceeded;
-      }
-      return served;
-    }
-    if (!session.exact_capable) {
+    if (!use_approx && !session.exact_capable) {
       return Result<AttributionReport>::Error(
           session.approx_only_reason +
           "; this session serves approx reports only "
           "(pass approx=EPS,DELTA)");
     }
-    if (session.engine.has_value()) {
+    const bool was_resident = session.engine.has_value();
+    if (use_approx) {
+      approx_reports.fetch_add(1, std::memory_order_relaxed);
+    } else if (was_resident) {
       report_hits.fetch_add(1, std::memory_order_relaxed);
-      auto it = session.report_cache.find(kExactKey);
-      if (it != session.report_cache.end() &&
-          it->second.epoch == session.mutation_epoch) {
-        // Steady-state polling: no delta since the cached table was ranked,
-        // so it is the report, verbatim. Nothing resident changed size, so
-        // the budget needs no re-enforcement either.
-        report_cache_hits.fetch_add(1, std::memory_order_relaxed);
-        ++session.reports_served;
-        session.last_used = ++stripe.clock;
-        it->second.last_served = session.last_used;
-        return Result<AttributionReport>::Ok(
-            TruncatedCopy(it->second.table, options.top_k));
-      }
-    } else {
-      auto built = ShapleyEngine::Build(session.query, *session.db, cancel);
-      if (!built.ok()) {
-        if (CancelToken::IsCancelled(built.error())) {
-          // The cancelled build was discarded whole — nothing resident,
-          // nothing accounted, the database untouched.
-          return DeadlineOutcomeLocked(stripe, session, options,
-                                       /*allow_degrade=*/true);
-        }
-        return Result<AttributionReport>::Error(built.error());
-      }
-      session.engine.emplace(std::move(built).value());
+    }
+    // The exact entry exists only while the engine is resident (Evict
+    // drops it); approx entries are independent of residency.
+    const std::string key = use_approx ? options.approx.CacheKey() : kExactKey;
+    auto cached = session.report_cache.find(key);
+    if (cached != session.report_cache.end() &&
+        cached->second.epoch == session.mutation_epoch) {
+      // Steady-state polling: no delta since the table was ranked, so it is
+      // the report, verbatim. Nothing resident changed size, so the budget
+      // needs no re-enforcement either.
+      report_cache_hits.fetch_add(1, std::memory_order_relaxed);
+      ++session.reports_served;
+      session.last_used = ++stripe.clock;
+      cached->second.last_served = session.last_used;
+      return Result<AttributionReport>::Ok(
+          TruncatedCopy(cached->second.table, options.top_k));
+    }
+    // Compute the FULL table (top_k applied per serve, so one cache entry
+    // answers every truncation).
+    ReportOptions full = options;
+    full.top_k = 0;
+    auto* slot = use_approx ? nullptr : &session.engine;
+    auto computed =
+        BuildAttributionReport(session.query, *session.db, full, slot);
+    if (!was_resident && session.engine.has_value()) {
       session.engine_bytes = 0;  // EnforceBudget refreshes the estimate
       report_misses.fetch_add(1, std::memory_order_relaxed);
       engine_builds.fetch_add(1, std::memory_order_relaxed);
       ++stripe.resident_engines;
       ++session.engine_builds;
     }
-    // Compute and cache the FULL table (top_k applied per serve, so one
-    // cache entry answers every truncation). The served copy is taken
-    // before budget enforcement: EnforceBudget may evict the current engine
-    // — and the cache with it — when it alone exceeds the stripe share.
-    ReportOptions full = options;
-    full.top_k = 0;
-    auto computed = BuildAttributionReportFromEngine(*session.engine,
-                                                     *session.db, full,
-                                                     cancel);
+    const bool degraded =
+        computed.ok() && !use_approx && computed.value().approximate;
+    if (degraded || (!computed.ok() && IsDeadlineError(computed.error()))) {
+      deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
+      ++session.deadline_exceeded;
+    }
     if (!computed.ok()) {
-      if (IsDeadlineError(computed.error())) {
-        // The sweep stopped between orbits: every finished value is pure
-        // and stays warm, but the engine is resident with a stale (zero)
-        // byte estimate — re-enforce the stripe accounting before the
-        // lock drops so eviction pressure sees the truth.
-        EnforceBudget(stripe, session);
-        return DeadlineOutcomeLocked(stripe, session, options,
-                                     /*allow_degrade=*/true);
-      }
+      // A cancelled sweep leaves the engine resident with every finished
+      // value warm but a stale byte estimate: re-enforce the stripe
+      // accounting before the lock drops so eviction pressure sees the
+      // truth.
+      if (!use_approx) EnforceBudget(stripe, session);
       return Result<AttributionReport>::Error(computed.error());
     }
-    Session::CachedTable entry;
-    entry.table = std::move(computed).value();
-    entry.epoch = session.mutation_epoch;
     ++session.reports_served;
     session.last_used = ++stripe.clock;
-    entry.last_served = session.last_used;
-    AttributionReport served = TruncatedCopy(entry.table, options.top_k);
-    session.report_cache[kExactKey] = std::move(entry);
-    EnforceBudget(stripe, session);
+    // The served copy is taken before budget enforcement: EnforceBudget may
+    // evict the current engine — and the exact entry with it — when it
+    // alone exceeds the stripe share.
+    AttributionReport served = TruncatedCopy(computed.value(), options.top_k);
+    if (degraded) {
+      // Never cached: a degraded table is a deadline artifact, not a
+      // requested spec, and must not shadow a future honest entry.
+      degraded_to_approx.fetch_add(1, std::memory_order_relaxed);
+      approx_reports.fetch_add(1, std::memory_order_relaxed);
+    } else if (!use_approx || this->options.max_approx_cached_reports > 0) {
+      Session::CachedTable entry;
+      entry.table = std::move(computed).value();
+      entry.epoch = session.mutation_epoch;
+      entry.last_served = session.last_used;
+      session.report_cache[key] = std::move(entry);
+      if (use_approx) EnforceApproxCacheBound(session);
+    }
+    if (!use_approx) EnforceBudget(stripe, session);
     return Result<AttributionReport>::Ok(std::move(served));
   }
 };

@@ -210,14 +210,20 @@ class EngineRegistry {
   /// survive engine eviction. Fixed (spec, database) pairs reproduce
   /// bit-identically, cached or recomputed, at any thread count.
   ///
+  /// A table that is not a current cache entry comes from one
+  /// BuildAttributionReport call, given the session's engine slot on the
+  /// exact tier; that call decides the deadline outcome.
+  ///
   /// Deadlines: options.deadline_ms (or a caller-owned options.cancel
-  /// token) bounds the report. Expiry yields the structured [E_DEADLINE]
-  /// error — or, with options.on_deadline = kApprox on an exact-capable
-  /// session, a prompt work-bounded sampling answer (never cached: it is a
-  /// deadline artifact, not a requested spec). Either way the session is
-  /// left fully consistent — partial engine work is value-preserving, the
-  /// stripe byte accounting is re-enforced, and the next undeadlined
-  /// report is bit-identical to a fresh engine's.
+  /// token) bounds that call, so the budget starts after the cache lookup
+  /// and a current cached table is served without consulting it. Expiry
+  /// yields the structured [E_DEADLINE] error — or, with
+  /// options.on_deadline = kApprox on an exact-capable session, a prompt
+  /// work-bounded sampling answer (never cached: it is a deadline
+  /// artifact, not a requested spec). Either way the session is left fully
+  /// consistent — partial engine work is value-preserving, the stripe byte
+  /// accounting is re-enforced, and the next undeadlined report is
+  /// bit-identical to a fresh engine's.
   Result<AttributionReport> Report(const std::string& session_id,
                                    const ReportOptions& options);
 

@@ -6,6 +6,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <limits>
 
 #include "util/fault_injector.h"
 
@@ -36,14 +37,15 @@ FdStreamBuf::~FdStreamBuf() {
   FlushOut();  // best-effort: the final command's output reaches the peer
 }
 
-void FdStreamBuf::StampActivity() {
+void FdStreamBuf::StampActivity(int64_t ms) {
   if (last_activity_ms_ != nullptr) {
-    last_activity_ms_->store(NowMillis(), std::memory_order_relaxed);
+    last_activity_ms_->store(ms, std::memory_order_relaxed);
   }
 }
 
 FdStreamBuf::int_type FdStreamBuf::underflow() {
   if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+  StampActivity(NowMillis());  // the connection now waits for its peer
   while (true) {
     if (io_timeout_ms_ >= 0) {
       // Bounded wait for the peer: a poll that expires with nothing to
@@ -72,7 +74,9 @@ FdStreamBuf::int_type FdStreamBuf::underflow() {
     }
     const ssize_t n = ::recv(fd_, in_buf_.data(), in_buf_.size(), 0);
     if (n > 0) {
-      StampActivity();
+      // Busy until the buffered commands are consumed and the next read
+      // waits again: a stamp the idle watchdog never reaches.
+      StampActivity(std::numeric_limits<int64_t>::max());
       setg(in_buf_.data(), in_buf_.data(), in_buf_.data() + n);
       return traits_type::to_int_type(*gptr());
     }
@@ -101,7 +105,6 @@ bool FdStreamBuf::FlushOut() {
     if (cap > 0 && cap < len) len = cap;
     const ssize_t n = ::send(fd_, data, len, MSG_NOSIGNAL);
     if (n >= 0) {
-      StampActivity();
       data += n;
       remaining -= static_cast<size_t>(n);
       continue;

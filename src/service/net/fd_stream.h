@@ -57,9 +57,11 @@ class FdStreamBuf : public std::streambuf {
   bool timed_out() const { return timed_out_; }
 
   /// Points the activity clock at a server-owned atomic (milliseconds on
-  /// the server's steady clock): every successful recv and send stamps it,
-  /// so the idle watchdog sees both "client sent bytes" and "server is
-  /// mid-response" as activity. Null (the default) disables stamping.
+  /// the server's steady clock) that means "waiting for the peer since":
+  /// a read that must wait stamps the current time, and a recv that
+  /// returns bytes stamps the far future, so the idle watchdog never
+  /// counts a running command or a response being sent as idle. Null (the
+  /// default) disables stamping.
   void SetActivityClock(std::atomic<int64_t>* last_activity_ms) {
     last_activity_ms_ = last_activity_ms;
   }
@@ -78,7 +80,7 @@ class FdStreamBuf : public std::streambuf {
   /// (and latches write_failed_) on an unrecoverable send error.
   bool FlushOut();
 
-  void StampActivity();
+  void StampActivity(int64_t ms);
 
   static constexpr size_t kBufferBytes = 8192;
 

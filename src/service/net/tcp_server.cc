@@ -67,8 +67,8 @@ struct TcpServer::Impl {
   std::unique_ptr<ThreadPool> pool;
 
   // Per-connection state the idle watchdog reads while the worker runs:
-  // the activity clock (stamped by FdStreamBuf on every recv/send) and the
-  // reaped latch (count each reap once). shared_ptr: the watchdog may hold
+  // the activity clock (FdStreamBuf's "waiting for the peer since") and
+  // the reaped latch (count each reap once). shared_ptr: the watchdog may hold
   // a reference across the worker's teardown.
   struct ConnState {
     std::atomic<int64_t> last_activity_ms{0};
@@ -126,7 +126,7 @@ struct TcpServer::Impl {
   }
 
   // The idle watchdog, riding the accept loop's poll tick: half-close any
-  // connection whose last socket activity is idle_timeout_ms old. SHUT_RD
+  // connection that has waited idle_timeout_ms for its peer. SHUT_RD
   // keeps the write side open, so an in-flight command still delivers its
   // response before the worker reads EOF and unwinds — an idle reap never
   // truncates a neighbor's (or even the victim's) response.

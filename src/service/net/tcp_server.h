@@ -16,11 +16,11 @@
 // fail fast and visibly, never queue invisibly.
 //
 // Timeouts: io_timeout_ms bounds each read's wait for peer bytes (the
-// poll-based FdStreamBuf timeout); idle_timeout_ms reaps connections with
-// no socket activity at all via a watchdog riding the accept loop's 100 ms
-// tick. Both reaps are orderly — shutdown(SHUT_RD)/EOF, never a mid-command
-// kill — leave every other connection untouched, and count into
-// TransportStats::io_timeouts (the STATS io_timeouts= field).
+// poll-based FdStreamBuf timeout); idle_timeout_ms reaps connections that
+// have waited that long for their peer, via a watchdog riding the accept
+// loop's 100 ms tick. Both reaps are orderly — shutdown(SHUT_RD)/EOF, never
+// a mid-command kill — leave every other connection untouched, and count
+// into TransportStats::io_timeouts (the STATS io_timeouts= field).
 //
 // Graceful drain (SIGTERM with live clients): the stop flag flips, the
 // accept loop notices within one 100 ms poll tick and stops admitting,
@@ -58,11 +58,11 @@ struct TcpServerOptions {
   /// ordinary EOF path — the dead-peer/slow-loris reap — and counts one
   /// TransportStats::io_timeouts.
   size_t io_timeout_ms = 0;
-  /// Idle-connection reap: a connection with no socket activity (no bytes
-  /// in either direction) for this many milliseconds is shutdown(SHUT_RD)
-  /// by the accept-loop watchdog (0 = never). Orderly: an in-flight
-  /// command finishes and its response is delivered; only the next read
-  /// sees EOF. Checked every accept tick (~100 ms), so the reap lands
+  /// Idle-connection reap: a connection that has waited this many
+  /// milliseconds for its peer's next bytes is shutdown(SHUT_RD) by the
+  /// accept-loop watchdog (0 = never). A command still running is never
+  /// idle. Orderly: an in-flight response is delivered; only the next
+  /// read sees EOF. Checked every accept tick (~100 ms), so the reap lands
   /// within idle_timeout_ms + one tick. Also counts io_timeouts.
   size_t idle_timeout_ms = 0;
 };

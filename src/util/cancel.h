@@ -3,7 +3,7 @@
 // A CancelToken carries an optional wall-clock deadline (steady_clock, so
 // system clock steps cannot fire or defer it) and a cooperative cancel flag.
 // Work loops poll Expired() at coarse, value-preserving boundaries — orbit
-// representatives, sampling chunks, arena sweep levels, delta records —
+// representatives, sampling chunks, arena sweep levels, build steps —
 // never inside a numeric kernel, so a run that is not cancelled executes
 // exactly the instruction stream of an un-tokened run and stays
 // bit-identical (see "Deadlines, cancellation & degradation" in DESIGN.md).
@@ -17,7 +17,7 @@
 // For deterministic tests, AtCheck(k) builds a token that expires on the
 // k-th Expired() poll regardless of time — the fuzz battery in
 // tests/cancel_test.cc uses it to cancel at chosen points of Build, the
-// value sweep, the patch path and the sampling loops.
+// value sweep and the sampling loops.
 
 #ifndef SHAPCQ_UTIL_CANCEL_H_
 #define SHAPCQ_UTIL_CANCEL_H_

@@ -1,6 +1,6 @@
 // Cancellation-safety battery: the CancelToken primitive, the deadline keys
 // of the unified ReportRequest grammar, and — the core contract — that a
-// cancelled Build / value sweep / delta patch / sampling run leaves every
+// cancelled Build / value sweep / sampling run leaves every
 // structure in a state from which the next UNdeadlined query is
 // bit-identical to a fresh-engine oracle. Cancellation points are chosen
 // deterministically with CancelToken::AtCheck (no timing), swept over a
@@ -291,36 +291,6 @@ TEST(CancelBatteryTest, CancelledSweepResumesBitIdenticalAtEveryThreadCount) {
   }
 }
 
-TEST(CancelBatteryTest, CancelledPatchKeepsEnginePrefixConsistent) {
-  const CQ q = MustParseCQ(kHierarchicalQuery);
-
-  for (const uint64_t k : FuzzCheckPoints()) {
-    Database db = MakeHierarchicalDb(12);
-    auto built = ShapleyEngine::Build(q, db);
-    ASSERT_TRUE(built.ok()) << built.error();
-    ShapleyEngine engine = std::move(built).value();
-
-    std::vector<FactDelta> delta;
-    for (int i = 0; i < 8; ++i) {
-      const std::string s = "n" + std::to_string(i);
-      delta.push_back(FactDelta::Insert("Stud", {V(s)}, false));
-      delta.push_back(FactDelta::Insert("Reg", {V(s), V("os")}, true));
-    }
-    delta.push_back(FactDelta::Delete(db.FindFact("Reg", {V("s0"), V("c0")})));
-
-    CancelToken token = CancelToken::AtCheck(k);
-    auto applied = engine.ApplyDelta(db, delta, &token);
-    if (!applied.ok()) {
-      EXPECT_TRUE(CancelToken::IsCancelled(applied.error()))
-          << applied.error();
-    }
-    // The contract: engine state == "the applied prefix", exactly. The
-    // engine mutates db in lock step, so a fresh build over db is the
-    // prefix oracle — and the patched engine must match it bit for bit.
-    EXPECT_EQ(engine.AllValues(), OracleValues(q, db)) << "check " << k;
-  }
-}
-
 TEST(CancelBatteryTest, CancelledSamplingRunNeverPerturbsLaterValues) {
   const CQ q = MustParseCQ(kNonHierarchicalQuery);
   const Database db = MakeNonHierarchicalDb();
@@ -492,9 +462,9 @@ TEST(DeadlineRegistryTest, CancelledSweepKeepsEngineAccountingConsistent) {
   ASSERT_TRUE(registry.Report("s", ReportOptions{}).ok());
   ASSERT_TRUE(registry.ApplyMutation("s", Insert("Reg(s1,late)*")).ok());
 
-  // AtCheck(2): poll #1 is the registry's fast-path check (passes), poll #2
-  // is the value sweep's first poll — a cancellation mid-report on a
-  // resident engine, deterministically.
+  // AtCheck(2): poll #1 is BuildAttributionReport's entry poll (passes),
+  // poll #2 is the value sweep's first poll — a cancellation mid-report on
+  // a resident engine, deterministically.
   CancelToken token = CancelToken::AtCheck(2);
   ReportOptions cancelled;
   cancelled.cancel = &token;
@@ -528,7 +498,8 @@ TEST(DeadlineRegistryTest, CancelledFirstBuildLeavesNothingResident) {
   ASSERT_TRUE(registry.Open("s", q).ok());
   LoadSession(&registry, "s", db);
 
-  // AtCheck(2): past the fast path, into the build recursion.
+  // AtCheck(2): past BuildAttributionReport's entry poll, into the build
+  // recursion.
   CancelToken token = CancelToken::AtCheck(2);
   ReportOptions cancelled;
   cancelled.cancel = &token;
@@ -590,7 +561,10 @@ TEST(DeadlineRegistryTest, InflightGaugeIsZeroBetweenRequests) {
   ASSERT_TRUE(registry.Report("s", ReportOptions{}).ok());
   EXPECT_EQ(registry.stats().inflight, 0u);
 
-  // Deadline outcomes decrement the gauge on their error paths too.
+  // Deadline outcomes decrement the gauge on their error paths too. The
+  // delta makes the cached table stale: a current one is served without
+  // consulting the deadline.
+  ASSERT_TRUE(registry.ApplyMutation("s", Insert("Reg(a,db)*")).ok());
   CancelToken token = CancelToken::AfterMillis(0);
   ReportOptions expired;
   expired.cancel = &token;

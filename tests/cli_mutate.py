@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""shapcq_cli --mutate end to end: the delta replay serves an exact table
-from the incremental engine, so it must refuse the report keys that engine
-cannot honour (force_approx=1, a deadline) instead of dropping them, and
-still serve the keys it can (top_k, threads).
+"""shapcq_cli --mutate end to end: the report after the delta replay goes
+through the same BuildAttributionReport call as every other report, served
+from the replayed engine, so every report key applies: force_approx=1 serves
+a sampled table, a deadline an exact one, top_k and threads as usual. Each
+table must include the replayed insert Reg(Ben,DB)*.
 
 usage: cli_mutate.py SHAPCQ_CLI
 """
@@ -34,13 +35,18 @@ def main():
                  delta_path] + list(flags),
                 capture_output=True, text=True, timeout=60)
 
-        for flags, key in [(["--approx", "0.1,0.05", "--force-approx"],
-                            "force_approx"),
-                           (["--deadline-ms", "1000"], "deadline_ms")]:
+        for flags, engine in [(["--approx", "0.1,0.05", "--force-approx"],
+                               "approx-fpras"),
+                              (["--deadline-ms", "1000"],
+                               "CntSat (incremental)")]:
             run = cli(*flags)
-            if run.returncode != 2 or f"bad report request: {key}" not in \
-                    run.stderr or "engine:" in run.stdout:
-                failures.append(f"{flags}: want exit 2 naming {key}, got "
+            if (run.returncode != 0 or
+                    f"engine: {engine}\n" not in run.stdout or
+                    "applied 2 deltas" not in run.stdout or
+                    not any(line.startswith("Reg(Ben,DB)*")
+                            for line in run.stdout.splitlines())):
+                failures.append(f"{flags}: want an '{engine}' table with "
+                                f"Reg(Ben,DB)*, got "
                                 f"{run.returncode}:\n{run.stdout}{run.stderr}")
 
         run = cli("--top-k", "2", "--threads", "2")

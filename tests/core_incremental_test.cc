@@ -297,33 +297,26 @@ TEST(ShapleyEngineIncrementalTest, InsertDeclaringNewRelationChecksArity) {
   ExpectMatchesRebuild(q, db, engine, "after Blocked(a,b) insert");
 }
 
-TEST(ShapleyEngineIncrementalTest, ApplyDeltaBatch) {
+TEST(ShapleyEngineIncrementalTest, MixedMutationSequence) {
   UniversityDb u = BuildUniversityDb();
   const CQ q = UniversityQ1();
   auto built = ShapleyEngine::Build(q, u.db);
   ASSERT_TRUE(built.ok()) << built.error();
   ShapleyEngine engine = std::move(built).value();
 
-  std::vector<FactDelta> batch;
-  batch.push_back(FactDelta::Delete(u.fr1));
-  batch.push_back(FactDelta::Insert("Reg", {V("David"), V("DB")}, true));
-  batch.push_back(FactDelta::Insert("Stud", {V("Frank")}, false));
-  batch.push_back(FactDelta::Insert("Reg", {V("Frank"), V("AI")}, true));
-  batch.push_back(FactDelta::Delete(u.ft2));
-  auto applied = engine.ApplyDelta(u.db, batch);
-  ASSERT_TRUE(applied.ok()) << applied.error();
-  ASSERT_EQ(applied.value().size(), batch.size());
-  EXPECT_EQ(applied.value()[0], u.fr1);
-  ExpectMatchesRebuild(q, u.db, engine, "after 5-delta batch");
+  auto deleted = engine.DeleteFact(u.db, u.fr1);
+  ASSERT_TRUE(deleted.ok()) << deleted.error();
+  EXPECT_EQ(deleted.value(), u.fr1);
+  ASSERT_TRUE(engine.InsertFact(u.db, "Reg", {V("David"), V("DB")}, true).ok());
+  ASSERT_TRUE(engine.InsertFact(u.db, "Stud", {V("Frank")}, false).ok());
+  ASSERT_TRUE(engine.InsertFact(u.db, "Reg", {V("Frank"), V("AI")}, true).ok());
+  ASSERT_TRUE(engine.DeleteFact(u.db, u.ft2).ok());
+  ExpectMatchesRebuild(q, u.db, engine, "after 5 mutations");
 
-  // A failing delta reports its index; earlier deltas stay applied.
-  std::vector<FactDelta> bad;
-  bad.push_back(FactDelta::Insert("TA", {V("Frank")}, true));
-  bad.push_back(FactDelta::Delete(u.ft2));  // already deleted above
-  auto failed = engine.ApplyDelta(u.db, bad);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_NE(failed.error().find("delta 1"), std::string::npos);
-  ExpectMatchesRebuild(q, u.db, engine, "after failing batch");
+  // A failing mutation leaves the ones before it applied.
+  ASSERT_TRUE(engine.InsertFact(u.db, "TA", {V("Frank")}, true).ok());
+  EXPECT_FALSE(engine.DeleteFact(u.db, u.ft2).ok());  // already deleted
+  ExpectMatchesRebuild(q, u.db, engine, "after a failing mutation");
 }
 
 TEST(ShapleyEngineIncrementalTest, ParallelQueriesAfterMutations) {

@@ -2,6 +2,7 @@
 
 #include "core/report.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -9,9 +10,11 @@
 
 #include "core/brute_force.h"
 #include "core/exoshap.h"
+#include "core/shapley_engine.h"
 #include "datasets/citations.h"
 #include "datasets/university.h"
 #include "support/report_reference.h"
+#include "util/cancel.h"
 
 namespace shapcq {
 namespace {
@@ -85,6 +88,86 @@ TEST(ReportTest, BruteForceRespectsLimit) {
   options.allow_brute_force = true;
   options.brute_force_limit = 4;  // |Dn| = 8 exceeds it
   EXPECT_FALSE(BuildAttributionReport(UniversityQ2(), u.db, options).ok());
+}
+
+// The resident-engine slot of the CntSat tier: built into when empty,
+// served from when engaged, emptied by nothing, and only ever filled by a
+// finished build.
+TEST(ReportTest, EngineSlotIsBuiltIntoAndKeepsCancelledSweeps) {
+  UniversityDb u = BuildUniversityDb();
+  const CQ q = UniversityQ1();
+  auto slotless = BuildAttributionReport(q, u.db, {});
+  ASSERT_TRUE(slotless.ok()) << slotless.error();
+  AttributionReport want = slotless.value();
+  want.engine = "CntSat (incremental)";
+
+  // AtCheck(2): the entry poll passes, the build's first step cancels, and
+  // the unfinished engine never enters the slot.
+  std::optional<ShapleyEngine> slot;
+  CancelToken build_token = CancelToken::AtCheck(2);
+  ReportOptions cancelled;
+  cancelled.cancel = &build_token;
+  auto expired = BuildAttributionReport(q, u.db, cancelled, &slot);
+  ASSERT_FALSE(expired.ok());
+  EXPECT_EQ(expired.error(), DeadlineExceededMessage(0));
+  EXPECT_FALSE(slot.has_value());
+
+  auto built = BuildAttributionReport(q, u.db, {}, &slot);
+  ASSERT_TRUE(built.ok()) << built.error();
+  ASSERT_TRUE(slot.has_value());
+  ExpectSameReport(built.value(), want, u.db, "built into the slot");
+
+  // On an engaged slot after a mutation, AtCheck(2) cancels at the sweep's
+  // first poll: the engine stays, and the undeadlined retry on it equals a
+  // fresh report of the mutated database.
+  ASSERT_TRUE(slot->InsertFact(u.db, "Reg", {V("David"), V("DB")}, true).ok());
+  CancelToken sweep_token = CancelToken::AtCheck(2);
+  cancelled.cancel = &sweep_token;
+  expired = BuildAttributionReport(q, u.db, cancelled, &slot);
+  ASSERT_FALSE(expired.ok());
+  EXPECT_EQ(expired.error(), DeadlineExceededMessage(0));
+  ASSERT_TRUE(slot.has_value());
+  auto retry = BuildAttributionReport(q, u.db, {}, &slot);
+  ASSERT_TRUE(retry.ok()) << retry.error();
+  auto fresh = BuildAttributionReport(q, u.db, {});
+  ASSERT_TRUE(fresh.ok()) << fresh.error();
+  want = fresh.value();
+  want.engine = "CntSat (incremental)";
+  ExpectSameReport(retry.value(), want, u.db, "retry after the mutation");
+}
+
+TEST(ReportTest, EngineSlotIsLeftAloneBySampling) {
+  UniversityDb u = BuildUniversityDb();
+  const CQ q = UniversityQ1();
+
+  // An expired token degrades before any build.
+  std::optional<ShapleyEngine> slot;
+  CancelToken token = CancelToken::AfterMillis(0);
+  ReportOptions degrade;
+  degrade.cancel = &token;
+  degrade.on_deadline = OnDeadline::kApprox;
+  auto degraded = BuildAttributionReport(q, u.db, degrade, &slot);
+  ASSERT_TRUE(degraded.ok()) << degraded.error();
+  EXPECT_TRUE(degraded.value().approximate);
+  EXPECT_EQ(degraded.value().engine, "approx-fpras");
+  EXPECT_FALSE(slot.has_value());
+
+  // Forced sampling neither fills an empty slot nor reads an engaged one
+  // (an engine's orbit count stays 0 until something asks for its values).
+  ReportOptions forced;
+  forced.approx.epsilon = 0.25;
+  forced.approx.delta = 0.1;
+  forced.approx.force = true;
+  auto sampled = BuildAttributionReport(q, u.db, forced, &slot);
+  ASSERT_TRUE(sampled.ok()) << sampled.error();
+  EXPECT_TRUE(sampled.value().approximate);
+  EXPECT_FALSE(slot.has_value());
+  slot.emplace(ShapleyEngine::Build(q, u.db).value());
+  sampled = BuildAttributionReport(q, u.db, forced, &slot);
+  ASSERT_TRUE(sampled.ok()) << sampled.error();
+  EXPECT_TRUE(sampled.value().approximate);
+  ASSERT_TRUE(slot.has_value());
+  EXPECT_EQ(slot->stats().orbit_count, 0u);
 }
 
 TEST(ReportTest, RenderContainsFactsAndEngine) {

@@ -75,19 +75,6 @@ TEST(ShapleyTest, RejectsNonHierarchical) {
   EXPECT_FALSE(ShapleyViaCountSat(UniversityQ2(), u.db, u.ft1).ok());
 }
 
-TEST(ShapleyTest, DispatcherUsesExoShapAndBruteForce) {
-  UniversityDb u = BuildUniversityDb();
-  // q2 + exogenous Stud/Course: ExoShap path.
-  const CQ q2 = UniversityQ2();
-  for (FactId f : {u.ft1, u.fr3}) {
-    EXPECT_EQ(ShapleyExact(q2, u.db, f, {"Stud", "Course"}),
-              ShapleyBruteForce(q2, u.db, f))
-        << u.db.FactToString(f);
-  }
-  // q2 with no exogenous knowledge: brute-force fallback, still correct.
-  EXPECT_EQ(ShapleyExact(q2, u.db, u.ft1), ShapleyBruteForce(q2, u.db, u.ft1));
-}
-
 TEST(ShapleyFromSatCountsTest, HandAssembled) {
   // n = 2, f's partner fact alone satisfies nothing; with f the query always
   // holds: Shapley(f) = Σ_k k!(1-k)!/2! ((1) - (0)) over k=0,1 = 1.

@@ -5,7 +5,8 @@
 // — over ExecuteLine (the stdin/script transport) and over a real TCP
 // connection. Plus the socket reaps: the idle watchdog ends a silent client
 // without touching its session or its neighbors, and the read-poll timeout
-// reaps a stalled reader; both count into TransportStats::io_timeouts.
+// reaps a stalled reader; both count into TransportStats::io_timeouts. A
+// connection whose own command is still running is never idle-reaped.
 //
 // Deadline expiry here is genuinely timing-based (the protocol carries
 // milliseconds, not check ordinals), so the session is GROWN until the 1 ms
@@ -18,6 +19,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -332,6 +334,72 @@ TEST(DeadlineSocketTest, IdleWatchdogReapsSilentClientWithoutCollateral) {
   oracle.ExecuteLine("CLOSE b", &want);
   EXPECT_EQ(got, want);
 
+  server.Shutdown();
+  serve_thread.join();
+  EXPECT_EQ(server.total_errors(), 0u);
+}
+
+TEST(DeadlineSocketTest, IdleWatchdogSparesTheConnectionOfARunningCommand) {
+  // The idle clock means "waiting for the peer since": a connection whose
+  // own command computes for several idle limits is busy, not idle, so the
+  // next command on it must still be answered.
+  TransportStats transport;
+  CommandLoopOptions loop_options;
+  loop_options.registry.num_stripes = 8;
+  loop_options.transport_stats = &transport;
+  EngineRegistry registry(loop_options.registry);
+  TcpServerOptions net_options;
+  net_options.idle_timeout_ms = 100;
+  auto listening =
+      TcpServer::Listen(net_options, loop_options, &registry, nullptr);
+  ASSERT_TRUE(listening.ok()) << listening.error();
+  TcpServer server = std::move(listening).value();
+  std::thread serve_thread([&server]() { server.Serve(nullptr); });
+
+  // An approx-only session: its sampling cost grows as 1/eps^2, so eps is
+  // halved until one REPORT outlasts the idle limit four times over — the
+  // workload is grown, not sized for a machine speed.
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+  std::string script = "OPEN s q() :- R(x,y), S(x), T(y)\n";
+  for (int i = 0; i < 5; ++i) {
+    const std::string a = "a" + std::to_string(i);
+    const std::string b = "b" + std::to_string(i);
+    script += "DELTA s + R(" + a + "," + b + ")*\n";
+    script += "DELTA s + S(" + a + ")*\n";
+    script += "DELTA s + T(" + b + ")*\n";
+  }
+  client.Send(script);
+  auto read_through = [&client](const std::string& last) {
+    for (std::string line = client.ReadLine(); !line.empty();
+         line = client.ReadLine()) {
+      if (line.rfind("error:", 0) == 0) return false;
+      if (line == last) return true;
+    }
+    return false;  // EOF
+  };
+  const auto limit = std::chrono::milliseconds(net_options.idle_timeout_ms);
+  bool answered = true;
+  bool outlasted = false;
+  for (double eps = 0.2; eps > 1e-3 && answered && !outlasted; eps /= 2) {
+    const auto start = std::chrono::steady_clock::now();
+    client.Send("REPORT s approx=" + std::to_string(eps) + ",0.001\n");
+    answered = read_through("end report s");
+    outlasted = std::chrono::steady_clock::now() - start >= 4 * limit;
+  }
+  EXPECT_TRUE(answered) << "a REPORT after a long one got no answer";
+  EXPECT_TRUE(outlasted) << "no REPORT outlasted the idle limit";
+
+  // The next command, after a pause shorter than the limit, is answered.
+  std::this_thread::sleep_for(limit / 5);
+  client.Send("STATS s\n");
+  EXPECT_EQ(client.ReadLine(), "> STATS s");
+  const std::string stats_line = client.ReadLine();
+  EXPECT_EQ(stats_line.rfind("stats s ", 0), 0u) << stats_line;
+  EXPECT_EQ(transport.io_timeouts.load(), 0u);
+
+  client.CloseWrite();
+  client.ReadToEof();
   server.Shutdown();
   serve_thread.join();
   EXPECT_EQ(server.total_errors(), 0u);

@@ -18,13 +18,14 @@
 // one mutation per line, '+' inserts a fact literal ('*' = endogenous), '-'
 // deletes one by literal; blank lines and '#' comments are skipped. The
 // engine is built once, every delta patches a single root-to-leaf path, and
-// a fresh attribution report is printed after the replay. That report is
-// always exact, so --mutate refuses --force-approx and --deadline-ms.
+// the report after the replay is served from the replayed engine through
+// the same BuildAttributionReport call, so every report key applies.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "core/plan.h"
@@ -53,7 +54,7 @@ void PrintUsage() {
       "  FILE:  delta replay, one mutation per line: '+ Reg(eve,os)*'\n"
       "         inserts, '- Reg(a,os)' deletes; '#' starts a comment.\n"
       "         Requires a hierarchical query (the incremental engine);\n"
-      "         refuses force_approx=1 and deadline_ms.\n"
+      "         the report is served from the replayed engine.\n"
       "\n"
       "Report request (one grammar with the server's REPORT command):\n"
       "  top_k=K          keep only the K highest-ranked rows (0 = all)\n"
@@ -82,11 +83,11 @@ void PrintUsage() {
       "exactly these key=value pairs.\n");
 }
 
-// Replays a delta file against the incremental engine and prints the
-// resulting attribution report. Returns the process exit code.
-int RunMutateReplay(const shapcq::CQ& q, shapcq::Database& db,
-                    const std::string& path,
-                    const shapcq::ReportOptions& options) {
+// Builds the incremental engine into `engine` and replays a delta file
+// through it. Returns 0, or the process exit code of a failure.
+int ReplayDeltas(const shapcq::CQ& q, shapcq::Database& db,
+                 const std::string& path,
+                 std::optional<shapcq::ShapleyEngine>* engine) {
   using namespace shapcq;
   auto built = ShapleyEngine::Build(q, db);
   if (!built.ok()) {
@@ -94,7 +95,7 @@ int RunMutateReplay(const shapcq::CQ& q, shapcq::Database& db,
                  built.error().c_str());
     return 1;
   }
-  ShapleyEngine engine = std::move(built).value();
+  engine->emplace(std::move(built).value());
   std::ifstream file(path);
   if (!file) {
     std::fprintf(stderr, "cannot open delta file %s\n", path.c_str());
@@ -116,7 +117,7 @@ int RunMutateReplay(const shapcq::CQ& q, shapcq::Database& db,
     const FactSpec& fact = mutation.fact;
     if (mutation.op == MutationSpec::Op::kInsert) {
       auto inserted =
-          engine.InsertFact(db, fact.relation, fact.tuple, fact.endogenous);
+          (*engine)->InsertFact(db, fact.relation, fact.tuple, fact.endogenous);
       if (!inserted.ok()) {
         std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), line_no,
                      inserted.error().c_str());
@@ -129,7 +130,7 @@ int RunMutateReplay(const shapcq::CQ& q, shapcq::Database& db,
                      line_no);
         return 1;
       }
-      auto deleted = engine.DeleteFact(db, victim);
+      auto deleted = (*engine)->DeleteFact(db, victim);
       if (!deleted.ok()) {
         std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), line_no,
                      deleted.error().c_str());
@@ -140,9 +141,6 @@ int RunMutateReplay(const shapcq::CQ& q, shapcq::Database& db,
   }
   std::printf("applied %zu deltas; database now: %s\n", applied,
               db.ToString().c_str());
-  const AttributionReport report =
-      BuildAttributionReportFromEngine(engine, db, options);
-  std::printf("%s", RenderReport(report, db).c_str());
   return 0;
 }
 
@@ -213,21 +211,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad report request: %s\n", request.error().c_str());
     return 2;
   }
-  // --mutate serves its table from the incremental engine, which neither
-  // samples nor runs under a deadline: refuse the keys it would drop.
-  if (!mutate_path.empty() &&
-      (request.value().approx.force || request.value().deadline_ms > 0)) {
-    std::fprintf(stderr,
-                 "bad report request: %s is not supported with --mutate\n",
-                 request.value().approx.force ? "force_approx" : "deadline_ms");
-    return 2;
-  }
 
-  auto db = ParseDatabase(db_text);
-  if (!db.ok()) {
-    std::fprintf(stderr, "bad --db: %s\n", db.error().c_str());
+  auto parsed_db = ParseDatabase(db_text);
+  if (!parsed_db.ok()) {
+    std::fprintf(stderr, "bad --db: %s\n", parsed_db.error().c_str());
     return 1;
   }
+  Database db = std::move(parsed_db).value();
   auto query = ParseCQ(query_text);
   if (!query.ok()) {
     std::fprintf(stderr, "bad --query: %s\n", query.error().c_str());
@@ -262,11 +252,13 @@ int main(int argc, char** argv) {
   ReportOptions options = request.value().ToReportOptions();
   options.exo = exo;
   options.allow_brute_force = brute_force;
+  std::optional<ShapleyEngine> engine;
   if (!mutate_path.empty()) {
-    Database mutable_db = std::move(db).value();
-    return RunMutateReplay(query.value(), mutable_db, mutate_path, options);
+    const int code = ReplayDeltas(query.value(), db, mutate_path, &engine);
+    if (code != 0) return code;
   }
-  auto report = BuildAttributionReport(query.value(), db.value(), options);
+  auto report = BuildAttributionReport(query.value(), db, options,
+                                       mutate_path.empty() ? nullptr : &engine);
   if (!report.ok()) {
     std::fprintf(stderr,
                  "%s\n(hint: pass --approx EPS,DELTA for a sampled report, "
@@ -274,6 +266,6 @@ int main(int argc, char** argv) {
                  report.error().c_str());
     return 1;
   }
-  std::printf("%s", RenderReport(report.value(), db.value()).c_str());
+  std::printf("%s", RenderReport(report.value(), db).c_str());
   return 0;
 }

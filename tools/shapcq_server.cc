@@ -170,10 +170,10 @@ void PrintUsage() {
       "                     default); reaps dead peers and slow-loris\n"
       "                     clients, counted as io_timeouts= in STATS\n"
       "  --idle-timeout-ms N\n"
-      "                     listen mode: connections with no socket\n"
-      "                     activity in either direction for N ms are\n"
-      "                     half-closed by the watchdog (in-flight\n"
-      "                     responses still delivered; 0 = never, the\n"
+      "                     listen mode: connections that have waited\n"
+      "                     N ms for the peer's next command are\n"
+      "                     half-closed by the watchdog (a running\n"
+      "                     command is never idle; 0 = never, the\n"
       "                     default); also counted as io_timeouts=\n"
       "  --stats-bytes=MODE 'exact' (default) includes the platform-\n"
       "                     dependent bytes= engine-size estimate in the\n"
