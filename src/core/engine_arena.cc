@@ -80,18 +80,7 @@ EngineArena::EngineArena() = default;
 // Cell store
 // ---------------------------------------------------------------------------
 
-int EngineArena::NewSlot(size_t len) {
-  SHAPCQ_CHECK(cells_.size() + len <= std::numeric_limits<uint32_t>::max());
-  Slot slot;
-  slot.offset = static_cast<uint32_t>(cells_.size());
-  slot.len = static_cast<uint32_t>(len);
-  slot.cap = slot.len;
-  cells_.resize(cells_.size() + len);  // value-initialized BigInt() == 0
-  slots_.push_back(slot);
-  return static_cast<int>(slots_.size()) - 1;
-}
-
-int EngineArena::NewSlotFrom(std::vector<BigInt> cells) {
+int EngineArena::NewSlot(std::vector<BigInt> cells) {
   SHAPCQ_CHECK(cells_.size() + cells.size() <=
                std::numeric_limits<uint32_t>::max());
   // Bulk move-append (no value-init-then-overwrite pass): Build calls this
@@ -105,28 +94,22 @@ int EngineArena::NewSlotFrom(std::vector<BigInt> cells) {
   return static_cast<int>(slots_.size()) - 1;
 }
 
-void EngineArena::StoreSlotAt(int32_t& slot_ref, std::vector<BigInt> cells) {
+void EngineArena::StoreSlotAt(int32_t slot_id, std::vector<BigInt> cells) {
   SHAPCQ_CHECK(!cells.empty());
-  EnsureSlotLen(slot_ref, cells.size());
-  std::move(cells.begin(), cells.end(),
-            cells_.begin() + slots_[slot_ref].offset);
-}
-
-void EngineArena::EnsureSlotLen(int32_t& slot_ref, size_t len) {
-  if (slot_ref < 0) {
-    slot_ref = NewSlot(len);
-    return;
-  }
-  Slot& slot = slots_[slot_ref];
-  if (len > slot.cap) {
-    // Out of place: the old range is stranded until CompactCells.
+  Slot& slot = slots_[slot_id];
+  if (cells.size() > slot.cap) {
+    // Out of place: the old range is stranded until the next compaction.
+    SHAPCQ_CHECK(cells_.size() + cells.size() <=
+                 std::numeric_limits<uint32_t>::max());
     slack_cells_ += slot.cap;
     slot.offset = static_cast<uint32_t>(cells_.size());
-    slot.len = slot.cap = static_cast<uint32_t>(len);
-    cells_.resize(cells_.size() + len);
-    return;
+    slot.cap = static_cast<uint32_t>(cells.size());
+    cells_.resize(cells_.size() + cells.size());
   }
-  slot.len = static_cast<uint32_t>(len);
+  slot.len = static_cast<uint32_t>(cells.size());
+  std::move(cells.begin(), cells.end(), cells_.begin() + slot.offset);
+  // Each compaction is paid for by the stranded cells since the last one.
+  if (2 * slack_cells_ > cells_.size()) CompactCells();
 }
 
 std::vector<BigInt> EngineArena::CellsOf(int32_t slot_id) const {
@@ -151,9 +134,7 @@ void EngineArena::Reserve(size_t node_count) {
   sat_slot_.reserve(node_count);
   product_slot_.reserve(node_count);
   zero_count_.reserve(node_count);
-  r_slot_.reserve(node_count);
-  r_epoch_.reserve(node_count);
-  slots_.reserve(3 * node_count);
+  slots_.reserve(2 * node_count);
 }
 
 int EngineArena::AppendNode(NodeKind kind, const std::vector<int>& children,
@@ -176,15 +157,13 @@ int EngineArena::AppendNode(NodeKind kind, const std::vector<int>& children,
   sat_slot_.push_back(-1);
   product_slot_.push_back(-1);
   zero_count_.push_back(0);
-  r_slot_.push_back(-1);
-  r_epoch_.push_back(0);
   topo_dirty_ = true;
   return node;
 }
 
 int EngineArena::AddGround(bool negated, CountVector sat) {
   const int node = AppendNode(NodeKind::kGround, {}, negated);
-  sat_slot_[node] = NewSlotFrom(std::move(sat).TakeCounts());
+  sat_slot_[node] = NewSlot(std::move(sat).TakeCounts());
   return node;
 }
 
@@ -198,8 +177,8 @@ int EngineArena::AddInner(NodeKind kind, const std::vector<int>& children) {
     universe += combine.size() - 1;
     MultiplyIn(product, zero_count_[node], combine);
   }
-  product_slot_[node] = NewSlotFrom(std::move(product));
-  sat_slot_[node] = NewSlotFrom(SatFromProduct(node, universe));
+  product_slot_[node] = NewSlot(std::move(product));
+  sat_slot_[node] = NewSlot(SatFromProduct(node, universe));
   return node;
 }
 
@@ -219,7 +198,7 @@ void EngineArena::RecomputeTopo() {
   topo_.reserve(n);
   depth_.assign(n, 0);
   // BFS from the root over the flat child lists: parents precede children,
-  // and depth_ falls out for free (the warm sweep's level grouping).
+  // and depth_ falls out for free (the sweep's level grouping).
   topo_.push_back(root_);
   for (size_t head = 0; head < topo_.size(); ++head) {
     const int32_t node = topo_[head];
@@ -340,19 +319,20 @@ void EngineArena::SpliceNewChild(int parent, int child) {
   const size_t m = child_count(parent);
 
   // Append to the parent's child list by relocating it to the end of the
-  // flat array (the old range is a few stranded ints, reclaimed never —
-  // splices are rare and the ints are tiny next to the cells).
+  // flat array; the old range is stranded until the next compaction.
   const int32_t new_first = static_cast<int32_t>(children_.size());
   const int32_t old_first = child_first_[parent];
   for (size_t t = 0; t < m; ++t) {
     children_.push_back(children_[old_first + static_cast<int32_t>(t)]);
   }
   children_.push_back(child);
+  stranded_children_ += m;
   child_first_[parent] = new_first;
   child_count_[parent] = static_cast<int32_t>(m + 1);
   parent_[child] = parent;
   child_index_[child] = static_cast<int32_t>(m);
   topo_dirty_ = true;
+  if (2 * stranded_children_ > children_.size()) CompactChildren();
 
   const std::vector<BigInt> combine = CombineOf(parent, m);
   const size_t universe = SlotLen(sat_slot_[parent]) + combine.size() - 2;
@@ -361,8 +341,6 @@ void EngineArena::SpliceNewChild(int parent, int child) {
   StoreSlotAt(product_slot_[parent], std::move(product));
   StoreSatUpward(parent, SatFromProduct(parent, universe));
 }
-
-void EngineArena::InvalidateValues() { ++epoch_; }
 
 // ---------------------------------------------------------------------------
 // Evaluation: the difference-propagation sweep
@@ -380,95 +358,77 @@ void EngineArena::EnsureWeights(size_t n) {
   }
 }
 
-BigInt EngineArena::NumeratorAtLeaf(int leaf, size_t endo_count,
-                                    size_t global_free_endo) {
-  SHAPCQ_CHECK(kind(leaf) == NodeKind::kGround);
-  SHAPCQ_CHECK(endo_count >= 1);
-  if (r_epoch_[leaf] != epoch_) {
-    WarmValuePaths({leaf}, global_free_endo, /*num_threads=*/1);
-  }
-  EnsureWeights(endo_count);
-  const Slot& slot = slots_[r_slot_[leaf]];
-  // r spans the universe of the other endo_count - 1 players, exactly like
-  // the two propagated vectors ShapleyFromSatCounts subtracts.
-  SHAPCQ_CHECK(slot.len == endo_count);
-  const BigInt* r = cells_.data() + slot.offset;
-  BigInt numerator(0);
-  for (size_t k = 0; k < endo_count; ++k) {
-    if (!r[k].IsZero()) numerator.AddProductOf(weights_[k], r[k]);
-  }
-  if (negated_[leaf] != 0) numerator = -numerator;
-  return numerator;
-}
-
-bool EngineArena::WarmValuePaths(const std::vector<int>& leaves,
-                                 size_t global_free_endo, size_t num_threads,
-                                 const CancelToken* cancel) {
-  if (root_ < 0 || leaves.empty()) return true;
+bool EngineArena::Numerators(const std::vector<int>& leaves, size_t endo_count,
+                             size_t global_free_endo, size_t num_threads,
+                             const CancelToken* cancel,
+                             std::vector<BigInt>* out) {
+  out->clear();
+  if (leaves.empty()) return true;
   if (cancel != nullptr && cancel->Expired()) return false;
+  SHAPCQ_CHECK(endo_count >= 1);
   EnsureTopo();
 
-  // Mark every node whose r is cold along the leaves' root paths. A warm
-  // node's ancestors are warm by construction, so climbing stops early.
-  std::vector<uint8_t> need_r(kind_.size(), 0);
+  // Mark the leaves' root paths. A marked node's ancestors are marked
+  // already, so climbing stops there.
+  std::vector<uint8_t> on_path(kind_.size(), 0);
   for (int leaf : leaves) {
-    for (int node = leaf;; node = parent_[node]) {
-      if (r_epoch_[node] == epoch_ || need_r[node] != 0) break;
-      need_r[node] = 1;
-      if (node == root_) break;
+    SHAPCQ_CHECK(kind(leaf) == NodeKind::kGround);
+    for (int node = leaf; node >= 0 && on_path[node] == 0;
+         node = parent_[node]) {
+      on_path[node] = 1;
     }
   }
 
-  // Serial prepass, parents before children: pin every marked r slot at its
-  // exact length (universes add under convolution, and a context spans the
-  // parent's universe minus the child's) and group the nodes by depth. After
-  // this pass the cell buffer never grows again, so the fill below writes
-  // into ranges no reallocation can move.
+  // Serial prepass, parents before children: lay each marked node's r out
+  // in one call-local buffer at its exact length (universes add under
+  // convolution, and a context spans the parent's universe minus the
+  // child's) and group the nodes by depth.
+  struct Span {
+    size_t offset = 0;
+    size_t len = 0;
+  };
+  std::vector<Span> r_span(kind_.size());
   std::vector<std::vector<int32_t>> levels;
+  size_t r_cells = 0;
   size_t max_universe = global_free_endo;
   for (int32_t node : topo_) {
-    if (need_r[node] == 0) continue;
-    size_t r_len = global_free_endo + 1;
+    if (on_path[node] == 0) continue;
+    size_t len = global_free_endo + 1;
     if (node != root_) {
       const int32_t p = parent_[node];
-      r_len = SlotLen(r_slot_[p]) + SlotLen(sat_slot_[p]) -
-              SlotLen(sat_slot_[node]);
+      len = r_span[p].len + SlotLen(sat_slot_[p]) - SlotLen(sat_slot_[node]);
       max_universe = std::max(max_universe, SlotLen(sat_slot_[node]) - 1);
     }
-    EnsureSlotLen(r_slot_[node], r_len);
+    r_span[node] = {r_cells, len};
+    r_cells += len;
     const size_t d = static_cast<size_t>(depth_[node]);
     if (levels.size() <= d) levels.resize(d + 1);
     levels[d].push_back(node);
   }
-  if (levels.empty()) return true;
+  std::vector<BigInt> r(r_cells);
 
   // The per-node fill: r[root] = All(global_free_endo), and r[child] =
-  // r[parent] ⊛ ctx convolved straight into the child's pinned slot. It
-  // writes only that slot and reads only the parent's r — finished one level
+  // r[parent] ⊛ ctx convolved straight into the child's span. It writes
+  // only that span and reads only the parent's — finished one level
   // earlier — and the sat and product slots, which the sweep never writes.
   auto fill = [&](int32_t node) {
-    const Slot& dst = slots_[r_slot_[node]];
-    BigInt* out = cells_.data() + dst.offset;
+    BigInt* dst = r.data() + r_span[node].offset;
     if (node == root_) {
       std::vector<BigInt> row = Combinatorics::BinomialRow(global_free_endo);
-      std::move(row.begin(), row.end(), out);
-    } else {
-      const int32_t p = parent_[node];
-      const std::vector<BigInt> ctx = ContextOf(p, child_index(node));
-      const Slot& parent_r = slots_[r_slot_[p]];
-      SHAPCQ_CHECK(parent_r.len + ctx.size() - 1 == dst.len);
-      ConvolveCounts(cells_.data() + parent_r.offset, parent_r.len,
-                     ctx.data(), ctx.size(), out);
+      std::move(row.begin(), row.end(), dst);
+      return;
     }
-    r_epoch_[node] = epoch_;
+    const int32_t p = parent_[node];
+    const std::vector<BigInt> ctx = ContextOf(p, child_index(node));
+    SHAPCQ_CHECK(r_span[p].len + ctx.size() - 1 == r_span[node].len);
+    ConvolveCounts(r.data() + r_span[p].offset, r_span[p].len, ctx.data(),
+                   ctx.size(), dst);
   };
 
   // One thread fills each level inline on the caller; more hand the same
   // fill to a pool, with the ParallelFor join as the happens-before edge
-  // between levels. Either way each slot is written once by the same
+  // between levels. Either way each cell is written once by the same
   // exact-integer formula, so values are bit-identical at every count.
-  // Cancellation polls sit BETWEEN levels: the epoch watermarks of a level
-  // that never ran simply stay cold, and the next sweep recomputes them.
   const size_t threads = ThreadPool::ResolveThreadCount(num_threads);
   std::optional<ThreadPool> pool;
   if (threads > 1) {
@@ -482,6 +442,23 @@ bool EngineArena::WarmValuePaths(const std::vector<int>& leaves,
     } else {
       for (int32_t node : level) fill(node);
     }
+  }
+
+  // Σ_k w_k·r_k per leaf over the n = endo_count players (r spans the
+  // universe of the other n − 1, exactly like the two propagated vectors
+  // ShapleyFromSatCounts subtracts), negated for negated leaves.
+  EnsureWeights(endo_count);
+  out->reserve(leaves.size());
+  for (int leaf : leaves) {
+    if (cancel != nullptr && cancel->Expired()) return false;
+    SHAPCQ_CHECK(r_span[leaf].len == endo_count);
+    const BigInt* r_leaf = r.data() + r_span[leaf].offset;
+    BigInt numerator(0);
+    for (size_t k = 0; k < endo_count; ++k) {
+      if (!r_leaf[k].IsZero()) numerator.AddProductOf(weights_[k], r_leaf[k]);
+    }
+    if (negated_[leaf] != 0) numerator = -numerator;
+    out->push_back(std::move(numerator));
   }
   return true;
 }
@@ -505,40 +482,44 @@ size_t EngineArena::ApproxMemoryBytes() const {
   bytes += (parent_.capacity() + child_index_.capacity() +
             child_first_.capacity() + child_count_.capacity() +
             children_.capacity() + topo_.capacity() + depth_.capacity() +
-            sat_slot_.capacity() + product_slot_.capacity() +
-            r_slot_.capacity()) *
+            sat_slot_.capacity() + product_slot_.capacity()) *
            sizeof(int32_t);
-  bytes += (zero_count_.capacity() + r_epoch_.capacity()) * sizeof(uint32_t);
+  bytes += zero_count_.capacity() * sizeof(uint32_t);
   bytes += (weights_.capacity() - weights_.size()) * sizeof(BigInt);
   for (const BigInt& weight : weights_) bytes += weight.ApproxMemoryBytes();
   return bytes;
 }
 
 void EngineArena::CompactCells() {
-  // Slots in first-reference order: node-major, vector-kind-minor. Every
-  // slot belongs to exactly one node's sat, product or r.
-  std::vector<int32_t> live;
-  for (size_t node = 0; node < kind_.size(); ++node) {
-    for (int32_t slot : {sat_slot_[node], product_slot_[node], r_slot_[node]}) {
-      if (slot >= 0) live.push_back(slot);
-    }
-  }
-  SHAPCQ_CHECK(live.size() == slots_.size());
+  // Every slot is one node's sat or product, allocated as the node was
+  // appended, so slot-id order is node order.
   size_t total = 0;
-  for (int32_t slot : live) total += slots_[slot].len;
-  std::vector<BigInt> packed(total);
-  size_t at = 0;
-  for (int32_t slot : live) {
-    Slot& s = slots_[slot];
-    for (uint32_t i = 0; i < s.len; ++i) {
-      packed[at + i] = std::move(cells_[s.offset + i]);
-    }
-    s.offset = static_cast<uint32_t>(at);
-    s.cap = s.len;
-    at += s.len;
+  for (const Slot& slot : slots_) total += slot.len;
+  std::vector<BigInt> packed;
+  packed.reserve(total);
+  for (Slot& slot : slots_) {
+    const auto first = cells_.begin() + slot.offset;
+    slot.offset = static_cast<uint32_t>(packed.size());
+    slot.cap = slot.len;
+    packed.insert(packed.end(), std::make_move_iterator(first),
+                  std::make_move_iterator(first + slot.len));
   }
   cells_ = std::move(packed);
   slack_cells_ = 0;
+  CompactChildren();
+}
+
+void EngineArena::CompactChildren() {
+  std::vector<int32_t> packed;
+  packed.reserve(children_.size() - stranded_children_);
+  for (size_t node = 0; node < kind_.size(); ++node) {
+    if (child_count_[node] == 0) continue;
+    const auto first = children_.begin() + child_first_[node];
+    child_first_[node] = static_cast<int32_t>(packed.size());
+    packed.insert(packed.end(), first, first + child_count_[node]);
+  }
+  children_ = std::move(packed);
+  stranded_children_ = 0;
 }
 
 void EngineArena::CheckInvariants() const {
@@ -547,13 +528,15 @@ void EngineArena::CheckInvariants() const {
                child_first_.size() == n && child_count_.size() == n &&
                negated_.size() == n && depth_.size() == n &&
                sat_slot_.size() == n && product_slot_.size() == n &&
-               zero_count_.size() == n && r_slot_.size() == n &&
-               r_epoch_.size() == n);
+               zero_count_.size() == n);
   if (n == 0) return;
   SHAPCQ_CHECK(root_ >= 0 && static_cast<size_t>(root_) < n);
   SHAPCQ_CHECK(parent_[root_] == -1);
+  size_t live_children = 0;
+  std::vector<uint8_t> owned(slots_.size(), 0);  // each slot has one owner
   for (size_t node = 0; node < n; ++node) {
     const int32_t m = child_count_[node];
+    live_children += static_cast<size_t>(m);
     SHAPCQ_CHECK(m >= 0);
     SHAPCQ_CHECK(m == 0 || child_first_[node] >= 0);
     if (m > 0) {
@@ -571,10 +554,28 @@ void EngineArena::CheckInvariants() const {
     SHAPCQ_CHECK((product_slot_[node] >= 0) == !ground);
     SHAPCQ_CHECK(!ground || m == 0);
     SHAPCQ_CHECK(zero_count_[node] <= static_cast<uint32_t>(m));
+    for (int32_t slot : {sat_slot_[node], product_slot_[node]}) {
+      if (slot < 0) continue;
+      SHAPCQ_CHECK(static_cast<size_t>(slot) < slots_.size() && !owned[slot]);
+      owned[slot] = 1;
+    }
   }
-  for (const Slot& slot : slots_) {
-    SHAPCQ_CHECK(slot.len <= slot.cap);
+  SHAPCQ_CHECK(live_children + stranded_children_ == children_.size());
+  // Every cell lies in exactly one live slot's range or is slack.
+  std::vector<std::pair<size_t, size_t>> ranges;  // (offset, cap)
+  size_t live_cells = 0;
+  for (size_t id = 0; id < slots_.size(); ++id) {
+    const Slot& slot = slots_[id];
+    SHAPCQ_CHECK(owned[id] && slot.len <= slot.cap);
     SHAPCQ_CHECK(static_cast<size_t>(slot.offset) + slot.cap <= cells_.size());
+    ranges.emplace_back(slot.offset, slot.cap);
+    live_cells += slot.cap;
+  }
+  SHAPCQ_CHECK(live_cells + slack_cells_ == cells_.size());
+  std::sort(ranges.begin(), ranges.end());
+  for (size_t i = 1; i < ranges.size(); ++i) {
+    SHAPCQ_CHECK(ranges[i - 1].first + ranges[i - 1].second <=
+                 ranges[i].first);
   }
   if (!topo_dirty_) {
     // Topological order: covers every node exactly once, root first,

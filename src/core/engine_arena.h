@@ -11,8 +11,8 @@
 //    limbs and |Dn| <= 192 every cell's magnitude is stored inline in its
 //    40-byte BigInt slot, so a bottom-up sweep walks contiguous memory.
 //    Replacing a vector reuses its range in place when the new length fits
-//    and appends a fresh range otherwise (the stranded cells are tracked as
-//    slack and reclaimed by CompactCells()).
+//    and appends a fresh range otherwise; CompactCells() packs the buffer
+//    once stranded cells outnumber live ones (likewise relocated child ids).
 //  * ShapleyEngine::Build appends each node the moment its recursion step
 //    finishes, children before parents, and the node's |Sat| cells are
 //    written straight into the buffer. Each inner node combines its
@@ -44,9 +44,9 @@
 // it is the product itself when j is the parent's only zero child, and 0
 // when another child is zero.
 //
-// One sweep computes r at every thread count (WarmValuePaths): it pins the
-// cold r slots on the requested paths, then fills them level by level,
-// inline on the caller at one thread and over a pool at more.
+// One call, Numerators, fills r along the requested leaves' paths level by
+// level (inline at one thread, over a pool at more) in a buffer that dies
+// with the call: the arena keeps no evaluation state between calls.
 //
 // Incremental maintenance patches the same storage: a leaf store or a
 // new-child splice walks the dirtied path to the root, dividing each
@@ -148,37 +148,28 @@ class EngineArena {
   /// parent's product — the new-slice splice of an insert.
   void SpliceNewChild(int parent, int child);
 
-  /// Drops every cached r-vector (the difference-propagation sweep state).
-  /// Every value-affecting mutation must call this: the player count or the
-  /// path products changed.
-  void InvalidateValues();
-
   // -------------------------------------------------------------------------
   // Evaluation.
   // -------------------------------------------------------------------------
 
-  /// n!·Shapley of the endogenous fact at `leaf` (n = endo_count): the
-  /// integer numerator of the paper's
+  /// The evaluation call: n!·Shapley of the endogenous fact at each of
+  /// `leaves` (n = endo_count), into `out` in the same order — the integer
+  /// numerator of the paper's
   /// Σ_k k!(n−1−k)!/n! · (|Sat_k with f exogenous| − |Sat_k without f|)
-  /// over the denominator n! that every value shares, assembled from r[leaf]
-  /// against the weight row w_k = k!(n−1−k)!, built once per n. A cold
-  /// r[leaf] is first warmed by a one-thread WarmValuePaths over the leaf's
-  /// path; a warm one is read as is.
-  BigInt NumeratorAtLeaf(int leaf, size_t endo_count,
-                         size_t global_free_endo);
-
-  /// The evaluation sweep: warms r[] along the paths of all `leaves`, level
-  /// by level from the root, inline on the caller when num_threads <= 1 and
-  /// over a worker pool otherwise (0 = hardware concurrency). Results of
-  /// subsequent NumeratorAtLeaf calls are bit-identical at every thread count
-  /// (each slot is written once, and every vector is a pure function of the
-  /// built index). A non-null `cancel` token is polled before the sweep and
-  /// between levels; returns false when the sweep stopped early on an
-  /// expired token. A partial warm is fully consistent: epoch watermarks
-  /// advance only for completed slots, so cold nodes simply recompute on the
-  /// next (possibly undeadlined) sweep — values stay bit-identical.
-  bool WarmValuePaths(const std::vector<int>& leaves, size_t global_free_endo,
-                      size_t num_threads, const CancelToken* cancel = nullptr);
+  /// over the denominator n! that every value shares. One sweep lays r out
+  /// for every node on the leaves' root paths in a call-local buffer and
+  /// fills it level by level from the root, inline on the caller when
+  /// num_threads <= 1 and over a worker pool otherwise (0 = hardware
+  /// concurrency); each leaf's numerator is then assembled from r[leaf]
+  /// against the weight row w_k = k!(n−1−k)!, built once per n. Results are
+  /// bit-identical at every thread count (each r cell is written once, by
+  /// the same exact-integer formula). A non-null `cancel` token is polled
+  /// before the sweep, between levels and before each leaf's assembly;
+  /// returns false when it expired, with `out` unspecified. Nothing
+  /// outlives the call, so a retry re-sweeps to the same integers.
+  bool Numerators(const std::vector<int>& leaves, size_t endo_count,
+                  size_t global_free_endo, size_t num_threads,
+                  const CancelToken* cancel, std::vector<BigInt>* out);
 
   // -------------------------------------------------------------------------
   // Accounting and invariants.
@@ -192,15 +183,19 @@ class EngineArena {
   /// Cells stranded by out-of-place vector replacements, in units of cells.
   size_t SlackCells() const { return slack_cells_; }
 
-  /// Rewrites the cell buffer dense (every live slot packed back to back,
-  /// slack dropped). Values are untouched.
+  /// Rewrites the cell buffer and the child-id array dense (every live slot
+  /// and child list packed back to back, stranded entries dropped). Values
+  /// are untouched. Slot stores run it once stranded cells outnumber live
+  /// ones.
   void CompactCells();
 
   /// Aborts (SHAPCQ_CHECK) unless the structural invariants hold: parallel
   /// arrays equal-sized, child ranges well-formed and mutually consistent
   /// with parent/child_index, topological order covering every node with
-  /// parents before children, and every live slot range inside the buffer
-  /// with len <= cap. Test hook; O(nodes + slots).
+  /// parents before children, every live slot range inside the buffer with
+  /// len <= cap, live ranges disjoint, the live caps plus SlackCells()
+  /// accounting for every cell, and the live child lists plus the stranded
+  /// ids accounting for every child id. Test hook; O(nodes + slots).
   void CheckInvariants() const;
 
  private:
@@ -211,18 +206,16 @@ class EngineArena {
   };
 
   // --- cell store ---
-  int NewSlot(size_t len);
-  int NewSlotFrom(std::vector<BigInt> cells);
-  // Moves `cells` into the slot, allocating it (or a wider range) on demand.
-  // In place whenever the new length fits the slot's capacity.
-  void StoreSlotAt(int32_t& slot_ref, std::vector<BigInt> cells);
-  // Allocates the slot (or re-ranges an existing one whose capacity is too
-  // small) and pins len = `len`. The warm sweep's prepass runs it, so the
-  // fill has nothing left to grow.
-  void EnsureSlotLen(int32_t& slot_ref, size_t len);
+  int NewSlot(std::vector<BigInt> cells);
+  // Moves `cells` into the slot: in place whenever the new length fits its
+  // capacity, out of place (stranding the old range) otherwise.
+  void StoreSlotAt(int32_t slot, std::vector<BigInt> cells);
   size_t SlotLen(int32_t slot) const { return slots_[slot].len; }
   // A copy of the slot's cells.
   std::vector<BigInt> CellsOf(int32_t slot) const;
+  // Packs children_ dense (part of CompactCells; splices run it once
+  // stranded ids outnumber live ones).
+  void CompactChildren();
 
   // --- structure ---
   // Appends the node's SoA entries (no cells yet) and links `children`
@@ -247,7 +240,7 @@ class EngineArena {
   // Stores `sat` as the node's |Sat| and re-derives every ancestor.
   void StoreSatUpward(int node, std::vector<BigInt> sat);
 
-  // --- evaluation sweep (the sweep itself is WarmValuePaths) ---
+  // --- evaluation (the sweep itself is Numerators) ---
   void EnsureTopo();
   void RecomputeTopo();
   // weights_[k] = k!(n−1−k)! for the current player count n.
@@ -260,6 +253,7 @@ class EngineArena {
   std::vector<int32_t> child_first_;  // into children_, -1 when childless
   std::vector<int32_t> child_count_;
   std::vector<int32_t> children_;  // concatenated child-id lists
+  size_t stranded_children_ = 0;   // ids in no live list (relocated lists)
   std::vector<uint8_t> negated_;
   std::vector<int32_t> topo_;   // parents before children (root first)
   std::vector<int32_t> depth_;  // distance from the root
@@ -276,11 +270,6 @@ class EngineArena {
   // is zero.
   std::vector<int32_t> product_slot_;
   std::vector<uint32_t> zero_count_;
-
-  // Difference-propagation vectors, valid iff the epoch matches epoch_.
-  std::vector<int32_t> r_slot_;
-  std::vector<uint32_t> r_epoch_;
-  uint32_t epoch_ = 1;
 
   // The Shapley weight row over the shared denominator n!, for the n =
   // weights_.size() it was last built for.

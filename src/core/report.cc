@@ -306,7 +306,7 @@ Result<AttributionReport> BuildAttributionReport(
   // table instead of a from-scratch computation per fact.
   if (cntsat) {
     // Only a finished build enters the slot, so a cancelled one leaves it
-    // empty; a cancelled sweep keeps the finished values memoized.
+    // empty; a cancelled sweep memoizes no value.
     std::optional<ShapleyEngine> one_shot;
     std::optional<ShapleyEngine>& slot = engine != nullptr ? *engine : one_shot;
     if (!slot.has_value()) {

@@ -120,7 +120,7 @@ struct ReportOptions {
 /// labelled "CntSat (incremental)". The engine must have been built on
 /// `db` and kept in step with it (InsertFact/DeleteFact). A cancelled
 /// build leaves the slot empty; a cancelled sweep leaves it engaged with
-/// every finished value memoized, so a later undeadlined report is
+/// no value memoized, so a later undeadlined report re-sweeps and is
 /// bit-identical to a fresh engine's. Other tiers never touch the slot.
 Result<AttributionReport> BuildAttributionReport(
     const CQ& q, const Database& db, const ReportOptions& options,

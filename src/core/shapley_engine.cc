@@ -19,10 +19,15 @@ namespace shapcq {
 
 namespace {
 
-// Lists of arena indices by query atom id: the recursion's working set. A
-// step reads the entries of its own atoms; slicing copies 32-bit indices,
-// never Tuples.
-using IndexLists = std::vector<std::vector<uint32_t>>;
+// Matched facts by query atom id: the recursion's working set. A step reads
+// the entries of its own atoms; slicing copies 32-bit FactIds, never Tuples.
+using IndexLists = std::vector<std::vector<FactId>>;
+
+// The leaf state of a matched fact.
+GroundFactState PresentState(const Database& db, FactId fact) {
+  return db.is_endogenous(fact) ? GroundFactState::kEndogenous
+                                : GroundFactState::kExogenous;
+}
 
 }  // namespace
 
@@ -62,21 +67,15 @@ struct ShapleyEngine::Impl {
   size_t global_free_endo = 0;  // endo facts matching no atom pattern
   std::vector<Node> nodes;      // indexed by arena node id
 
-  // The numeric core: node structure, every count vector (memoized sat,
-  // per-node products, evaluation state) and the evaluation sweep.
+  // The numeric core: node structure, every count vector (memoized sat and
+  // per-node products) and the evaluation sweep.
   EngineArena arena;
 
-  // Shared fact arena: matched facts as indices, queried via *db. Append-
-  // only; entries of deleted facts go stale but are never referenced again
-  // (leaves and slices are patched to forget them).
-  std::vector<FactId> arena_fact;
-  std::vector<bool> arena_endo;
-
   // One orbit of endogenous facts: its representative leaf (its first
-  // member's; -1 for the null players' orbit) and, once valued this epoch,
-  // its value as the numerator over the denominator n! = |Dn|! that every
-  // value shares, and reduced — one gcd per orbit, whose members get
-  // copies.
+  // member's; -1 for the null players' orbit) and, once valued since the
+  // last mutation, its value as the numerator over the denominator n! =
+  // |Dn|! that every value shares, and reduced — one gcd per orbit, whose
+  // members get copies.
   struct Orbit {
     int leaf = -1;
     bool valued = false;
@@ -126,7 +125,8 @@ struct ShapleyEngine::Impl {
 
   int BuildNode(const SafePlan& step, const IndexLists& lists);
   void ResignNode(int node_id);
-  const Orbit& ValuedOrbit(size_t id);
+  bool ValueOrbits(const std::vector<size_t>& ids, size_t num_threads,
+                   const CancelToken* cancel);
   void RefreshOrbitsIfDirty();
   bool ValueAllOrbits(const ParallelOptions& options,
                       const CancelToken* cancel);
@@ -146,7 +146,7 @@ struct ShapleyEngine::Impl {
     return Result<std::vector<T>>::Ok(std::move(out));
   }
   void ApplyInsert(FactId fact);
-  void RouteInsert(int node_id, uint32_t arena_index, size_t atom_id);
+  void RouteInsert(int node_id, FactId fact, size_t atom_id);
   void ApplyDelete(FactId fact, bool endo, size_t endo_idx);
   void PatchAncestors(int dirty);
   void RefreshDerivedState();
@@ -220,21 +220,17 @@ int ShapleyEngine::Impl::BuildNode(const SafePlan& step,
     }
     case SafePlan::Kind::kAtomLeaf: {
       // A single ground atom (Lemma 3.2 base case, extended for negation).
-      const std::vector<uint32_t>& list = lists[step.atom_ids[0]];
+      const std::vector<FactId>& list = lists[step.atom_ids[0]];
       SHAPCQ_CHECK_MSG(list.size() <= 1,
                        "ground atom with more than one matching fact");
       const bool negated = query.atom(step.atom_ids[0]).negated;
-      if (!list.empty()) {
-        node.leaf_state = arena_endo[list[0]] ? GroundFactState::kEndogenous
-                                              : GroundFactState::kExogenous;
-      }
+      if (!list.empty()) node.leaf_state = PresentState(*db, list[0]);
       CountVector sat = GroundLeafSat(negated, node.leaf_state);
       const int id = AddNode(arena.AddGround(negated, std::move(sat)),
                              std::move(node));
-      if (!list.empty()) {
-        const FactId fact = arena_fact[list[0]];
-        leaf_of_fact[fact] = id;
-        if (arena_endo[list[0]]) leaf_of_endo[db->endo_index(fact)] = id;
+      if (!list.empty()) leaf_of_fact[list[0]] = id;
+      if (nodes[id].leaf_state == GroundFactState::kEndogenous) {
+        leaf_of_endo[db->endo_index(list[0])] = id;
       }
       return id;
     }
@@ -247,14 +243,14 @@ int ShapleyEngine::Impl::BuildNode(const SafePlan& step,
   // positions.
   std::map<int32_t, IndexLists> slices;
   for (size_t atom_id : step.atom_ids) {
-    for (uint32_t index : lists[atom_id]) {
+    for (FactId fact : lists[atom_id]) {
       // shapcq::Value spelled out: inside ShapleyEngine's scope the bare
       // name resolves to the Value() member function.
       const shapcq::Value root_value =
-          db->tuple_of(arena_fact[index])[step.root_position[atom_id]];
+          db->tuple_of(fact)[step.root_position[atom_id]];
       auto [it, inserted] = slices.try_emplace(root_value.id);
       if (inserted) it->second.resize(query.atom_count());
-      it->second[atom_id].push_back(index);
+      it->second[atom_id].push_back(fact);
     }
   }
 
@@ -271,18 +267,27 @@ int ShapleyEngine::Impl::BuildNode(const SafePlan& step,
 // Values and orbits
 // ---------------------------------------------------------------------------
 
-// The orbit's memoized value, computed on first use this epoch (the null
-// orbit is valued at 0 from the start).
-const ShapleyEngine::Impl::Orbit& ShapleyEngine::Impl::ValuedOrbit(
-    size_t id) {
-  Orbit& orbit = orbits[id];
-  if (!orbit.valued) {
-    orbit.numerator =
-        arena.NumeratorAtLeaf(orbit.leaf, endo_count, global_free_endo);
+// Values the orbits `ids`, none valued yet, with one arena call over their
+// representatives, and memoizes them only if the call finished: a cancelled
+// call keeps nothing.
+bool ShapleyEngine::Impl::ValueOrbits(const std::vector<size_t>& ids,
+                                      size_t num_threads,
+                                      const CancelToken* cancel) {
+  std::vector<int> leaves;
+  leaves.reserve(ids.size());
+  for (size_t id : ids) leaves.push_back(orbits[id].leaf);
+  std::vector<BigInt> numerators;
+  if (!arena.Numerators(leaves, endo_count, global_free_endo, num_threads,
+                        cancel, &numerators)) {
+    return false;
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    Orbit& orbit = orbits[ids[i]];
+    orbit.numerator = std::move(numerators[i]);
     orbit.value = Rational(orbit.numerator, denominator);
     orbit.valued = true;
   }
-  return orbit;
+  return true;
 }
 
 // Orbits are (re)collected lazily after Build and after every mutation: one
@@ -316,31 +321,21 @@ void ShapleyEngine::Impl::RefreshOrbitsIfDirty() {
   orbits_dirty = false;
 }
 
-// Values every orbit still missing from the memo, in id order: one arena
-// sweep warms the missing representatives' paths (inline at one thread, over
-// a pool at more — see EngineArena::WarmValuePaths), then a serial assembly
-// reads warm state only. Values already memoized (by an earlier, possibly
-// cancelled, query) are pure functions of the built index, so reusing them
-// preserves bit-identity. The sweep polls `cancel` between levels (a partial
-// warm leaves only cold watermarks behind) and the assembly at each orbit;
-// returns false on expiry.
+// Values every orbit still missing from the memo with one arena call (inline
+// at one thread, over a pool at more — see EngineArena::Numerators), which
+// polls `cancel` before its sweep, between levels and before each orbit's
+// assembly; returns false on expiry, with nothing new memoized. Memoized
+// values are pure functions of the built index, so reusing them preserves
+// bit-identity.
 bool ShapleyEngine::Impl::ValueAllOrbits(const ParallelOptions& options,
                                          const CancelToken* cancel) {
   if (cancel != nullptr && !cancel->Enabled()) cancel = nullptr;
   RefreshOrbitsIfDirty();
-  std::vector<int> leaves;
-  for (const Orbit& orbit : orbits) {
-    if (!orbit.valued) leaves.push_back(orbit.leaf);
-  }
-  if (!arena.WarmValuePaths(leaves, global_free_endo, options.num_threads,
-                            cancel)) {
-    return false;
-  }
+  std::vector<size_t> unvalued;
   for (size_t id = 0; id < orbits.size(); ++id) {
-    if (orbits[id].valued) continue;
-    if (cancel != nullptr && cancel->Expired()) return false;
-    ValuedOrbit(id);
+    if (!orbits[id].valued) unvalued.push_back(id);
   }
+  if (!ValueOrbits(unvalued, options.num_threads, cancel)) return false;
   stats.orbit_count = orbits.size();
   return true;
 }
@@ -361,30 +356,27 @@ void ShapleyEngine::Impl::PatchAncestors(int dirty) {
 }
 
 // Epilogue of Build and of every value-affecting mutation: recomputes the
-// stats and drops what is rebuilt lazily on the next query (r-vectors,
-// orbits and their values). After a mutation all of it is stale even
-// though only one path's count vectors moved: the player count or the
-// root's |Sat| changed, which re-weights every value.
+// stats and drops the orbits and their values, rebuilt lazily on the next
+// query. After a mutation all of them are stale even though only one path's
+// count vectors moved: the player count or the root's |Sat| changed, which
+// re-weights every value.
 void ShapleyEngine::Impl::RefreshDerivedState() {
-  arena.InvalidateValues();
   orbits_dirty = true;
   endo_count = db->endogenous_count();
   stats.node_count = nodes.size();
-  stats.arena_size = arena_fact.size();
   stats.null_player_count = 0;
   for (int leaf : leaf_of_endo) {
     if (leaf < 0) ++stats.null_player_count;
   }
 }
 
-// Steers an inserted fact (already in the database and the fact arena) down
-// the recursion by the nodes' plan steps: through its atom's component, then
-// slice by slice along its root values, ending in an existing empty leaf or
-// a freshly built subtree for an unseen root value. Exactly one root-to-leaf
-// path is dirtied.
-void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
+// Steers an inserted fact (already in the database) down the recursion by
+// the nodes' plan steps: through its atom's component, then slice by slice
+// along its root values, ending in an existing empty leaf or a freshly built
+// subtree for an unseen root value. Exactly one root-to-leaf path is
+// dirtied.
+void ShapleyEngine::Impl::RouteInsert(int node_id, FactId fact,
                                       size_t atom_id) {
-  const FactId fact = arena_fact[arena_index];
   const SafePlan& step = *nodes[node_id].step;
   switch (arena.kind(node_id)) {
     case Kind::kGround: {
@@ -392,12 +384,11 @@ void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
       SHAPCQ_CHECK_MSG(step.atom_ids[0] == atom_id &&
                            leaf.leaf_state == GroundFactState::kAbsent,
                        "insert routed to an occupied ground leaf");
-      leaf.leaf_state = arena_endo[arena_index] ? GroundFactState::kEndogenous
-                                                : GroundFactState::kExogenous;
+      leaf.leaf_state = PresentState(*db, fact);
       const bool negated = arena.negated(node_id);
       arena.SetLeafSat(node_id, GroundLeafSat(negated, leaf.leaf_state));
       leaf_of_fact[fact] = node_id;
-      if (arena_endo[arena_index]) {
+      if (leaf.leaf_state == GroundFactState::kEndogenous) {
         leaf_of_endo[db->endo_index(fact)] = node_id;
       }
       ResignNode(node_id);
@@ -405,8 +396,8 @@ void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
       return;
     }
     case Kind::kComponent: {
-      RouteInsert(arena.child(node_id, step.child_of_atom[atom_id]),
-                  arena_index, atom_id);
+      RouteInsert(arena.child(node_id, step.child_of_atom[atom_id]), fact,
+                  atom_id);
       return;
     }
     case Kind::kRootVar:
@@ -418,7 +409,7 @@ void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
   const std::map<int32_t, int>& slices = nodes[node_id].child_by_value;
   const auto child_it = slices.find(root_value.id);
   if (child_it != slices.end()) {
-    RouteInsert(child_it->second, arena_index, atom_id);
+    RouteInsert(child_it->second, fact, atom_id);
     return;
   }
 
@@ -426,7 +417,7 @@ void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
   // this fact in its atom's list; every other atom of the slice is empty)
   // and splice it in as a fresh child.
   IndexLists slice_lists(query.atom_count());
-  slice_lists[atom_id].push_back(arena_index);
+  slice_lists[atom_id].push_back(fact);
   const int child = BuildNode(*step.children[0], slice_lists);
   // BuildNode grew the node vector: `slices` may dangle, index afresh.
   nodes[node_id].child_by_value[root_value.id] = child;
@@ -462,10 +453,7 @@ void ShapleyEngine::Impl::ApplyInsert(FactId fact) {
     }
     return;
   }
-  const uint32_t arena_index = static_cast<uint32_t>(arena_fact.size());
-  arena_fact.push_back(fact);
-  arena_endo.push_back(endo);
-  RouteInsert(arena.root(), arena_index, static_cast<size_t>(atom_id));
+  RouteInsert(arena.root(), fact, static_cast<size_t>(atom_id));
 }
 
 // Index half of DeleteFact; the fact is already tombstoned in the database.
@@ -531,8 +519,9 @@ Result<ShapleyEngine> ShapleyEngine::Build(const CQ& q, const Database& db,
   impl.leaf_of_endo.assign(impl.endo_count, -1);
 
   // Shared matched-fact index: every fact of every atom's relation, matched
-  // once against the precompiled pattern and interned into the fact arena.
+  // once against the precompiled pattern.
   IndexLists lists(q.atom_count());
+  size_t matched = 0;
   size_t relevant_endo = 0;
   for (size_t i = 0; i < q.atom_count(); ++i) {
     const Atom& atom = q.atom(i);
@@ -540,10 +529,8 @@ Result<ShapleyEngine> ShapleyEngine::Build(const CQ& q, const Database& db,
     const RelationId rel = db.schema().Find(atom.relation);
     for (FactId fact : db.facts_of(rel)) {
       if (!MatchesPattern(impl.patterns.back(), db.tuple_of(fact))) continue;
-      const uint32_t index = static_cast<uint32_t>(impl.arena_fact.size());
-      impl.arena_fact.push_back(fact);
-      impl.arena_endo.push_back(db.is_endogenous(fact));
-      lists[i].push_back(index);
+      lists[i].push_back(fact);
+      ++matched;
       if (db.is_endogenous(fact)) ++relevant_endo;
     }
   }
@@ -551,7 +538,7 @@ Result<ShapleyEngine> ShapleyEngine::Build(const CQ& q, const Database& db,
 
   // Heuristic pre-size: the recursion creates at most a few nodes per
   // matched fact (leaf groups plus their component/root-var spine).
-  impl.nodes.reserve(2 * impl.arena_fact.size() + 16);
+  impl.nodes.reserve(2 * matched + 16);
   impl.arena.Reserve(impl.nodes.capacity());
   impl.build_cancel =
       (cancel != nullptr && cancel->Enabled()) ? cancel : nullptr;
@@ -580,7 +567,9 @@ Rational ShapleyEngine::Value(FactId f) {
   Impl& impl = *impl_;
   SHAPCQ_CHECK_MSG(impl.db->is_endogenous(f), "Shapley of an exogenous fact");
   impl.RefreshOrbitsIfDirty();
-  return impl.ValuedOrbit(impl.orbit_of_endo[impl.db->endo_index(f)]).value;
+  const size_t id = impl.orbit_of_endo[impl.db->endo_index(f)];
+  if (!impl.orbits[id].valued) impl.ValueOrbits({id}, 1, nullptr);
+  return impl.orbits[id].value;
 }
 
 std::vector<Rational> ShapleyEngine::AllValues() {
@@ -683,8 +672,6 @@ size_t ShapleyEngine::ApproxMemoryBytes() const {
     // tracking, not allocator-exact container overheads.
     bytes += node.child_by_value.size() * 4 * sizeof(void*);
   }
-  bytes += impl.arena_fact.capacity() * sizeof(FactId);
-  bytes += impl.arena_endo.capacity() / 8;
   bytes += impl.leaf_of_endo.capacity() * sizeof(int);
   bytes += impl.orbit_of_endo.capacity() * sizeof(size_t);
   // The per-orbit memo: the objects, then only the heap limbs of their

@@ -9,17 +9,17 @@
 //  1. Shared index. The matched-fact index (every fact matched against every
 //     atom pattern) and the root-variable slicing of the CntSat recursion
 //     are built ONCE, by instantiating the query's safe plan (plan.h),
-//     itself compiled once per Build. Facts live in a flat fact arena;
-//     recursion slices are vectors of fact-arena indices, never copied
-//     Tuples.
+//     itself compiled once per Build. Recursion slices are vectors of
+//     32-bit FactIds into the database, never copied Tuples.
 //  2. One numeric core. Every recursion node goes into the flat EngineArena
 //     (engine_arena.h) the moment Build creates it: its |Sat| count vector
 //     sits in one shared cell buffer next to, for inner nodes, the product
-//     of its children's combine vectors, and all-facts evaluation is a
-//     shared top-down difference-propagation sweep that divides each
+//     of its children's combine vectors, and all-facts evaluation is one
+//     arena call: a top-down difference-propagation sweep that divides each
 //     ancestor's product by one child's vector to get that child's sibling
-//     context, shared by every leaf below it. The engine itself keeps only
-//     routing metadata (each node's plan step, slice maps, signatures).
+//     context, shared by every leaf below it, in state that lives only for
+//     the call. The engine itself keeps only routing metadata (each node's
+//     plan step, slice maps, signatures) and the per-orbit values.
 //  3. Orbits. Facts whose leaf-to-root paths traverse structurally identical
 //     (hash-consed signature-equal) children are symmetric players of the
 //     game; one Shapley value is computed per orbit. Facts matching no atom
@@ -61,7 +61,7 @@ class CancelToken;  // util/cancel.h
 /// num_threads > 1 hands each level to a worker pool. Results are
 /// bit-identical at every thread count: representatives are chosen in fixed
 /// endo-index order, every swept vector is a pure function of the built
-/// index written into a pre-assigned slot, and the values are assembled
+/// index written into a pre-assigned span, and the values are assembled
 /// serially (see "Threading contract" in DESIGN.md).
 struct ParallelOptions {
   /// Worker threads for all-facts queries. 1 = inline on the caller (no
@@ -77,7 +77,6 @@ class ShapleyEngine {
   /// Build/query statistics, for tests and benchmarks.
   struct Stats {
     size_t node_count = 0;         ///< recursion nodes
-    size_t arena_size = 0;         ///< facts matched into the shared arena
     size_t null_player_count = 0;  ///< endogenous facts with Shapley ≡ 0
     size_t orbit_count = 0;        ///< distinct orbits among endogenous facts
   };
@@ -119,7 +118,7 @@ class ShapleyEngine {
   std::vector<Rational> AllValues();
 
   /// As AllValues(), with options.num_threads workers filling each level of
-  /// the arena sweep that warms the orbit representatives' paths. Output is
+  /// the arena sweep over the orbit representatives' paths. Output is
   /// bit-identical for every thread count. Concurrent calls into one engine
   /// are NOT supported — the engine parallelizes internally, it is not
   /// re-entrant.
@@ -128,11 +127,10 @@ class ShapleyEngine {
   /// Cancellable all-facts query: as AllValues(options), polling `cancel`
   /// before the arena sweep, between its levels (at every thread count) and
   /// before each orbit's assembly. On expiry it returns the cancellation
-  /// error; every level and orbit already finished stays memoized — each is
-  /// a pure function of the built index, so a later (undeadlined) AllValues
-  /// resumes from the partial memo and returns values bit-identical to a
-  /// fresh engine's. A nullptr or disabled token never expires, so the call
-  /// then always succeeds.
+  /// error and memoizes nothing, so a later (undeadlined) AllValues
+  /// re-sweeps and returns values bit-identical to a fresh engine's. A
+  /// nullptr or disabled token never expires, so the call then always
+  /// succeeds.
   Result<std::vector<Rational>> AllValues(const ParallelOptions& options,
                                           const CancelToken* cancel);
 
@@ -188,11 +186,12 @@ class ShapleyEngine {
   Stats stats() const;
 
   /// Approximate heap footprint of the engine's index in bytes: the arena
-  /// (memoized count vectors, per-node products, sweep state), the fact
-  /// arena, routing maps, orbit ids and the per-orbit value memo. An
-  /// estimate for the serving layer's byte-budgeted LRU eviction — monotone
-  /// in index size, not an allocator audit. Excludes the Database itself
-  /// (owned by the caller, retained across evictions).
+  /// (memoized count vectors and per-node products; the sweep's r-vectors
+  /// die with each valuation), routing maps, the signature interner, orbit
+  /// ids and the per-orbit value memo. An estimate for the serving layer's
+  /// byte-budgeted LRU eviction — monotone in index size, not an allocator
+  /// audit. Excludes the Database itself (owned by the caller, retained
+  /// across evictions).
   size_t ApproxMemoryBytes() const;
 
  private:

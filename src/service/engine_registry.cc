@@ -313,10 +313,9 @@ struct EngineRegistry::Impl {
       ++session.deadline_exceeded;
     }
     if (!computed.ok()) {
-      // A cancelled sweep leaves the engine resident with every finished
-      // value warm but a stale byte estimate: re-enforce the stripe
-      // accounting before the lock drops so eviction pressure sees the
-      // truth.
+      // A cancelled sweep leaves the engine resident, valuing nothing, but
+      // with a stale byte estimate: re-enforce the stripe accounting before
+      // the lock drops so eviction pressure sees the truth.
       if (!use_approx) EnforceBudget(stripe, session);
       return Result<AttributionReport>::Error(computed.error());
     }

@@ -221,9 +221,9 @@ class EngineRegistry {
   /// options.on_deadline = kApprox on an exact-capable session, a prompt
   /// work-bounded sampling answer (never cached: it is a deadline
   /// artifact, not a requested spec). Either way the session is left fully
-  /// consistent — partial engine work is value-preserving, the stripe byte
-  /// accounting is re-enforced, and the next undeadlined report is
-  /// bit-identical to a fresh engine's.
+  /// consistent — a cancelled build or sweep keeps no partial values, the
+  /// stripe byte accounting is re-enforced, and the next undeadlined report
+  /// is bit-identical to a fresh engine's.
   Result<AttributionReport> Report(const std::string& session_id,
                                    const ReportOptions& options);
 

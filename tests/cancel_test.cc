@@ -283,8 +283,8 @@ TEST(CancelBatteryTest, CancelledSweepResumesBitIdenticalAtEveryThreadCount) {
         EXPECT_TRUE(CancelToken::IsCancelled(swept.error()))
             << swept.error();
       }
-      // Partial memo resume: whatever the cancelled sweep finished stays,
-      // and the undeadlined sweep completes to the oracle values.
+      // A cancelled valuation keeps nothing: the undeadlined retry
+      // re-sweeps to the oracle values bit for bit.
       EXPECT_EQ(engine.AllValues(parallel), oracle)
           << "threads " << threads << " check " << k;
     }

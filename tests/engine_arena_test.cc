@@ -7,7 +7,9 @@
 // CountSat, the value sum and the O(1) total against the efficiency axiom,
 // the numerators over n! against the same per-fact oracle, the ranked report
 // tables against a plainly assembled reference, and the orbit ids against
-// those values and across thread counts.
+// those values and across thread counts. Last, the engine's byte footprint
+// over long sessions: flat under stationary swaps, and near a fresh build
+// after growth by inserts.
 
 #include "core/engine_arena.h"
 
@@ -202,13 +204,13 @@ TEST(EngineArenaTest, PatchAndSpliceMatchAFreshBuild) {
       EXPECT_EQ(tree.SatOf(id), fresh.SatOf(id)) << step << ", node " << id;
     }
     for (size_t threads : {1, 4}) {
-      tree.InvalidateValues();
-      ASSERT_TRUE(tree.WarmValuePaths(ids, kGlobalFree, threads));
       for (size_t i = 0; i < ids.size(); ++i) {
         const CountVector r = ExpectedR(fresh, ids[i], kGlobalFree);
-        EXPECT_EQ(
-            tree.NumeratorAtLeaf(ids[i], r.universe_size() + 1, kGlobalFree),
-            ExpectedNumerator(r, leaves[i].negated))
+        std::vector<BigInt> got;
+        ASSERT_TRUE(tree.Numerators({ids[i]}, r.universe_size() + 1,
+                                    kGlobalFree, threads, nullptr, &got));
+        ASSERT_EQ(got.size(), 1u);
+        EXPECT_EQ(got[0], ExpectedNumerator(r, leaves[i].negated))
             << step << ", leaf " << i << ", t=" << threads;
       }
     }
@@ -256,6 +258,47 @@ TEST(EngineArenaTest, WideningStoreStrandsSlackAndCompactReclaims) {
   EXPECT_EQ(arena.SatOf(1), Counts({1, 1}));
   EXPECT_EQ(arena.SatOf(2), CountVector::All(6));
   arena.CheckInvariants();
+}
+
+TEST(EngineArenaTest, WideningStoresCompactOnceSlackOutnumbersLiveCells) {
+  EngineArena arena = MakeSmallArena();
+  bool compacted = false;
+  for (size_t w = 3; w <= 40; ++w) {
+    const size_t slack_before = arena.SlackCells();
+    arena.SetLeafSat(0, CountVector::All(w));
+    arena.CheckInvariants();
+    compacted = compacted || arena.SlackCells() < slack_before;
+    // The live cells: leaf 0's w + 1, leaf 1's 2, and the root's product
+    // and sat, w + 2 each.
+    EXPECT_LE(arena.SlackCells(), 3 * w + 7) << "w=" << w;
+    EXPECT_EQ(arena.SatOf(0), CountVector::All(w)) << "w=" << w;
+    EXPECT_EQ(arena.SatOf(1), Counts({1, 1})) << "w=" << w;
+    EXPECT_EQ(arena.SatOf(2), CountVector::All(w + 1)) << "w=" << w;
+  }
+  EXPECT_TRUE(compacted);
+}
+
+TEST(EngineArenaTest, RepeatedSplicesIntoOneNodeKeepEveryIdAccounted) {
+  // Each splice relocates the node's whole child list, so without packing
+  // the stranded ids would grow quadratically in its child count.
+  EngineArena arena;
+  std::vector<int> children = {arena.AddGround(false, Counts({0, 1}))};
+  const int root = arena.AddInner(kRootVar, children);
+  arena.SetRoot(root);
+  for (size_t m = 2; m <= 40; ++m) {
+    children.push_back(arena.AddGround(false, Counts({0, 1})));
+    arena.SpliceNewChild(root, children.back());
+    arena.CheckInvariants();
+    ASSERT_EQ(arena.child_count(root), m);
+    for (size_t j = 0; j < m; ++j) {
+      EXPECT_EQ(arena.child(root, j), children[j]) << "m=" << m;
+    }
+    // Every nonempty subset of the m players holds one true child.
+    std::vector<BigInt> sat = Combinatorics::BinomialRow(m);
+    sat[0] = BigInt(0);
+    EXPECT_EQ(arena.SatOf(root), CountVector::FromCounts(std::move(sat)))
+        << "m=" << m;
+  }
 }
 
 TEST(EngineArenaTest, ApproxMemoryBytesCoversTheCellBuffer) {
@@ -518,7 +561,7 @@ INSTANTIATE_TEST_SUITE_P(GeneratedQueries, EngineArenaOracleFuzz,
 
 // ---------------------------------------------------------------------------
 // Thread axis on a fixed workload (also the TSan target: the level-parallel
-// warm sweep writes disjoint slots of one shared cell buffer).
+// sweep writes disjoint spans of one call-local r buffer).
 // ---------------------------------------------------------------------------
 
 TEST(EngineArenaParallelTest, ThreadCountsBitIdenticalOnScalingDb) {
@@ -538,6 +581,111 @@ TEST(EngineArenaParallelTest, ThreadCountsBitIdenticalOnScalingDb) {
     ASSERT_TRUE(inserted.ok()) << inserted.error();
   }
   ExpectReplicasMatchOracles(replicas, q, "scaling db after insert");
+}
+
+
+// ---------------------------------------------------------------------------
+// Footprint over long sessions: state that outlives its use would grow the
+// engine while the database's shape stays put.
+// ---------------------------------------------------------------------------
+
+// One student of a q1 session: its registrations and the spare course that
+// registration swaps rotate through.
+struct Student {
+  std::string name;
+  std::vector<std::string> regs;
+  std::string spare;
+};
+
+// `count` students: student i holds 1 + i % 3 registrations among courses
+// c0..c6 and one spare course.
+std::vector<Student> MakeStudents(size_t count) {
+  std::vector<Student> students(count);
+  for (size_t i = 0; i < count; ++i) {
+    Student& student = students[i];
+    student.name = "s" + std::to_string(i);
+    for (size_t t = 0; t <= 1 + i % 3; ++t) {
+      student.regs.push_back("c" + std::to_string((i + t) % 7));
+    }
+    student.spare = student.regs.back();
+    student.regs.pop_back();
+  }
+  return students;
+}
+
+// The students' facts: Stud (endogenous for 1 of every 4), TA (endogenous,
+// for 2 of every 5) and every registration (endogenous).
+Database StudentsDb(const std::vector<Student>& students) {
+  Database db;
+  for (size_t i = 0; i < students.size(); ++i) {
+    const Student& student = students[i];
+    db.AddFact("Stud", {V(student.name)}, i % 4 == 1);
+    if (i % 5 == 0 || i % 5 == 2) db.AddEndo("TA", {V(student.name)});
+    for (const std::string& course : student.regs) {
+      db.AddEndo("Reg", {V(student.name), V(course)});
+    }
+  }
+  return db;
+}
+
+TEST(EngineArenaTest, EngineBytesStayFlatUnderStationarySwaps) {
+  std::vector<Student> students = MakeStudents(24);
+  Database db = StudentsDb(students);
+  auto built = ShapleyEngine::Build(UniversityQ1(), db);
+  ASSERT_TRUE(built.ok()) << built.error();
+  ShapleyEngine engine = std::move(built).value();
+  // The engine keeps an (absent) leaf for every fact it has seen: with each
+  // spare inserted and deleted once, the swaps below change no shape.
+  for (const Student& student : students) {
+    const Tuple spare = {V(student.name), V(student.spare)};
+    auto inserted = engine.InsertFact(db, "Reg", spare, true);
+    ASSERT_TRUE(inserted.ok()) << inserted.error();
+    ASSERT_TRUE(engine.DeleteFact(db, inserted.value()).ok());
+  }
+  Rng rng(23);
+  size_t bytes_at_200 = 0;
+  for (int round = 1; round <= 2000; ++round) {
+    Student& student = students[rng.UniformInt(students.size())];
+    std::string& dropped = student.regs[rng.UniformInt(student.regs.size())];
+    const FactId fact = db.FindFact("Reg", {V(student.name), V(dropped)});
+    ASSERT_TRUE(engine.DeleteFact(db, fact).ok());
+    const Tuple spare = {V(student.name), V(student.spare)};
+    ASSERT_TRUE(engine.InsertFact(db, "Reg", spare, true).ok());
+    std::swap(dropped, student.spare);
+    ASSERT_TRUE(engine.AllNumerators(Threads(1)).ok());
+    if (round == 200) bytes_at_200 = engine.ApproxMemoryBytes();
+  }
+  const double ratio = static_cast<double>(engine.ApproxMemoryBytes()) /
+                       static_cast<double>(bytes_at_200);
+  EXPECT_GE(ratio, 0.95);
+  EXPECT_LE(ratio, 1.05);
+}
+
+TEST(EngineArenaTest, EngineGrownByInsertsStaysNearAFreshBuild) {
+  // 211 endogenous facts: the widest counts pass BigInt's 192 inline bits,
+  // so the compactions move heap limbs too.
+  const Database full = StudentsDb(MakeStudents(80));
+  ASSERT_GT(full.endogenous_count(), 192u);
+  const CQ q = UniversityQ1();
+  Database db;
+  auto built = ShapleyEngine::Build(q, db);
+  ASSERT_TRUE(built.ok()) << built.error();
+  ShapleyEngine grown = std::move(built).value();
+  for (size_t slot = 0; slot < full.fact_slot_count(); ++slot) {
+    const FactId fact = static_cast<FactId>(slot);
+    const std::string relation = full.schema().name(full.relation_of(fact));
+    auto inserted = grown.InsertFact(db, relation, full.tuple_of(fact),
+                                     full.is_endogenous(fact));
+    ASSERT_TRUE(inserted.ok()) << inserted.error();
+  }
+  auto rebuilt = ShapleyEngine::Build(q, db);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.error();
+  ShapleyEngine fresh = std::move(rebuilt).value();
+  auto grown_numerators = grown.AllNumerators(Threads(1));
+  auto fresh_numerators = fresh.AllNumerators(Threads(1));
+  ASSERT_TRUE(grown_numerators.ok() && fresh_numerators.ok());
+  EXPECT_EQ(grown_numerators.value(), fresh_numerators.value());
+  EXPECT_LE(grown.ApproxMemoryBytes(), 2 * fresh.ApproxMemoryBytes());
 }
 
 }  // namespace

@@ -162,8 +162,8 @@ TEST(DeadlineProtocolTest, ServerDefaultDeadlineAppliesAndZeroOptsOut) {
   // Other keys, still no deadline keys: the default applies. Grown on a
   // session of its own, because a second 1 ms expiry on the session above
   // is not assured: when its expiry lands in the sweep, the engine stays
-  // resident with part of the sweep memoized, and a repeat can finish in
-  // time.
+  // resident (a cancelled valuation keeps no values, but the build is
+  // done), and a repeat that re-sweeps bit-identically can finish in time.
   GrownLoop top_k = GrowUntilDeadline(options, "REPORT big top_k=3",
                                       "[E_DEADLINE]");
   ASSERT_NE(top_k.loop, nullptr) << "server default deadline never fired";

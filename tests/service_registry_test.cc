@@ -6,6 +6,7 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "db/textio.h"
 #include "query/parser.h"
 #include "service/engine_registry.h"
+#include "util/random.h"
 
 namespace shapcq {
 namespace {
@@ -295,6 +297,83 @@ TEST(EngineRegistryTest, MutationPathEnforcesByteBudgetAmortized) {
   auto report = registry.Report("s", ReportOptions{});
   ASSERT_TRUE(report.ok()) << report.error();
   EXPECT_EQ(report.value().rows.size(), 66u);
+}
+
+TEST(EngineRegistryTest, StationarySwapsStayInsideTheByteBudget) {
+  // A session whose shape never changes must stay inside a budget it fits
+  // at its steady shape: 24 q1 students, each with 1-3 registrations and a
+  // spare course, swap a registration for the spare, with a REPORT after
+  // every swap.
+  struct Student {
+    std::string name;
+    std::vector<std::string> regs;
+    std::string spare;
+  };
+  std::vector<Student> students(24);
+  for (size_t i = 0; i < students.size(); ++i) {
+    students[i].name = "s" + std::to_string(i);
+    for (size_t t = 0; t <= 1 + i % 3; ++t) {
+      students[i].regs.push_back("c" + std::to_string((i + t) % 7));
+    }
+    students[i].spare = students[i].regs.back();
+    students[i].regs.pop_back();
+  }
+  const auto reg = [](const Student& student, const std::string& course) {
+    return "Reg(" + student.name + "," + course + ")*";
+  };
+  const auto apply = [](EngineRegistry* registry, const MutationSpec& delta) {
+    auto applied = registry->ApplyMutation("s", delta);
+    ASSERT_TRUE(applied.ok()) << applied.error();
+  };
+  // The facts, a first report (the build), then every spare inserted and
+  // deleted once, so the engine holds a leaf for every fact a swap can
+  // insert, and a report on that steady shape.
+  const auto load = [&](EngineRegistry* registry) {
+    ASSERT_TRUE(registry->Open("s", UniversityQ1()).ok());
+    for (size_t i = 0; i < students.size(); ++i) {
+      const Student& student = students[i];
+      const std::string star = i % 4 == 1 ? "*" : "";
+      apply(registry, Insert("Stud(" + student.name + ")" + star));
+      if (i % 5 == 0 || i % 5 == 2) {
+        apply(registry, Insert("TA(" + student.name + ")*"));
+      }
+      for (const std::string& course : student.regs) {
+        apply(registry, Insert(reg(student, course)));
+      }
+    }
+    ASSERT_TRUE(registry->Report("s", ReportOptions{}).ok());
+    for (const Student& student : students) {
+      apply(registry, Insert(reg(student, student.spare)));
+      apply(registry, Delete(reg(student, student.spare)));
+    }
+    ASSERT_TRUE(registry->Report("s", ReportOptions{}).ok());
+  };
+
+  // The steady-shape estimate on an unlimited registry (byte estimates are
+  // platform-dependent; never hardcode).
+  size_t steady_bytes = 0;
+  {
+    EngineRegistry probe;
+    load(&probe);
+    steady_bytes = probe.Stats("s").value().engine_bytes;
+    ASSERT_GT(steady_bytes, 0u);
+  }
+
+  RegistryOptions options;
+  options.engine_byte_budget = 2 * steady_bytes;
+  EngineRegistry registry(options);
+  load(&registry);
+  Rng rng(5);
+  for (int round = 0; round < 2000; ++round) {
+    Student& student = students[rng.UniformInt(students.size())];
+    std::string& dropped = student.regs[rng.UniformInt(student.regs.size())];
+    apply(&registry, Delete(reg(student, dropped)));
+    apply(&registry, Insert(reg(student, student.spare)));
+    std::swap(dropped, student.spare);
+    ASSERT_TRUE(registry.Report("s", ReportOptions{}).ok());
+  }
+  EXPECT_EQ(registry.stats().evictions, 0u);
+  EXPECT_EQ(registry.Stats("s").value().engine_builds, 1u);
 }
 
 TEST(EngineRegistryTest, MutationPathKeepsStatsFreshWithoutBudget) {
