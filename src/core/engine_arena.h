@@ -54,8 +54,8 @@
 // the new one in.
 //
 // The arena does NOT know about queries, routing or orbits: the owning
-// ShapleyEngine keeps the routing metadata (each node's plan step, slice
-// maps, structural signatures) under the same node ids and drives the arena
+// ShapleyEngine keeps the routing metadata (each node's plan step, leaf
+// state and slice map) under the same node ids and drives the arena
 // through the calls below.
 
 #ifndef SHAPCQ_CORE_ENGINE_ARENA_H_
@@ -119,6 +119,12 @@ class EngineArena {
     return children_[child_first_[node] + static_cast<int32_t>(j)];
   }
   bool negated(int node) const { return negated_[node] != 0; }
+  /// Every node, parents before children (root first); recomputed first if
+  /// a splice left the order stale.
+  const std::vector<int32_t>& TopoOrder() {
+    EnsureTopo();
+    return topo_;
+  }
 
   /// Materializes the node's memoized |Sat| vector.
   CountVector SatOf(int node) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "core/atom_pattern.h"
@@ -41,12 +40,10 @@ struct ShapleyEngine::Impl {
   // Routing metadata of one recursion node: the plan step it instantiates
   // and the state that step leaves to the data. Its structure (kind,
   // parent, children, polarity) and counts live in the arena under the
-  // same id. Incremental maintenance reads the step to steer an inserted
-  // fact from the root to its leaf (or to build a fresh subtree for a root
-  // value the database has not seen before); orbit keys are built from the
-  // signatures.
+  // same id. Incremental maintenance reads the steps to route a fact from
+  // the root to its leaf (or to the root-variable node that has no slice
+  // for its root value yet).
   struct Node {
-    int sig = -1;                    // hash-consed structural signature
     const SafePlan* step = nullptr;  // null only in a cancelled build
     // kGround: presence state of the leaf's (unique) matching fact.
     GroundFactState leaf_state = GroundFactState::kAbsent;
@@ -63,7 +60,6 @@ struct ShapleyEngine::Impl {
   CQ query;
   std::unique_ptr<SafePlan> plan;
   std::vector<AtomPattern> patterns;
-  size_t endo_count = 0;
   size_t global_free_endo = 0;  // endo facts matching no atom pattern
   std::vector<Node> nodes;      // indexed by arena node id
 
@@ -84,20 +80,14 @@ struct ShapleyEngine::Impl {
   };
 
   // Per endogenous fact (endo-index order): its ground leaf (-1 for null
-  // players) and its orbit id. Mutations keep leaf_of_endo exact; the
-  // orbits and their values are rebuilt lazily (orbits_dirty).
+  // players) and its orbit id. Mutations keep leaf_of_endo exact and mark
+  // the orbits stale; the next query recollects them and their values.
   std::vector<int> leaf_of_endo;
   std::vector<size_t> orbit_of_endo;
   std::vector<Orbit> orbits;
   BigInt denominator;  // n! for the current player count
-  bool orbits_dirty = false;
-
-  // The ground leaf of each matched fact. Endogenous facts without one are
-  // globally free; exogenous facts without one have no effect on any count.
-  std::unordered_map<FactId, int> leaf_of_fact;
-
-  std::unordered_map<std::string, int> sig_interner;
-  Stats stats;
+  bool orbits_dirty = true;
+  size_t orbit_count = 0;  // orbits at the last all-facts query (stats())
 
   // Build-time cancellation: set only for the duration of Build()'s
   // BuildNode recursion (incremental subtree builds inside a mutation are
@@ -108,23 +98,14 @@ struct ShapleyEngine::Impl {
   const CancelToken* build_cancel = nullptr;
   bool build_cancelled = false;
 
-  int Intern(const std::string& canonical) {
-    return sig_interner
-        .emplace(canonical, static_cast<int>(sig_interner.size()))
-        .first->second;
-  }
-
-  // Registers the routing metadata of the node the arena just appended and
-  // signs it.
+  // Registers the routing metadata of the node the arena just appended.
   int AddNode(int id, Node node) {
     SHAPCQ_CHECK(static_cast<size_t>(id) == nodes.size());
     nodes.push_back(std::move(node));
-    ResignNode(id);
     return id;
   }
 
   int BuildNode(const SafePlan& step, const IndexLists& lists);
-  void ResignNode(int node_id);
   bool ValueOrbits(const std::vector<size_t>& ids, size_t num_threads,
                    const CancelToken* cancel);
   void RefreshOrbitsIfDirty();
@@ -141,49 +122,15 @@ struct ShapleyEngine::Impl {
       return Result<std::vector<T>>::Error(CancelToken::kCancelledMessage);
     }
     std::vector<T> out;
-    out.reserve(endo_count);
+    out.reserve(orbit_of_endo.size());
     for (size_t id : orbit_of_endo) out.push_back(orbits[id].*field);
     return Result<std::vector<T>>::Ok(std::move(out));
   }
+  int MatchingAtom(FactId fact) const;
+  int Route(FactId fact, size_t atom_id) const;
   void ApplyInsert(FactId fact);
-  void RouteInsert(int node_id, FactId fact, size_t atom_id);
   void ApplyDelete(FactId fact, bool endo, size_t endo_idx);
-  void PatchAncestors(int dirty);
-  void RefreshDerivedState();
 };
-
-// ---------------------------------------------------------------------------
-// Structural signatures (hash-consed; recomputed along dirtied paths)
-// ---------------------------------------------------------------------------
-
-// Re-derives the node's canonical signature from its current state and its
-// children's (already current) signatures, and interns it. Used both by the
-// initial bottom-up build and by mutation patches walking a dirty path.
-void ShapleyEngine::Impl::ResignNode(int node_id) {
-  std::string canonical;
-  switch (arena.kind(node_id)) {
-    case Kind::kGround: {
-      const int negated = arena.negated(node_id) ? 1 : 0;
-      const int state = static_cast<int>(nodes[node_id].leaf_state);
-      canonical = "G|" + std::to_string(negated) + "|" + std::to_string(state);
-      break;
-    }
-    case Kind::kComponent:
-    case Kind::kRootVar: {
-      const size_t m = arena.child_count(node_id);
-      std::vector<int> child_sigs;
-      child_sigs.reserve(m);
-      for (size_t j = 0; j < m; ++j) {
-        child_sigs.push_back(nodes[arena.child(node_id, j)].sig);
-      }
-      std::sort(child_sigs.begin(), child_sigs.end());
-      canonical = arena.kind(node_id) == Kind::kComponent ? "C" : "R";
-      for (int sig : child_sigs) canonical += "|" + std::to_string(sig);
-      break;
-    }
-  }
-  nodes[node_id].sig = Intern(canonical);
-}
 
 // ---------------------------------------------------------------------------
 // Recursion: instantiates the compiled plan over the data (mirrors CoreCount
@@ -228,7 +175,6 @@ int ShapleyEngine::Impl::BuildNode(const SafePlan& step,
       CountVector sat = GroundLeafSat(negated, node.leaf_state);
       const int id = AddNode(arena.AddGround(negated, std::move(sat)),
                              std::move(node));
-      if (!list.empty()) leaf_of_fact[list[0]] = id;
       if (nodes[id].leaf_state == GroundFactState::kEndogenous) {
         leaf_of_endo[db->endo_index(list[0])] = id;
       }
@@ -277,8 +223,8 @@ bool ShapleyEngine::Impl::ValueOrbits(const std::vector<size_t>& ids,
   leaves.reserve(ids.size());
   for (size_t id : ids) leaves.push_back(orbits[id].leaf);
   std::vector<BigInt> numerators;
-  if (!arena.Numerators(leaves, endo_count, global_free_endo, num_threads,
-                        cancel, &numerators)) {
+  if (!arena.Numerators(leaves, db->endogenous_count(), global_free_endo,
+                        num_threads, cancel, &numerators)) {
     return false;
   }
   for (size_t i = 0; i < ids.size(); ++i) {
@@ -290,23 +236,47 @@ bool ShapleyEngine::Impl::ValueOrbits(const std::vector<size_t>& ids,
   return true;
 }
 
-// Orbits are (re)collected lazily after Build and after every mutation: one
-// pass over the endogenous facts, keying each by the (partly re-interned)
-// signatures along its leaf-to-root path. Equal keys -> the leaves are
-// related by an automorphism of the recursion -> the facts are symmetric
-// players with equal Shapley values. Ids are dense in first-seen
-// endo-index order, and the null players (empty key) share one. Pure
-// integer work; the memoized values it drops are stale by then.
+// Orbits are (re)collected lazily after Build and after every mutation, in
+// two integer passes. The first signs every node, children before parents: a
+// ground leaf takes one of six fixed codes from its polarity and presence
+// state, an inner node interns its kind plus its children's sorted codes, so
+// equal codes mean structurally identical subtrees. The second keys each
+// endogenous fact by the codes along its leaf-to-root path. Equal keys -> the
+// leaves are related by an automorphism of the recursion -> the facts are
+// symmetric players with equal Shapley values. Ids are dense in first-seen
+// endo-index order, and the null players (empty key) share one. The codes
+// die with the call; the memoized values it drops are stale by then.
 void ShapleyEngine::Impl::RefreshOrbitsIfDirty() {
   if (!orbits_dirty) return;
-  std::map<std::vector<int>, size_t> id_of_key;
+  constexpr int kLeafCodes = 6;  // {plain, negated} x {absent, exo, endo}
+  std::vector<int> code(nodes.size());
+  std::map<std::vector<int>, int> code_of_key;
   std::vector<int> key;
+  const std::vector<int32_t>& topo = arena.TopoOrder();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const int node = *it;
+    if (arena.kind(node) == Kind::kGround) {
+      code[node] = 3 * static_cast<int>(arena.negated(node)) +
+                   static_cast<int>(nodes[node].leaf_state);
+      continue;
+    }
+    key.assign(1, static_cast<int>(arena.kind(node)));
+    for (size_t j = 0; j < arena.child_count(node); ++j) {
+      key.push_back(code[arena.child(node, j)]);
+    }
+    std::sort(key.begin() + 1, key.end());
+    const int fresh = kLeafCodes + static_cast<int>(code_of_key.size());
+    code[node] = code_of_key.try_emplace(key, fresh).first->second;
+  }
+
+  const size_t endo_count = leaf_of_endo.size();
+  std::map<std::vector<int>, size_t> id_of_key;
   orbit_of_endo.assign(endo_count, 0);
   orbits.clear();
   for (size_t e = 0; e < endo_count; ++e) {
     key.clear();
     for (int node = leaf_of_endo[e]; node >= 0; node = arena.parent(node)) {
-      key.push_back(nodes[node].sig);
+      key.push_back(code[node]);
     }
     const auto [it, fresh] = id_of_key.try_emplace(key, orbits.size());
     if (fresh) {
@@ -336,7 +306,7 @@ bool ShapleyEngine::Impl::ValueAllOrbits(const ParallelOptions& options,
     if (!orbits[id].valued) unvalued.push_back(id);
   }
   if (!ValueOrbits(unvalued, options.num_threads, cancel)) return false;
-  stats.orbit_count = orbits.size();
+  orbit_count = orbits.size();
   return true;
 }
 
@@ -344,116 +314,81 @@ bool ShapleyEngine::Impl::ValueAllOrbits(const ParallelOptions& options,
 // Incremental maintenance
 // ---------------------------------------------------------------------------
 
-// Re-signs every ancestor of `dirty` (whose own sig the caller has already
-// updated), bottom-up along the single root-to-leaf path whose counts the
-// arena re-derived when the caller stored the change, then drops the
-// derived state.
-void ShapleyEngine::Impl::PatchAncestors(int dirty) {
-  for (int node = arena.parent(dirty); node >= 0; node = arena.parent(node)) {
-    ResignNode(node);
-  }
-  RefreshDerivedState();
-}
-
-// Epilogue of Build and of every value-affecting mutation: recomputes the
-// stats and drops the orbits and their values, rebuilt lazily on the next
-// query. After a mutation all of them are stale even though only one path's
-// count vectors moved: the player count or the root's |Sat| changed, which
-// re-weights every value.
-void ShapleyEngine::Impl::RefreshDerivedState() {
-  orbits_dirty = true;
-  endo_count = db->endogenous_count();
-  stats.node_count = nodes.size();
-  stats.null_player_count = 0;
-  for (int leaf : leaf_of_endo) {
-    if (leaf < 0) ++stats.null_player_count;
-  }
-}
-
-// Steers an inserted fact (already in the database) down the recursion by
-// the nodes' plan steps: through its atom's component, then slice by slice
-// along its root values, ending in an existing empty leaf or a freshly built
-// subtree for an unseen root value. Exactly one root-to-leaf path is
-// dirtied.
-void ShapleyEngine::Impl::RouteInsert(int node_id, FactId fact,
-                                      size_t atom_id) {
-  const SafePlan& step = *nodes[node_id].step;
-  switch (arena.kind(node_id)) {
-    case Kind::kGround: {
-      Node& leaf = nodes[node_id];
-      SHAPCQ_CHECK_MSG(step.atom_ids[0] == atom_id &&
-                           leaf.leaf_state == GroundFactState::kAbsent,
-                       "insert routed to an occupied ground leaf");
-      leaf.leaf_state = PresentState(*db, fact);
-      const bool negated = arena.negated(node_id);
-      arena.SetLeafSat(node_id, GroundLeafSat(negated, leaf.leaf_state));
-      leaf_of_fact[fact] = node_id;
-      if (leaf.leaf_state == GroundFactState::kEndogenous) {
-        leaf_of_endo[db->endo_index(fact)] = node_id;
-      }
-      ResignNode(node_id);
-      PatchAncestors(node_id);
-      return;
-    }
-    case Kind::kComponent: {
-      RouteInsert(arena.child(node_id, step.child_of_atom[atom_id]), fact,
-                  atom_id);
-      return;
-    }
-    case Kind::kRootVar:
-      break;
-  }
-
-  const shapcq::Value root_value =
-      db->tuple_of(fact)[step.root_position[atom_id]];
-  const std::map<int32_t, int>& slices = nodes[node_id].child_by_value;
-  const auto child_it = slices.find(root_value.id);
-  if (child_it != slices.end()) {
-    RouteInsert(child_it->second, fact, atom_id);
-    return;
-  }
-
-  // Unseen root value: the fact opens a new slice. Build its subtree (just
-  // this fact in its atom's list; every other atom of the slice is empty)
-  // and splice it in as a fresh child.
-  IndexLists slice_lists(query.atom_count());
-  slice_lists[atom_id].push_back(fact);
-  const int child = BuildNode(*step.children[0], slice_lists);
-  // BuildNode grew the node vector: `slices` may dangle, index afresh.
-  nodes[node_id].child_by_value[root_value.id] = child;
-  arena.SpliceNewChild(node_id, child);
-  ResignNode(node_id);
-  PatchAncestors(node_id);
-}
-
-// Index half of InsertFact; the fact is already in the database.
-void ShapleyEngine::Impl::ApplyInsert(FactId fact) {
-  const bool endo = db->is_endogenous(fact);
-  if (endo) {
-    // Placeholder entry (null player until routing lands in a leaf); the
-    // new fact's endo index is by construction the last one.
-    leaf_of_endo.push_back(-1);
-  }
+// The atom whose pattern the fact matches, or -1 when the query cannot see
+// it. Also answers for a tombstoned fact (the database keeps its relation
+// and tuple).
+int ShapleyEngine::Impl::MatchingAtom(FactId fact) const {
   const std::string& relation = db->schema().name(db->relation_of(fact));
-  int atom_id = -1;
   for (size_t i = 0; i < patterns.size(); ++i) {
     if (query.atom(i).relation == relation &&
         MatchesPattern(patterns[i], db->tuple_of(fact))) {
-      atom_id = static_cast<int>(i);
-      break;  // self-join-free: at most one atom per relation
+      return static_cast<int>(i);  // self-join-free: at most one atom
     }
   }
+  return -1;
+}
+
+// Walks from the root toward the fact's ground leaf by the nodes' plan
+// steps: a component node goes to its atom's component, a root-variable
+// node to the slice of the fact's root value. Returns the leaf, or the
+// root-variable node that has no slice for that value yet.
+int ShapleyEngine::Impl::Route(FactId fact, size_t atom_id) const {
+  int node = arena.root();
+  while (arena.kind(node) != Kind::kGround) {
+    const SafePlan& step = *nodes[node].step;
+    if (arena.kind(node) == Kind::kComponent) {
+      node = arena.child(node, step.child_of_atom[atom_id]);
+      continue;
+    }
+    const std::map<int32_t, int>& slices = nodes[node].child_by_value;
+    const auto it =
+        slices.find(db->tuple_of(fact)[step.root_position[atom_id]].id);
+    if (it == slices.end()) break;
+    node = it->second;
+  }
+  return node;
+}
+
+// Index half of InsertFact; the fact is already in the database. Exactly one
+// root-to-leaf path is dirtied: an existing empty leaf fills, or a fresh
+// subtree opens the slice of an unseen root value.
+void ShapleyEngine::Impl::ApplyInsert(FactId fact) {
+  const bool endo = db->is_endogenous(fact);
+  // Placeholder entry (null player until the fact lands in a leaf); the new
+  // fact's endo index is by construction the last one.
+  if (endo) leaf_of_endo.push_back(-1);
+  const int atom_id = MatchingAtom(fact);
   if (atom_id < 0) {
     // The query cannot see this fact. An endogenous one still dilutes every
-    // Shapley value (the player count grew): count it free and invalidate.
-    // An exogenous one changes nothing — even the memo stays valid.
-    if (endo) {
-      ++global_free_endo;
-      RefreshDerivedState();
-    }
+    // Shapley value (the player count grew): count it free. An exogenous one
+    // changes nothing — even the memo stays valid.
+    if (!endo) return;
+    ++global_free_endo;
+    orbits_dirty = true;
     return;
   }
-  RouteInsert(arena.root(), fact, static_cast<size_t>(atom_id));
+  const int node = Route(fact, static_cast<size_t>(atom_id));
+  if (arena.kind(node) == Kind::kGround) {
+    Node& leaf = nodes[node];
+    SHAPCQ_CHECK_MSG(leaf.step->atom_ids[0] == static_cast<size_t>(atom_id) &&
+                         leaf.leaf_state == GroundFactState::kAbsent,
+                     "insert routed to an occupied ground leaf");
+    leaf.leaf_state = PresentState(*db, fact);
+    arena.SetLeafSat(node, GroundLeafSat(arena.negated(node), leaf.leaf_state));
+    if (endo) leaf_of_endo[db->endo_index(fact)] = node;
+  } else {
+    // Unseen root value: build the new slice's subtree (just this fact in
+    // its atom's list; every other atom of the slice is empty) and splice
+    // it in as a fresh child.
+    const SafePlan& step = *nodes[node].step;
+    IndexLists slice_lists(query.atom_count());
+    slice_lists[atom_id].push_back(fact);
+    const int child = BuildNode(*step.children[0], slice_lists);
+    const int32_t value_id = db->tuple_of(fact)[step.root_position[atom_id]].id;
+    nodes[node].child_by_value[value_id] = child;
+    arena.SpliceNewChild(node, child);
+  }
+  orbits_dirty = true;
 }
 
 // Index half of DeleteFact; the fact is already tombstoned in the database.
@@ -462,24 +397,24 @@ void ShapleyEngine::Impl::ApplyDelete(FactId fact, bool endo, size_t endo_idx) {
   if (endo) {
     leaf_of_endo.erase(leaf_of_endo.begin() + static_cast<ptrdiff_t>(endo_idx));
   }
-  const auto leaf_it = leaf_of_fact.find(fact);
-  if (leaf_it != leaf_of_fact.end()) {
-    const int leaf_id = leaf_it->second;
-    leaf_of_fact.erase(leaf_it);
-    const GroundFactState absent = GroundFactState::kAbsent;
-    nodes[leaf_id].leaf_state = absent;
-    arena.SetLeafSat(leaf_id, GroundLeafSat(arena.negated(leaf_id), absent));
-    ResignNode(leaf_id);
-    PatchAncestors(leaf_id);
-    return;
-  }
-  if (endo) {
+  const int atom_id = MatchingAtom(fact);
+  if (atom_id < 0) {
+    // Exogenous and outside the index: no count is affected.
+    if (!endo) return;
     // Globally free: shrinking the player count re-weights every value.
     SHAPCQ_CHECK(global_free_endo > 0);
     --global_free_endo;
-    RefreshDerivedState();
+    orbits_dirty = true;
+    return;
   }
-  // Exogenous and outside the index: no count is affected.
+  const int leaf = Route(fact, static_cast<size_t>(atom_id));
+  const GroundFactState absent = GroundFactState::kAbsent;
+  SHAPCQ_CHECK_MSG(arena.kind(leaf) == Kind::kGround &&
+                       nodes[leaf].leaf_state != absent,
+                   "delete routed to an empty ground leaf");
+  nodes[leaf].leaf_state = absent;
+  arena.SetLeafSat(leaf, GroundLeafSat(arena.negated(leaf), absent));
+  orbits_dirty = true;
 }
 
 // ---------------------------------------------------------------------------
@@ -515,8 +450,7 @@ Result<ShapleyEngine> ShapleyEngine::Build(const CQ& q, const Database& db,
   SHAPCQ_CHECK_MSG(plan.ok(), "a safe, self-join-free, hierarchical query "
                               "has a safe plan");
   impl.plan = std::move(plan).value();
-  impl.endo_count = db.endogenous_count();
-  impl.leaf_of_endo.assign(impl.endo_count, -1);
+  impl.leaf_of_endo.assign(db.endogenous_count(), -1);
 
   // Shared matched-fact index: every fact of every atom's relation, matched
   // once against the precompiled pattern.
@@ -534,7 +468,7 @@ Result<ShapleyEngine> ShapleyEngine::Build(const CQ& q, const Database& db,
       if (db.is_endogenous(fact)) ++relevant_endo;
     }
   }
-  impl.global_free_endo = impl.endo_count - relevant_endo;
+  impl.global_free_endo = db.endogenous_count() - relevant_endo;
 
   // Heuristic pre-size: the recursion creates at most a few nodes per
   // matched fact (leaf groups plus their component/root-var spine).
@@ -548,7 +482,6 @@ Result<ShapleyEngine> ShapleyEngine::Build(const CQ& q, const Database& db,
     return Result<ShapleyEngine>::Error(CancelToken::kCancelledMessage);
   }
   impl.arena.SetRoot(root);
-  impl.RefreshDerivedState();
   return Result<ShapleyEngine>::Ok(std::move(engine));
 }
 
@@ -596,7 +529,7 @@ std::vector<size_t> ShapleyEngine::OrbitIds() {
   SHAPCQ_CHECK(impl_ != nullptr);
   Impl& impl = *impl_;
   impl.RefreshOrbitsIfDirty();
-  impl.stats.orbit_count = impl.orbits.size();
+  impl.orbit_count = impl.orbits.size();
   return impl.orbit_of_endo;
 }
 
@@ -659,7 +592,11 @@ Result<FactId> ShapleyEngine::DeleteFact(Database& db, FactId fact) {
 
 ShapleyEngine::Stats ShapleyEngine::stats() const {
   SHAPCQ_CHECK(impl_ != nullptr);
-  return impl_->stats;
+  const Impl& impl = *impl_;
+  const auto null_players =
+      std::count(impl.leaf_of_endo.begin(), impl.leaf_of_endo.end(), -1);
+  return Stats{impl.nodes.size(), static_cast<size_t>(null_players),
+               impl.orbit_count};
 }
 
 size_t ShapleyEngine::ApproxMemoryBytes() const {
@@ -682,11 +619,6 @@ size_t ShapleyEngine::ApproxMemoryBytes() const {
     bytes += orbit.value.ApproxMemoryBytes() - sizeof(Rational);
   }
   bytes += impl.denominator.ApproxMemoryBytes() - sizeof(BigInt);
-  bytes += impl.leaf_of_fact.size() * 4 * sizeof(void*);
-  for (const auto& [canonical, sig] : impl.sig_interner) {
-    (void)sig;
-    bytes += canonical.capacity() + 4 * sizeof(void*);
-  }
   return bytes;
 }
 

@@ -19,21 +19,23 @@
 //     ancestor's product by one child's vector to get that child's sibling
 //     context, shared by every leaf below it, in state that lives only for
 //     the call. The engine itself keeps only routing metadata (each node's
-//     plan step, slice maps, signatures) and the per-orbit values.
+//     plan step, leaf state and slice map) and the per-orbit values.
 //  3. Orbits. Facts whose leaf-to-root paths traverse structurally identical
-//     (hash-consed signature-equal) children are symmetric players of the
-//     game; one Shapley value is computed per orbit. Facts matching no atom
+//     children are symmetric players of the game; one Shapley value is
+//     computed per orbit. The first query after a change signs every node
+//     once, children before parents, with integer codes local to that pass
+//     and keys each fact by the codes along its path. Facts matching no atom
 //     pattern (a relation the query does not mention, a wrong constant,
 //     unequal values at a variable's repeated positions) are null players
 //     with value 0, no computation at all.
-//  4. Mutations. InsertFact/DeleteFact splice a fact into (or out of) the
-//     index and the affected leaf, then re-derive the memoized |Sat| vectors
-//     only along the dirtied root-to-leaf path, dividing each child's old
-//     combine vector out of its parent's product and multiplying the new
-//     one in; orbit signatures are re-hashed for the dirty path and the
-//     orbits regenerate lazily on the next query. The engine therefore
-//     tracks a changing database without rebuilds — see "Incremental
-//     maintenance" in DESIGN.md.
+//  4. Mutations. InsertFact/DeleteFact walk a fact from the root to its
+//     leaf by the plan steps and fill or empty that leaf (an insert for an
+//     unseen root value splices in a new slice instead), then re-derive
+//     the memoized |Sat| vectors only along the dirtied root-to-leaf path,
+//     dividing each child's old combine vector out of its parent's product
+//     and multiplying the new one in; they mark the orbits stale and the
+//     next query re-signs. The engine therefore tracks a changing database
+//     without rebuilds — see "Incremental maintenance" in DESIGN.md.
 //
 // Values equal the per-fact path's (ShapleyViaCountSat) exactly, and after
 // any mutation sequence they equal a fresh Build() on the mutated database;
@@ -187,11 +189,11 @@ class ShapleyEngine {
 
   /// Approximate heap footprint of the engine's index in bytes: the arena
   /// (memoized count vectors and per-node products; the sweep's r-vectors
-  /// die with each valuation), routing maps, the signature interner, orbit
-  /// ids and the per-orbit value memo. An estimate for the serving layer's
-  /// byte-budgeted LRU eviction — monotone in index size, not an allocator
-  /// audit. Excludes the Database itself (owned by the caller, retained
-  /// across evictions).
+  /// die with each valuation), routing maps, orbit ids and the per-orbit
+  /// value memo (orbit signatures die with each refresh). An estimate for
+  /// the serving layer's byte-budgeted LRU eviction — monotone in index
+  /// size, not an allocator audit. Excludes the Database itself (owned by
+  /// the caller, retained across evictions).
   size_t ApproxMemoryBytes() const;
 
  private:

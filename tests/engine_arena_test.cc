@@ -662,30 +662,39 @@ TEST(EngineArenaTest, EngineBytesStayFlatUnderStationarySwaps) {
 }
 
 TEST(EngineArenaTest, EngineGrownByInsertsStaysNearAFreshBuild) {
-  // 211 endogenous facts: the widest counts pass BigInt's 192 inline bits,
-  // so the compactions move heap limbs too.
-  const Database full = StudentsDb(MakeStudents(80));
-  ASSERT_GT(full.endogenous_count(), 192u);
-  const CQ q = UniversityQ1();
-  Database db;
-  auto built = ShapleyEngine::Build(q, db);
-  ASSERT_TRUE(built.ok()) << built.error();
-  ShapleyEngine grown = std::move(built).value();
-  for (size_t slot = 0; slot < full.fact_slot_count(); ++slot) {
-    const FactId fact = static_cast<FactId>(slot);
-    const std::string relation = full.schema().name(full.relation_of(fact));
-    auto inserted = grown.InsertFact(db, relation, full.tuple_of(fact),
-                                     full.is_endogenous(fact));
-    ASSERT_TRUE(inserted.ok()) << inserted.error();
+  // {students, bound on grown / fresh bytes}. 80 students hold 211
+  // endogenous facts: the widest counts pass BigInt's 192 inline bits, so
+  // the compactions move heap limbs too. 200 students hold 529.
+  const std::pair<size_t, double> cases[] = {{80, 2.0}, {200, 1.2}};
+  for (const auto& [student_count, bound] : cases) {
+    SCOPED_TRACE(student_count);
+    const Database full = StudentsDb(MakeStudents(student_count));
+    ASSERT_GT(full.endogenous_count(), 192u);
+    const CQ q = UniversityQ1();
+    Database db;
+    auto built = ShapleyEngine::Build(q, db);
+    ASSERT_TRUE(built.ok()) << built.error();
+    ShapleyEngine grown = std::move(built).value();
+    for (size_t slot = 0; slot < full.fact_slot_count(); ++slot) {
+      const FactId fact = static_cast<FactId>(slot);
+      const std::string relation = full.schema().name(full.relation_of(fact));
+      auto inserted = grown.InsertFact(db, relation, full.tuple_of(fact),
+                                       full.is_endogenous(fact));
+      ASSERT_TRUE(inserted.ok()) << inserted.error();
+    }
+    auto rebuilt = ShapleyEngine::Build(q, db);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.error();
+    ShapleyEngine fresh = std::move(rebuilt).value();
+    auto grown_numerators = grown.AllNumerators(Threads(1));
+    auto fresh_numerators = fresh.AllNumerators(Threads(1));
+    ASSERT_TRUE(grown_numerators.ok() && fresh_numerators.ok());
+    EXPECT_EQ(grown_numerators.value(), fresh_numerators.value());
+    // Inserts alone leave no absent leaf, so the grown recursion's orbits
+    // are a fresh build's.
+    EXPECT_EQ(grown.OrbitIds(), fresh.OrbitIds());
+    EXPECT_LE(static_cast<double>(grown.ApproxMemoryBytes()),
+              bound * static_cast<double>(fresh.ApproxMemoryBytes()));
   }
-  auto rebuilt = ShapleyEngine::Build(q, db);
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.error();
-  ShapleyEngine fresh = std::move(rebuilt).value();
-  auto grown_numerators = grown.AllNumerators(Threads(1));
-  auto fresh_numerators = fresh.AllNumerators(Threads(1));
-  ASSERT_TRUE(grown_numerators.ok() && fresh_numerators.ok());
-  EXPECT_EQ(grown_numerators.value(), fresh_numerators.value());
-  EXPECT_LE(grown.ApproxMemoryBytes(), 2 * fresh.ApproxMemoryBytes());
 }
 
 }  // namespace
