@@ -8,8 +8,8 @@
 // s = 20 crosses the endo >= 64 threshold tracked in BENCH_shapley.json.
 // BM_EngineAllFactsParallel adds a thread-count axis ({students, threads})
 // over the same workload; serial-vs-parallel speedups land in the same JSON.
-// BM_ReportAssemble times the report layer above the engine at endo
-// 70/112/224.
+// BM_ReportAssemble and BM_ReportRender time the report layer above the
+// engine at endo 70/112/224: the ranked table, then its text.
 
 #include <benchmark/benchmark.h>
 
@@ -40,7 +40,15 @@ void BM_EngineAllFacts(benchmark::State& state) {
   }
   state.SetLabel("endo=" + std::to_string(db.endogenous_count()));
 }
-BENCHMARK(BM_EngineAllFacts)->Arg(4)->Arg(8)->Arg(16)->Arg(20)->Arg(32);
+// 56 students are endo 196, near a serverbench session's 206, where the
+// largest weight k!(n−1−k)! runs to ~1,200 bits.
+BENCHMARK(BM_EngineAllFacts)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(20)
+    ->Arg(32)
+    ->Arg(56);
 
 void BM_PerFactCountSatLoop(benchmark::State& state) {
   // The pre-engine ShapleyAllViaCountSat: one ShapleyViaCountSat call (two
@@ -124,6 +132,22 @@ void BM_ReportAssemble(benchmark::State& state) {
   state.SetLabel("endo=" + std::to_string(db.endogenous_count()));
 }
 BENCHMARK(BM_ReportAssemble)->Arg(20)->Arg(32)->Arg(64);
+
+void BM_ReportRender(benchmark::State& state) {
+  // RenderReport of the warm full table BM_ReportAssemble builds: the text
+  // a top_k=0 REPORT sends, one row per endogenous fact.
+  const CQ q = UniversityQ1();
+  const Database db =
+      BuildStudentScalingDb(static_cast<int>(state.range(0)), 3);
+  ShapleyEngine engine = std::move(ShapleyEngine::Build(q, db)).value();
+  const AttributionReport report =
+      BuildAttributionReportFromEngine(engine, db, ReportOptions{});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(RenderReport(report, db));
+  }
+  state.SetLabel("endo=" + std::to_string(db.endogenous_count()));
+}
+BENCHMARK(BM_ReportRender)->Arg(20)->Arg(32)->Arg(64);
 
 }  // namespace
 

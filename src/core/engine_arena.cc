@@ -20,6 +20,17 @@ bool IsZeroCells(const std::vector<BigInt>& cells) {
                      [](const BigInt& cell) { return cell.IsZero(); });
 }
 
+// x *= p^e, in chunks of one signed limb.
+void MultiplyPower(BigInt& x, int64_t p, size_t e) {
+  while (e > 0) {
+    int64_t chunk = 1;
+    for (; e > 0 && chunk <= std::numeric_limits<int64_t>::max() / p; --e) {
+      chunk *= p;
+    }
+    x *= BigInt(chunk);
+  }
+}
+
 // Multiplies a child's combine vector into its parent's running product, or,
 // when the vector is zero, counts it in `zero_count` instead.
 void MultiplyIn(std::vector<BigInt>& product, uint32_t& zero_count,
@@ -346,23 +357,56 @@ void EngineArena::SpliceNewChild(int parent, int child) {
 // Evaluation: the difference-propagation sweep
 // ---------------------------------------------------------------------------
 
+WeightRow WeightRow::For(size_t n) {
+  SHAPCQ_CHECK(n >= 1);
+  const size_t m = n - 1;  // w_k = k!(m−k)!
+  WeightRow row;
+  row.common = BigInt(1);
+  BigInt first(1);  // w_0/G = m!/G
+  std::vector<uint8_t> composite(n, 0);
+  for (size_t p = 2; p <= m; ++p) {
+    if (composite[p] != 0) continue;
+    for (size_t j = p * p; j <= m; j += p) composite[j] = 1;
+    // v_p(k!) + v_p((m−k)!) = v_p(m!) − (carries adding k and m−k in base
+    // p). A carry can leave every digit of m but the top one, except that
+    // no split can start one inside m's trailing run of p−1 digits, which
+    // is v_p(n) long.
+    size_t legendre = 0;  // v_p(m!)
+    size_t high_digits = 0;
+    for (size_t q = m / p; q > 0; q /= p) {
+      legendre += q;
+      ++high_digits;
+    }
+    size_t trailing = 0;
+    for (size_t rest = n; rest % p == 0; rest /= p) ++trailing;
+    const size_t carries = high_digits > trailing ? high_digits - trailing : 0;
+    MultiplyPower(row.common, static_cast<int64_t>(p), legendre - carries);
+    MultiplyPower(first, static_cast<int64_t>(p), carries);
+  }
+  row.denominator = first * BigInt(static_cast<int64_t>(n));
+  row.reduced.resize(n);
+  row.reduced[0] = std::move(first);
+  BigInt remainder;
+  for (size_t k = 0; k < m; ++k) {
+    BigInt::DivMod(row.reduced[k] * BigInt(static_cast<int64_t>(k + 1)),
+                   BigInt(static_cast<int64_t>(m - k)), &row.reduced[k + 1],
+                   &remainder);
+    SHAPCQ_CHECK(remainder.IsZero());
+  }
+  return row;
+}
+
 void EngineArena::EnsureWeights(size_t n) {
-  if (weights_.size() == n) return;
-  std::vector<BigInt> factorial(n, BigInt(1));  // factorial[k] = k!
-  for (size_t k = 1; k < n; ++k) {
-    factorial[k] = factorial[k - 1] * BigInt(static_cast<int64_t>(k));
-  }
-  weights_.resize(n);
-  for (size_t k = 0; k < n; ++k) {
-    weights_[k] = factorial[k] * factorial[n - 1 - k];
-  }
+  if (weights_.reduced.size() != n) weights_ = WeightRow::For(n);
 }
 
 bool EngineArena::Numerators(const std::vector<int>& leaves, size_t endo_count,
                              size_t global_free_endo, size_t num_threads,
                              const CancelToken* cancel,
-                             std::vector<BigInt>* out) {
+                             std::vector<BigInt>* out,
+                             std::vector<Rational>* values) {
   out->clear();
+  if (values != nullptr) values->clear();
   if (leaves.empty()) return true;
   if (cancel != nullptr && cancel->Expired()) return false;
   SHAPCQ_CHECK(endo_count >= 1);
@@ -444,21 +488,26 @@ bool EngineArena::Numerators(const std::vector<int>& leaves, size_t endo_count,
     }
   }
 
-  // Σ_k w_k·r_k per leaf over the n = endo_count players (r spans the
-  // universe of the other n − 1, exactly like the two propagated vectors
-  // ShapleyFromSatCounts subtracts), negated for negated leaves.
+  // S = Σ_k (w_k/G)·r_k per leaf over the n = endo_count players (r spans
+  // the universe of the other n − 1, exactly like the two propagated vectors
+  // ShapleyFromSatCounts subtracts), negated for negated leaves; G·S is the
+  // numerator over n!, and S over D = n!/G the same value.
   EnsureWeights(endo_count);
   out->reserve(leaves.size());
+  if (values != nullptr) values->reserve(leaves.size());
   for (int leaf : leaves) {
     if (cancel != nullptr && cancel->Expired()) return false;
     SHAPCQ_CHECK(r_span[leaf].len == endo_count);
     const BigInt* r_leaf = r.data() + r_span[leaf].offset;
-    BigInt numerator(0);
+    BigInt sum(0);
     for (size_t k = 0; k < endo_count; ++k) {
-      if (!r_leaf[k].IsZero()) numerator.AddProductOf(weights_[k], r_leaf[k]);
+      if (!r_leaf[k].IsZero()) sum.AddProductOf(weights_.reduced[k], r_leaf[k]);
     }
-    if (negated_[leaf] != 0) numerator = -numerator;
-    out->push_back(std::move(numerator));
+    if (negated_[leaf] != 0) sum = -sum;
+    out->push_back(sum * weights_.common);
+    if (values != nullptr) {
+      values->emplace_back(std::move(sum), weights_.denominator);
+    }
   }
   return true;
 }
@@ -485,8 +534,11 @@ size_t EngineArena::ApproxMemoryBytes() const {
             sat_slot_.capacity() + product_slot_.capacity()) *
            sizeof(int32_t);
   bytes += zero_count_.capacity() * sizeof(uint32_t);
-  bytes += (weights_.capacity() - weights_.size()) * sizeof(BigInt);
-  for (const BigInt& weight : weights_) bytes += weight.ApproxMemoryBytes();
+  const std::vector<BigInt>& row = weights_.reduced;
+  bytes += (row.capacity() - row.size()) * sizeof(BigInt);
+  for (const BigInt& weight : row) bytes += weight.ApproxMemoryBytes();
+  bytes += weights_.common.ApproxMemoryBytes() - sizeof(BigInt);
+  bytes += weights_.denominator.ApproxMemoryBytes() - sizeof(BigInt);
   return bytes;
 }
 

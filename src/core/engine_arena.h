@@ -67,10 +67,30 @@
 
 #include "util/bigint.h"
 #include "util/count_vector.h"
+#include "util/rational.h"
 
 namespace shapcq {
 
 class CancelToken;  // util/cancel.h
+
+/// The Shapley weight row of n players over its common factor. Every weight
+/// w_k = k!(n−1−k)! (k = 0..n−1) shares G = gcd_k w_k, which depends on n
+/// only and is most of each weight (994 of the largest weight's 1,284 bits
+/// at n = 206), so Σ_k w_k·r_k / n! = S / D with S = Σ_k (w_k/G)·r_k and
+/// D = n!/G (298 bits at n = 206, against n!'s 1,292).
+struct WeightRow {
+  /// Built with small-integer work only, no factorial product and no gcd:
+  /// v_p(G) = min_k [v_p(k!) + v_p((n−1−k)!)] at each prime p < n, read off
+  /// Legendre's formula (by Kummer's theorem the min falls short of
+  /// v_p((n−1)!) by the most base-p carries two addends of n − 1 can make);
+  /// w_0/G = (n−1)!/G as a product of prime powers; w_{k+1}/G =
+  /// (w_k/G)·(k+1)/(n−1−k) by checked one-limb steps; D = n·(w_0/G).
+  static WeightRow For(size_t n);
+
+  std::vector<BigInt> reduced;  // w_k / G
+  BigInt common;                // G
+  BigInt denominator;           // D = n!/G
+};
 
 /// The CntSat recursion as flat arrays plus one cell buffer. See the file
 /// comment for the layout, the combine rules and the difference-propagation
@@ -160,22 +180,25 @@ class EngineArena {
 
   /// The evaluation call: n!·Shapley of the endogenous fact at each of
   /// `leaves` (n = endo_count), into `out` in the same order — the integer
-  /// numerator of the paper's
+  /// numerator Σ_k w_k·r_k of the paper's
   /// Σ_k k!(n−1−k)!/n! · (|Sat_k with f exogenous| − |Sat_k without f|)
   /// over the denominator n! that every value shares. One sweep lays r out
   /// for every node on the leaves' root paths in a call-local buffer and
   /// fills it level by level from the root, inline on the caller when
   /// num_threads <= 1 and over a worker pool otherwise (0 = hardware
-  /// concurrency); each leaf's numerator is then assembled from r[leaf]
-  /// against the weight row w_k = k!(n−1−k)!, built once per n. Results are
-  /// bit-identical at every thread count (each r cell is written once, by
-  /// the same exact-integer formula). A non-null `cancel` token is polled
-  /// before the sweep, between levels and before each leaf's assembly;
-  /// returns false when it expired, with `out` unspecified. Nothing
-  /// outlives the call, so a retry re-sweeps to the same integers.
+  /// concurrency). Each leaf then assembles S = Σ_k (w_k/G)·r_k against the
+  /// WeightRow of n, built once per n, and hands out G·S; a non-null
+  /// `values` also receives its Shapley value Rational(S, D), reduced by a
+  /// gcd against D = n!/G instead of n!. Results are bit-identical at every
+  /// thread count (each r cell is written once, by the same exact-integer
+  /// formula). A non-null `cancel` token is polled before the sweep, between
+  /// levels and before each leaf's assembly; returns false when it expired,
+  /// with `out` and `values` unspecified. Nothing outlives the call, so a
+  /// retry re-sweeps to the same integers.
   bool Numerators(const std::vector<int>& leaves, size_t endo_count,
                   size_t global_free_endo, size_t num_threads,
-                  const CancelToken* cancel, std::vector<BigInt>* out);
+                  const CancelToken* cancel, std::vector<BigInt>* out,
+                  std::vector<Rational>* values = nullptr);
 
   // -------------------------------------------------------------------------
   // Accounting and invariants.
@@ -249,7 +272,7 @@ class EngineArena {
   // --- evaluation (the sweep itself is Numerators) ---
   void EnsureTopo();
   void RecomputeTopo();
-  // weights_[k] = k!(n−1−k)! for the current player count n.
+  // weights_ = WeightRow::For(n) unless it is that row already.
   void EnsureWeights(size_t n);
 
   // --- node SoA (indexed by node id) ---
@@ -277,9 +300,9 @@ class EngineArena {
   std::vector<int32_t> product_slot_;
   std::vector<uint32_t> zero_count_;
 
-  // The Shapley weight row over the shared denominator n!, for the n =
-  // weights_.size() it was last built for.
-  std::vector<BigInt> weights_;
+  // The Shapley weight row w_k/G with G and D = n!/G, for the n =
+  // weights_.reduced.size() it was last built for.
+  WeightRow weights_;
 };
 
 }  // namespace shapcq

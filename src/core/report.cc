@@ -347,6 +347,18 @@ AttributionReport BuildAttributionReportFromEngine(
 
 std::string RenderReport(const AttributionReport& report, const Database& db) {
   std::string out = "engine: " + report.engine + "\n";
+  // Rows are ranked by value, so equal values (an orbit's members) sit
+  // together: a value's text and decimal are formatted once per run.
+  const Rational* shown = nullptr;
+  std::string text;
+  double decimal = 0;
+  auto format = [&](const Rational& value) {
+    if (shown == nullptr || *shown != value) {
+      text = value.ToString();
+      decimal = value.ToDouble();
+    }
+    shown = &value;
+  };
   if (report.approximate) {
     // Provenance first: the parameters that make the table reproducible
     // (seed-pure) and interpretable (joint coverage at 1 - delta).
@@ -362,17 +374,18 @@ std::string RenderReport(const AttributionReport& report, const Database& db) {
     AppendFormatted(&out, "%-30s %14s %10s %10s %9s\n", "fact", "estimate",
                     "~decimal", "+-ci", "samples");
     for (const Attribution& row : report.rows) {
+      format(row.value);
       AppendFormatted(&out, "%-30s %14s %10.4f %10.4f %9zu\n",
-                      db.FactToString(row.fact).c_str(),
-                      row.value.ToString().c_str(), row.value.ToDouble(),
-                      row.ci_radius, row.samples);
+                      db.FactToString(row.fact).c_str(), text.c_str(),
+                      decimal, row.ci_radius, row.samples);
     }
   } else {
     AppendFormatted(&out, "%-30s %14s %10s\n", "fact", "Shapley", "~decimal");
     for (const Attribution& row : report.rows) {
+      format(row.value);
       AppendFormatted(&out, "%-30s %14s %10.4f\n",
-                      db.FactToString(row.fact).c_str(),
-                      row.value.ToString().c_str(), row.value.ToDouble());
+                      db.FactToString(row.fact).c_str(), text.c_str(),
+                      decimal);
     }
   }
   AppendFormatted(&out, "%-30s %14s\n", "total",

@@ -12,7 +12,6 @@
 #include "query/analysis.h"
 #include "util/cancel.h"
 #include "util/check.h"
-#include "util/combinatorics.h"
 
 namespace shapcq {
 
@@ -70,8 +69,8 @@ struct ShapleyEngine::Impl {
   // One orbit of endogenous facts: its representative leaf (its first
   // member's; -1 for the null players' orbit) and, once valued since the
   // last mutation, its value as the numerator over the denominator n! =
-  // |Dn|! that every value shares, and reduced — one gcd per orbit, whose
-  // members get copies.
+  // |Dn|! that every value shares, and reduced — one gcd per orbit, against
+  // D = n!/G (see WeightRow), whose members get copies.
   struct Orbit {
     int leaf = -1;
     bool valued = false;
@@ -85,7 +84,6 @@ struct ShapleyEngine::Impl {
   std::vector<int> leaf_of_endo;
   std::vector<size_t> orbit_of_endo;
   std::vector<Orbit> orbits;
-  BigInt denominator;  // n! for the current player count
   bool orbits_dirty = true;
   size_t orbit_count = 0;  // orbits at the last all-facts query (stats())
 
@@ -223,14 +221,15 @@ bool ShapleyEngine::Impl::ValueOrbits(const std::vector<size_t>& ids,
   leaves.reserve(ids.size());
   for (size_t id : ids) leaves.push_back(orbits[id].leaf);
   std::vector<BigInt> numerators;
+  std::vector<Rational> values;
   if (!arena.Numerators(leaves, db->endogenous_count(), global_free_endo,
-                        num_threads, cancel, &numerators)) {
+                        num_threads, cancel, &numerators, &values)) {
     return false;
   }
   for (size_t i = 0; i < ids.size(); ++i) {
     Orbit& orbit = orbits[ids[i]];
     orbit.numerator = std::move(numerators[i]);
-    orbit.value = Rational(orbit.numerator, denominator);
+    orbit.value = std::move(values[i]);
     orbit.valued = true;
   }
   return true;
@@ -287,7 +286,6 @@ void ShapleyEngine::Impl::RefreshOrbitsIfDirty() {
     }
     orbit_of_endo[e] = it->second;
   }
-  denominator = Combinatorics::Factorial(endo_count);
   orbits_dirty = false;
 }
 
@@ -618,7 +616,6 @@ size_t ShapleyEngine::ApproxMemoryBytes() const {
     bytes += orbit.numerator.ApproxMemoryBytes() - sizeof(BigInt);
     bytes += orbit.value.ApproxMemoryBytes() - sizeof(Rational);
   }
-  bytes += impl.denominator.ApproxMemoryBytes() - sizeof(BigInt);
   return bytes;
 }
 

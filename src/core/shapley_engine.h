@@ -114,9 +114,10 @@ class ShapleyEngine {
   Rational Value(FactId f);
 
   /// Shapley values of every endogenous fact, endo-index order. Computes one
-  /// value per orbit — its numerator over n! = |Dn|!, reduced by one gcd —
-  /// memoizes both, and shares the reduced value across the orbit's
-  /// members.
+  /// value per orbit — S over D = n!/G, where G is the common factor of the
+  /// weights k!(n−1−k)! (see WeightRow), reduced by one gcd against D —
+  /// memoizes it with its numerator G·S over n! = |Dn|!, and shares the
+  /// reduced value across the orbit's members.
   std::vector<Rational> AllValues();
 
   /// As AllValues(), with options.num_threads workers filling each level of

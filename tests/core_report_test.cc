@@ -196,46 +196,63 @@ std::vector<std::string> Lines(const std::string& text) {
 
 // Exact values at a few hundred endogenous facts run to hundreds of digits;
 // every row must still come out whole: the value, its decimal column (and,
-// on approx reports, the ci and sample columns) and its own newline.
+// on approx reports, the ci and sample columns) and its own newline. The
+// rows are valued A, A, B, A: a value is formatted once per run of equal
+// rows, so the last row's A must be formatted again after B.
 TEST(ReportTest, RenderKeepsRowsLongerThanTwoHundredCharacters) {
   Database db;
-  const FactId a = db.AddEndo("R", {V("a")});
-  const FactId b = db.AddEndo("R", {V("b")});
-  // (10^210 + 7) / 10^210: 423 characters, ~decimal 1.0000.
+  // (10^210 + 7) / 10^210 and (2·10^210 + 9) / 10^210: 423 characters
+  // each, ~decimal 1.0000 and 2.0000.
   const BigInt power = BigInt::FromString("1" + std::string(210, '0'));
-  const Rational long_value(power + BigInt(7), power);
-  ASSERT_GT(long_value.ToString().size(), 200u);
+  const Rational value_a(power + BigInt(7), power);
+  const Rational value_b(power + power + BigInt(9), power);
+  ASSERT_GT(value_a.ToString().size(), 200u);
+  ASSERT_GT(value_b.ToString().size(), 200u);
 
+  struct Expected {
+    std::string fact;
+    const Rational* value;
+    std::string decimal;
+  };
+  const std::vector<Expected> expected = {{"R(a)*", &value_a, "1.0000"},
+                                          {"R(b)*", &value_a, "1.0000"},
+                                          {"R(c)*", &value_b, "2.0000"},
+                                          {"R(d)*", &value_a, "1.0000"}};
   AttributionReport report;
   report.engine = "CntSat";
-  for (FactId fact : {a, b}) {
+  for (const Expected& want : expected) {
     Attribution row;
-    row.fact = fact;
-    row.value = long_value;
+    row.fact = db.AddEndo("R", {V(want.fact.substr(2, 1))});
+    row.value = *want.value;
     row.ci_radius = 0.5;
     row.samples = 12;
     report.rows.push_back(row);
+    report.total += row.value;
   }
-  report.total = long_value + long_value;
 
   const std::vector<std::string> exact = Lines(RenderReport(report, db));
-  ASSERT_EQ(exact.size(), 5u);  // engine, header, two rows, total
-  EXPECT_EQ(exact[2], "R(a)*                          " +
-                          long_value.ToString() + "     1.0000");
-  EXPECT_EQ(exact[3], "R(b)*                          " +
-                          long_value.ToString() + "     1.0000");
-  EXPECT_EQ(exact[4], "total                          " +
+  ASSERT_EQ(exact.size(), 7u);  // engine, header, four rows, total
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(exact[2 + i], expected[i].fact + std::string(26, ' ') +
+                                expected[i].value->ToString() + "     " +
+                                expected[i].decimal)
+        << "row " << i;
+  }
+  EXPECT_EQ(exact[6], "total                          " +
                           report.total.ToString());
 
   report.approximate = true;
   report.approx.orbit_source = "signature";
   const std::vector<std::string> approx = Lines(RenderReport(report, db));
-  ASSERT_EQ(approx.size(), 6u);  // engine, approx:, header, two rows, total
-  for (size_t i : {3u, 4u}) {
-    const std::string suffix =
-        long_value.ToString() + "     1.0000     0.5000        12";
-    ASSERT_GE(approx[i].size(), suffix.size());
-    EXPECT_EQ(approx[i].substr(approx[i].size() - suffix.size()), suffix);
+  ASSERT_EQ(approx.size(), 8u);  // engine, approx:, header, four rows, total
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const std::string suffix = expected[i].value->ToString() + "     " +
+                               expected[i].decimal + "     0.5000        12";
+    ASSERT_GE(approx[3 + i].size(), suffix.size());
+    EXPECT_EQ(approx[3 + i].substr(0, 5), expected[i].fact) << "row " << i;
+    EXPECT_EQ(approx[3 + i].substr(approx[3 + i].size() - suffix.size()),
+              suffix)
+        << "row " << i;
   }
 }
 

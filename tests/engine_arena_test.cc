@@ -13,6 +13,7 @@
 
 #include "core/engine_arena.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -220,6 +221,45 @@ TEST(EngineArenaTest, PatchAndSpliceMatchAFreshBuild) {
     leaves[2].sat = sat;
     tree.SetLeafSat(ids[2], sat);
     expect_fresh("c = " + sat.ToString());
+  }
+}
+
+// The weight row over its common factor, against the row it replaces: the
+// full weights w_k = k!(n−1−k)! and their gcd, folded with BigInt::Gcd. n
+// runs over every size up to 80 — 63, 64 and 65 straddle a power of two,
+// where the number of base-2 carries changes — and 206 (a serverbench
+// session's player count) and 529, whose bit counts it pins.
+TEST(EngineArenaTest, WeightRowMatchesAGcdOracle) {
+  std::vector<size_t> sizes = {206, 529};
+  for (size_t n = 1; n <= 80; ++n) sizes.push_back(n);
+  for (size_t n : sizes) {
+    const WeightRow row = WeightRow::For(n);
+    ASSERT_EQ(row.reduced.size(), n) << "n=" << n;
+    BigInt gcd;
+    BigInt reduced_gcd;
+    size_t max_reduced_bits = 0;
+    for (size_t k = 0; k < n; ++k) {
+      const BigInt weight =
+          Combinatorics::Factorial(k) * Combinatorics::Factorial(n - 1 - k);
+      EXPECT_EQ(row.common * row.reduced[k], weight) << "n=" << n << " k=" << k;
+      gcd = BigInt::Gcd(gcd, weight);
+      reduced_gcd = BigInt::Gcd(reduced_gcd, row.reduced[k]);
+      max_reduced_bits = std::max(max_reduced_bits, row.reduced[k].BitLength());
+    }
+    EXPECT_EQ(row.common, gcd) << "n=" << n;
+    EXPECT_TRUE(reduced_gcd.IsOne()) << "n=" << n;
+    EXPECT_EQ(row.denominator * row.common, Combinatorics::Factorial(n))
+        << "n=" << n;
+    if (n == 206) {
+      EXPECT_EQ(row.common.BitLength(), 994u);
+      EXPECT_EQ(max_reduced_bits, 290u);
+      EXPECT_EQ(row.denominator.BitLength(), 298u);
+    }
+    if (n == 529) {
+      EXPECT_EQ(row.common.BitLength(), 3264u);
+      EXPECT_EQ(max_reduced_bits, 757u);
+      EXPECT_EQ(row.denominator.BitLength(), 766u);
+    }
   }
 }
 
