@@ -15,7 +15,9 @@
 //                     exact value sits inside its reported interval
 //   samples_per_orbit the budget the run actually used
 //   samples_per_sec   permutation samples per wall-clock second
-//   eval_calls        oracle evaluations that missed the coalition cache
+//   eval_calls        oracle evaluations: coalitions the engine's memo had
+//                     not answered yet (q2 has 8 players, so at most 256
+//                     per run at one thread)
 //
 // Fixed seed + the engine's deterministic reduction make the accuracy rows
 // reproducible: the gate checks a fixed outcome, not a probabilistic one.

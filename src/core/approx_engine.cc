@@ -4,9 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <list>
 #include <map>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -37,15 +35,9 @@ uint64_t MixStreamSeed(uint64_t seed, uint64_t a, uint64_t b) {
   return z;
 }
 
-uint64_t HashWords(const std::vector<uint64_t>& words) {
-  uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (uint64_t w : words) {
-    h ^= w;
-    h *= 0xff51afd7ed558ccdull;
-    h ^= h >> 33;
-  }
-  return h;
-}
+// Samples per deterministic RNG stream. The chunk size defines the seeded
+// streams, so every estimate depends on it: it is fixed, not tuned.
+constexpr size_t kChunkSamples = 128;
 
 }  // namespace
 
@@ -72,102 +64,6 @@ std::string ApproxSpec::CacheKey() const {
                 delta, static_cast<unsigned long long>(seed), max_samples,
                 force ? 1 : 0);
   return buffer;
-}
-
-// ----------------------------------------------------------------------------
-// CoalitionCache
-
-struct CoalitionCache::Impl {
-  // Entries hold their key alongside the value so the LRU list alone can
-  // drive map erasure on eviction.
-  struct Entry {
-    std::vector<uint64_t> words;
-    bool value;
-  };
-  struct WordsHash {
-    size_t operator()(const std::vector<uint64_t>& words) const {
-      return static_cast<size_t>(HashWords(words));
-    }
-  };
-  struct Stripe {
-    std::mutex mutex;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::vector<uint64_t>, std::list<Entry>::iterator,
-                       WordsHash>
-        index;
-  };
-
-  static constexpr size_t kStripes = 16;
-
-  Stripe stripes[kStripes];
-  size_t per_stripe_cap = 0;  // 0 = memoization disabled
-  std::atomic<size_t> hits{0};
-  std::atomic<size_t> misses{0};
-  std::atomic<size_t> evictions{0};
-  std::atomic<size_t> entries{0};
-
-  Stripe& StripeFor(uint64_t hash) {
-    // The low bits pick the map bucket inside the stripe; use high bits for
-    // the stripe so the two choices stay independent.
-    return stripes[(hash >> 58) % kStripes];
-  }
-};
-
-CoalitionCache::CoalitionCache(size_t max_entries)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->per_stripe_cap =
-      max_entries == 0
-          ? 0
-          : (max_entries + Impl::kStripes - 1) / Impl::kStripes;
-}
-CoalitionCache::~CoalitionCache() = default;
-CoalitionCache::CoalitionCache(CoalitionCache&&) noexcept = default;
-CoalitionCache& CoalitionCache::operator=(CoalitionCache&&) noexcept = default;
-
-int CoalitionCache::Lookup(const std::vector<uint64_t>& words) {
-  if (impl_->per_stripe_cap == 0) {
-    impl_->misses.fetch_add(1, std::memory_order_relaxed);
-    return -1;
-  }
-  Impl::Stripe& stripe = impl_->StripeFor(HashWords(words));
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  auto it = stripe.index.find(words);
-  if (it == stripe.index.end()) {
-    impl_->misses.fetch_add(1, std::memory_order_relaxed);
-    return -1;
-  }
-  stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second);
-  impl_->hits.fetch_add(1, std::memory_order_relaxed);
-  return it->second->value ? 1 : 0;
-}
-
-void CoalitionCache::Insert(const std::vector<uint64_t>& words, bool value) {
-  if (impl_->per_stripe_cap == 0) return;
-  Impl::Stripe& stripe = impl_->StripeFor(HashWords(words));
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  if (stripe.index.count(words) > 0) return;  // raced with another sampler
-  stripe.lru.push_front(Impl::Entry{words, value});
-  stripe.index.emplace(words, stripe.lru.begin());
-  impl_->entries.fetch_add(1, std::memory_order_relaxed);
-  if (stripe.lru.size() > impl_->per_stripe_cap) {
-    stripe.index.erase(stripe.lru.back().words);
-    stripe.lru.pop_back();
-    impl_->evictions.fetch_add(1, std::memory_order_relaxed);
-    impl_->entries.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-size_t CoalitionCache::hits() const {
-  return impl_->hits.load(std::memory_order_relaxed);
-}
-size_t CoalitionCache::misses() const {
-  return impl_->misses.load(std::memory_order_relaxed);
-}
-size_t CoalitionCache::evictions() const {
-  return impl_->evictions.load(std::memory_order_relaxed);
-}
-size_t CoalitionCache::entries() const {
-  return impl_->entries.load(std::memory_order_relaxed);
 }
 
 // ----------------------------------------------------------------------------
@@ -218,31 +114,41 @@ std::vector<size_t> ApproxSymmetryOrbits(const CQ& q, const Database& db) {
 struct ApproxEngine::Impl {
   const CQ* q = nullptr;
   const Database* db = nullptr;
-  Options options;
   std::vector<size_t> orbits;  // per endo index, dense
   std::string orbit_source;
-  CoalitionCache cache{0};
-  std::atomic<size_t> eval_calls{0};
+  // q's truth per coalition, indexed by its bitmask over endo indices:
+  // 0 = unknown, 1 = false, 2 = true. Sized 2^n at n <= kMaxMemoPlayers,
+  // empty above. Relaxed atomics: threads racing on a cell both evaluate
+  // and store the same value.
+  std::vector<std::atomic<uint8_t>> memo;
   ApproxRunInfo info;
 
-  // Answers q(Dx ∪ world) through the execution cache, keyed by `words`:
-  // `world` packed one bit per player.
-  bool EvalThroughCache(const World& world,
-                        const std::vector<uint64_t>& words) {
-    const int cached = cache.Lookup(words);
-    if (cached >= 0) return cached == 1;
+  // Per-stream integer accumulators: exact, order-independent within the
+  // chunk, summed in fixed chunk order by the reduction. A chunk holds at
+  // most kChunkSamples samples, so 32 bits are ample.
+  struct ChunkAccum {
+    int32_t sum = 0;          // Σ contribution, contribution ∈ {-1, 0, 1}
+    int32_t nonzero = 0;      // Σ contribution² (the variance ingredient)
+    uint32_t eval_calls = 0;  // evaluator calls
+    uint32_t cache_hits = 0;  // coalitions answered from the memo
+  };
+
+  // q(Dx ∪ world), through the memo when the engine has one; `mask` is
+  // then world's bitmask over endo indices.
+  bool Value(const World& world, size_t mask, ChunkAccum* accum) {
+    std::atomic<uint8_t>* cell = memo.empty() ? nullptr : &memo[mask];
+    if (cell != nullptr) {
+      const uint8_t known = cell->load(std::memory_order_relaxed);
+      if (known != 0) {
+        ++accum->cache_hits;
+        return known == 2;
+      }
+    }
     const bool value = EvalBoolean(*q, *db, world);
-    eval_calls.fetch_add(1, std::memory_order_relaxed);
-    cache.Insert(words, value);
+    ++accum->eval_calls;
+    if (cell != nullptr) cell->store(value ? 2 : 1, std::memory_order_relaxed);
     return value;
   }
-
-  // Per-stream integer accumulators: exact, order-independent within the
-  // chunk, summed in fixed chunk order by the reduction.
-  struct ChunkAccum {
-    int64_t sum = 0;      // Σ contribution, contribution ∈ {-1, 0, 1}
-    int64_t nonzero = 0;  // Σ contribution² (the variance ingredient)
-  };
 
   // Draws `count` permutation samples for the orbit representative at endo
   // index `rep` from the (rep, chunk) RNG stream. Sampling a uniform
@@ -251,6 +157,7 @@ struct ApproxEngine::Impl {
   void RunChunk(size_t rep, uint64_t chunk, size_t count, uint64_t seed,
                 ChunkAccum* accum) {
     const size_t n = db->endogenous_count();
+    const bool memoized = !memo.empty();
     Rng rng(MixStreamSeed(seed, rep, chunk));
     std::vector<size_t> others;
     others.reserve(n - 1);
@@ -258,7 +165,6 @@ struct ApproxEngine::Impl {
       if (i != rep) others.push_back(i);
     }
     World world(n, false);
-    std::vector<uint64_t> words((n + 63) / 64, 0);
     for (size_t s = 0; s < count; ++s) {
       const size_t k = n == 1 ? 0 : static_cast<size_t>(rng.UniformInt(n));
       // Partial Fisher-Yates: others[0..k) becomes a uniform k-subset. The
@@ -271,16 +177,16 @@ struct ApproxEngine::Impl {
         std::swap(others[i], others[j]);
       }
       std::fill(world.begin(), world.end(), false);
-      std::fill(words.begin(), words.end(), 0);
+      size_t mask = 0;
       for (size_t i = 0; i < k; ++i) {
         world[others[i]] = true;
-        words[others[i] >> 6] |= uint64_t{1} << (others[i] & 63);
+        if (memoized) mask |= size_t{1} << others[i];
       }
-      const bool before = EvalThroughCache(world, words);
+      const bool before = Value(world, mask, accum);
       world[rep] = true;
-      words[rep >> 6] |= uint64_t{1} << (rep & 63);
-      const bool after = EvalThroughCache(world, words);
-      const int64_t contribution = (after ? 1 : 0) - (before ? 1 : 0);
+      if (memoized) mask |= size_t{1} << rep;
+      const bool after = Value(world, mask, accum);
+      const int32_t contribution = (after ? 1 : 0) - (before ? 1 : 0);
       accum->sum += contribution;
       accum->nonzero += contribution != 0;
     }
@@ -297,8 +203,6 @@ Result<ApproxEngine> ApproxEngine::Create(const CQ& q, const Database& db,
   ApproxEngine engine;
   engine.impl_->q = &q;
   engine.impl_->db = &db;
-  engine.impl_->options = options;
-  engine.impl_->cache = CoalitionCache(options.cache_entries);
   if (options.orbit_ids != nullptr) {
     if (options.orbit_ids->size() != db.endogenous_count()) {
       return Result<ApproxEngine>::Error(
@@ -311,6 +215,10 @@ Result<ApproxEngine> ApproxEngine::Create(const CQ& q, const Database& db,
   } else {
     engine.impl_->orbits = ApproxSymmetryOrbits(q, db);
     engine.impl_->orbit_source = "signature";
+  }
+  if (db.endogenous_count() <= kMaxMemoPlayers) {
+    engine.impl_->memo = std::vector<std::atomic<uint8_t>>(
+        size_t{1} << db.endogenous_count());
   }
   return Result<ApproxEngine>::Ok(std::move(engine));
 }
@@ -330,9 +238,6 @@ Result<std::vector<ApproxRow>> ApproxEngine::EstimateAll(
   const size_t n = db.endogenous_count();
   impl.info = ApproxRunInfo{};
   impl.info.orbit_source = impl.orbit_source;
-  impl.eval_calls.store(0, std::memory_order_relaxed);
-  const size_t cache_hits_before = impl.cache.hits();
-  const size_t cache_evictions_before = impl.cache.evictions();
 
   std::vector<ApproxRow> rows(n);
   if (n == 0) return R::Ok(std::move(rows));
@@ -383,25 +288,23 @@ Result<std::vector<ApproxRow>> ApproxEngine::EstimateAll(
   impl.info.samples_per_orbit = samples;
   impl.info.samples_total = samples * sampled.size();
 
-  const size_t chunk = impl.options.chunk_samples > 0
-                           ? impl.options.chunk_samples
-                           : samples;
-  const size_t chunks = (samples + chunk - 1) / chunk;
+  const size_t chunks = (samples + kChunkSamples - 1) / kChunkSamples;
   std::vector<Impl::ChunkAccum> slots(sampled.size() * chunks);
   // Cancellation polls sit at chunk boundaries: a chunk is one
   // deterministic RNG stream, so skipping whole chunks never perturbs the
   // streams an uncancelled retry replays. Once the token expires every
   // remaining task is skipped, and the run then fails as a whole below
-  // (partial sums are discarded — only the coalition cache, which cannot
+  // (partial sums are discarded — only the coalition memo, which cannot
   // affect values, keeps its warmth).
   auto run_task = [&](size_t task) {
     if (cancel != nullptr && cancel->Expired()) return;
     const size_t ordinal = task / chunks;
     const uint64_t chunk_index = task % chunks;
     const size_t rep = representative[sampled[ordinal]];
-    const size_t count = chunk_index + 1 == chunks
-                             ? samples - static_cast<size_t>(chunk_index) * chunk
-                             : chunk;
+    const size_t count =
+        chunk_index + 1 == chunks
+            ? samples - static_cast<size_t>(chunk_index) * kChunkSamples
+            : kChunkSamples;
     impl.RunChunk(rep, chunk_index, count, spec.seed, &slots[task]);
   };
   const size_t threads = ThreadPool::ResolveThreadCount(num_threads);
@@ -417,13 +320,17 @@ Result<std::vector<ApproxRow>> ApproxEngine::EstimateAll(
 
   // Serial fixed-order reduction: per-orbit integer totals, then the exact
   // Rational mean and the double CI radius — all pure functions of the
-  // streams, independent of how tasks were scheduled.
+  // streams, independent of how tasks were scheduled. The evaluation and
+  // memo-hit counts ride along; only they may vary with the schedule.
   for (size_t ordinal = 0; ordinal < sampled.size(); ++ordinal) {
     int64_t total = 0;
     int64_t nonzero = 0;
     for (size_t c = 0; c < chunks; ++c) {
-      total += slots[ordinal * chunks + c].sum;
-      nonzero += slots[ordinal * chunks + c].nonzero;
+      const Impl::ChunkAccum& slot = slots[ordinal * chunks + c];
+      total += slot.sum;
+      nonzero += slot.nonzero;
+      impl.info.eval_calls += slot.eval_calls;
+      impl.info.cache_hits += slot.cache_hits;
     }
     const double m = static_cast<double>(samples);
     // Both radii at half the orbit's confidence share, so min(·,·) is valid
@@ -453,11 +360,6 @@ Result<std::vector<ApproxRow>> ApproxEngine::EstimateAll(
       if (impl.orbits[i] == sampled[ordinal]) rows[i] = row;
     }
   }
-
-  impl.info.eval_calls = impl.eval_calls.load(std::memory_order_relaxed);
-  impl.info.cache_hits = impl.cache.hits() - cache_hits_before;
-  impl.info.cache_evictions =
-      impl.cache.evictions() - cache_evictions_before;
   return R::Ok(std::move(rows));
 }
 

@@ -22,16 +22,21 @@
 //    the query). Confidence is Bonferroni-split across sampled orbits, so
 //    ALL reported intervals hold simultaneously with probability >= 1 - δ.
 //
-//  * A memoized coalition-value oracle. Worlds are hash-consed into packed
-//    bitmask signatures and query truth is cached in a striped, LRU-bounded
-//    execution cache shared by all sampling threads — repeated coalitions
-//    (common at small n and under stratification) skip the evaluator.
+//  * A coalition memo sized by the instance. Coalitions repeat only when
+//    2^n is small, so at n <= kMaxMemoPlayers endogenous facts the engine
+//    keeps one byte of query truth per coalition, indexed by the
+//    coalition's bitmask over endo indices (1 MiB at n = 20), and every
+//    sampling thread answers from it: a coalition costs one evaluation per
+//    engine, or one per thread when threads race on it and store the same
+//    value.
+//    Above the bound there is no memo and each sample evaluates q twice.
 //
-//  * Deterministic parallel fan-out. The sample budget is cut into
-//    fixed-size chunks; chunk (orbit, index) always draws from its own
+//  * Deterministic parallel fan-out. The sample budget is cut into chunks
+//    of 128 samples; chunk (orbit, index) always draws from its own
 //    Rng(mix(seed, orbit representative, index)) stream and writes into its
 //    own slot, and the reduction is a serial fixed-order sum of integer
-//    accumulators. Results are bit-identical at ANY thread count.
+//    accumulators. Results are bit-identical at ANY thread count. The chunk
+//    size defines the streams, so it is a constant, not a knob.
 //
 // Interval radii are the minimum of the Hoeffding radius and an empirical
 // Bernstein (Maurer–Pontil) radius, each at half the orbit's confidence
@@ -95,9 +100,8 @@ struct ApproxRunInfo {
   size_t samples_per_orbit = 0;
   size_t samples_total = 0;
   bool budget_capped = false;  ///< max_samples cut the Hoeffding count
-  size_t eval_calls = 0;       ///< evaluator invocations (cache misses)
-  size_t cache_hits = 0;
-  size_t cache_evictions = 0;
+  size_t eval_calls = 0;       ///< evaluator invocations (memo misses)
+  size_t cache_hits = 0;       ///< coalitions answered from the memo
   std::string orbit_source;    ///< "engine" (exact-engine orbits injected)
                                ///< or "signature" (computed here)
 };
@@ -111,50 +115,21 @@ struct ApproxRunInfo {
 /// per endogenous fact, endo-index order, first-seen numbering.
 std::vector<size_t> ApproxSymmetryOrbits(const CQ& q, const Database& db);
 
-/// Thread-safe LRU-bounded memo of coalition -> query truth. Keys are the
-/// packed World bitmask (hash-consed: the full words resolve collisions);
-/// entries are striped over independent locks so parallel samplers mostly
-/// avoid contention. Bounded by entry count; eviction is per-stripe LRU.
-class CoalitionCache {
- public:
-  explicit CoalitionCache(size_t max_entries);
-  ~CoalitionCache();
-  CoalitionCache(CoalitionCache&&) noexcept;
-  CoalitionCache& operator=(CoalitionCache&&) noexcept;
-
-  /// -1 = absent, 0 = cached false, 1 = cached true.
-  int Lookup(const std::vector<uint64_t>& words);
-  void Insert(const std::vector<uint64_t>& words, bool value);
-
-  size_t hits() const;
-  size_t misses() const;    ///< Lookup calls that found nothing
-  size_t evictions() const;
-  size_t entries() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
 /// The sampling engine: built once per (query, database) pair, then
 /// EstimateAll per (spec, thread count). Holds the orbit partition and the
-/// shared coalition cache across calls.
+/// coalition memo across calls.
 class ApproxEngine {
  public:
   /// Ceiling on the samples one EstimateAll run draws: samples per orbit
   /// (after max_samples) times sampled orbits. 2^26 samples keep the
-  /// per-chunk accumulators at 8 MB under the default chunk size; a spec
-  /// past it fails with an error that names the count.
+  /// per-chunk accumulators at 8 MB; a spec past it fails with an error
+  /// that names the count.
   static constexpr size_t kMaxSamplesPerRun = size_t{1} << 26;
 
+  /// Largest endogenous count with a coalition memo: 2^20 one-byte cells.
+  static constexpr size_t kMaxMemoPlayers = 20;
+
   struct Options {
-    /// Bound on memoized coalitions (the execution cache); 0 disables
-    /// memoization entirely (every sample hits the evaluator).
-    size_t cache_entries = 1 << 15;
-    /// Samples per deterministic RNG stream. One stream = one schedulable
-    /// task; smaller chunks spread better over threads, larger ones
-    /// amortize stream setup. Any value yields the same results.
-    size_t chunk_samples = 128;
     /// Orbit ids to stratify by (endo-index order, dense), typically
     /// ShapleyEngine::OrbitIds() on hierarchical queries. nullptr =
     /// compute ApproxSymmetryOrbits here.
@@ -175,7 +150,7 @@ class ApproxEngine {
   /// must stay within kMaxSamplesPerRun. A non-null `cancel`
   /// token is polled at chunk boundaries (each chunk is one deterministic
   /// RNG stream); on expiry EstimateAll returns the cancellation error.
-  /// The coalition cache keeps whatever a cancelled run warmed — cache
+  /// The coalition memo keeps whatever a cancelled run warmed — its
   /// content never affects values, only speed.
   Result<std::vector<ApproxRow>> EstimateAll(const ApproxSpec& spec,
                                              size_t num_threads,

@@ -5,8 +5,6 @@
 #include <sys/types.h>
 
 #include <cerrno>
-#include <chrono>
-#include <limits>
 
 #include "util/fault_injector.h"
 
@@ -18,12 +16,6 @@
 #endif
 
 namespace shapcq {
-
-int64_t FdStreamBuf::NowMillis() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 FdStreamBuf::FdStreamBuf(int fd, int io_timeout_ms)
     : fd_(fd), io_timeout_ms_(io_timeout_ms), in_buf_(kBufferBytes),
@@ -37,15 +29,8 @@ FdStreamBuf::~FdStreamBuf() {
   FlushOut();  // best-effort: the final command's output reaches the peer
 }
 
-void FdStreamBuf::StampActivity(int64_t ms) {
-  if (last_activity_ms_ != nullptr) {
-    last_activity_ms_->store(ms, std::memory_order_relaxed);
-  }
-}
-
 FdStreamBuf::int_type FdStreamBuf::underflow() {
   if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
-  StampActivity(NowMillis());  // the connection now waits for its peer
   while (true) {
     if (io_timeout_ms_ >= 0) {
       // Bounded wait for the peer: a poll that expires with nothing to
@@ -62,7 +47,7 @@ FdStreamBuf::int_type FdStreamBuf::underflow() {
         return traits_type::eof();
       }
       if (ready == 0) {
-        timed_out_ = true;
+        timed_out_ = 1;
         return traits_type::eof();
       }
     }
@@ -74,9 +59,6 @@ FdStreamBuf::int_type FdStreamBuf::underflow() {
     }
     const ssize_t n = ::recv(fd_, in_buf_.data(), in_buf_.size(), 0);
     if (n > 0) {
-      // Busy until the buffered commands are consumed and the next read
-      // waits again: a stamp the idle watchdog never reaches.
-      StampActivity(std::numeric_limits<int64_t>::max());
       setg(in_buf_.data(), in_buf_.data(), in_buf_.data() + n);
       return traits_type::to_int_type(*gptr());
     }

@@ -14,7 +14,9 @@
 // bytes (poll(POLLIN) before recv); expiry latches timed_out() and surfaces
 // as EOF, so the connection loop unwinds through its ordinary
 // end-of-stream path — the dead-peer/slow-loris reap is just "the stream
-// ended", with the latch telling the server to count it.
+// ended". The latch tells the server to count the reap, and doubles as
+// the command loop's stop flag: a line the timeout cut short is dropped,
+// never run, where an orderly EOF still runs an unterminated last line.
 //
 // Chaos: both syscalls consult the process-wide FaultInjector
 // (util/fault_injector.h) — net_short_write caps sends at one byte,
@@ -24,16 +26,13 @@
 // atomic load.
 //
 // The buffer does not own the fd: the connection handler closes it after
-// the stream is destroyed. Not thread-safe; one connection, one thread —
-// except the activity clock, an atomic the idle watchdog reads
-// concurrently.
+// the stream is destroyed. Not thread-safe; one connection, one thread.
 
 #ifndef SHAPCQ_SERVICE_NET_FD_STREAM_H_
 #define SHAPCQ_SERVICE_NET_FD_STREAM_H_
 
-#include <atomic>
+#include <csignal>
 #include <cstddef>
-#include <cstdint>
 #include <streambuf>
 #include <vector>
 
@@ -52,23 +51,10 @@ class FdStreamBuf : public std::streambuf {
   /// True once any send() failed (peer gone); later writes are dropped.
   bool write_failed() const { return write_failed_; }
 
-  /// True once a read waited io_timeout_ms without the peer sending a
-  /// byte (that read returned EOF and ended the connection loop).
-  bool timed_out() const { return timed_out_; }
-
-  /// Points the activity clock at a server-owned atomic (milliseconds on
-  /// the server's steady clock) that means "waiting for the peer since":
-  /// a read that must wait stamps the current time, and a recv that
-  /// returns bytes stamps the far future, so the idle watchdog never
-  /// counts a running command or a response being sent as idle. Null (the
-  /// default) disables stamping.
-  void SetActivityClock(std::atomic<int64_t>* last_activity_ms) {
-    last_activity_ms_ = last_activity_ms;
-  }
-
-  /// Milliseconds on the steady clock the activity stamps use (shared with
-  /// the idle watchdog so the two always compare like for like).
-  static int64_t NowMillis();
+  /// Set once a read waited io_timeout_ms without the peer sending a byte
+  /// (that read returned EOF and ended the connection loop). Shaped as a
+  /// stop flag for CommandLoop::Run, which then drops a partial line.
+  const volatile std::sig_atomic_t* timed_out() const { return &timed_out_; }
 
  protected:
   int_type underflow() override;
@@ -80,8 +66,6 @@ class FdStreamBuf : public std::streambuf {
   /// (and latches write_failed_) on an unrecoverable send error.
   bool FlushOut();
 
-  void StampActivity(int64_t ms);
-
   static constexpr size_t kBufferBytes = 8192;
 
   int fd_;
@@ -89,8 +73,7 @@ class FdStreamBuf : public std::streambuf {
   std::vector<char> in_buf_;
   std::vector<char> out_buf_;
   bool write_failed_ = false;
-  bool timed_out_ = false;
-  std::atomic<int64_t>* last_activity_ms_ = nullptr;
+  volatile std::sig_atomic_t timed_out_ = 0;
 };
 
 }  // namespace shapcq

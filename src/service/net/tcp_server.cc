@@ -12,9 +12,9 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <utility>
 
 #include "service/net/fd_stream.h"
@@ -66,20 +66,11 @@ struct TcpServer::Impl {
   uint16_t bound_port = 0;
   std::unique_ptr<ThreadPool> pool;
 
-  // Per-connection state the idle watchdog reads while the worker runs:
-  // the activity clock (FdStreamBuf's "waiting for the peer since") and
-  // the reaped latch (count each reap once). shared_ptr: the watchdog may hold
-  // a reference across the worker's teardown.
-  struct ConnState {
-    std::atomic<int64_t> last_activity_ms{0};
-    std::atomic<bool> reaped{false};
-  };
-
-  // live_conns is the drain AND watchdog set: a connection registers its
-  // fd before its worker starts and erases it (same mutex) before closing,
-  // so neither the drain nor a reap ever SHUT_RDs a recycled descriptor.
+  // live_conns is the drain set: a connection registers its fd before its
+  // worker starts and erases it (same mutex) before closing, so the drain
+  // never SHUT_RDs a recycled descriptor.
   std::mutex live_mutex;
-  std::map<int, std::shared_ptr<ConnState>> live_conns;
+  std::set<int> live_conns;
   std::atomic<size_t> live{0};
   std::atomic<size_t> total_errors{0};
   std::atomic<size_t> rejected{0};
@@ -96,26 +87,21 @@ struct TcpServer::Impl {
     }
   }
 
-  void HandleConnection(int fd, std::shared_ptr<ConnState> state) {
+  void HandleConnection(int fd) {
     {
       const int io_timeout = options.io_timeout_ms > 0
                                  ? static_cast<int>(options.io_timeout_ms)
                                  : -1;
       FdStreamBuf buf(fd, io_timeout);
-      buf.SetActivityClock(&state->last_activity_ms);
       std::iostream stream(&buf);
       // Shared mode: this connection's loop borrows the server's registry
-      // and log manager; no stop pointer — drain reaches the loop as EOF
-      // via SHUT_RD, after the in-flight command completed.
+      // and log manager. Its stop flag is the read-timeout latch, so a line
+      // the timeout cut short never runs; drain reaches the loop as EOF via
+      // SHUT_RD, after the in-flight command completed.
       CommandLoop loop(loop_options, registry, log);
-      loop.Run(stream, stream, nullptr);
+      loop.Run(stream, stream, buf.timed_out());
       total_errors.fetch_add(loop.error_count(), std::memory_order_relaxed);
-      // Read-poll expiry is this thread's reap; the watchdog's SHUT_RD
-      // surfaced as plain EOF and was counted (and latched) by the
-      // watchdog itself — never twice.
-      if (buf.timed_out() && !state->reaped.load(std::memory_order_relaxed)) {
-        CountIoTimeout();
-      }
+      if (*buf.timed_out()) CountIoTimeout();
     }
     {
       std::lock_guard<std::mutex> lock(live_mutex);
@@ -123,27 +109,6 @@ struct TcpServer::Impl {
     }
     ::close(fd);
     live.fetch_sub(1, std::memory_order_relaxed);
-  }
-
-  // The idle watchdog, riding the accept loop's poll tick: half-close any
-  // connection that has waited idle_timeout_ms for its peer. SHUT_RD
-  // keeps the write side open, so an in-flight command still delivers its
-  // response before the worker reads EOF and unwinds — an idle reap never
-  // truncates a neighbor's (or even the victim's) response.
-  void ReapIdle() {
-    const int64_t now = FdStreamBuf::NowMillis();
-    std::lock_guard<std::mutex> lock(live_mutex);
-    for (auto& [fd, state] : live_conns) {
-      if (state->reaped.load(std::memory_order_relaxed)) continue;
-      const int64_t last =
-          state->last_activity_ms.load(std::memory_order_relaxed);
-      if (now - last < static_cast<int64_t>(options.idle_timeout_ms)) {
-        continue;
-      }
-      state->reaped.store(true, std::memory_order_relaxed);
-      CountIoTimeout();
-      ::shutdown(fd, SHUT_RD);
-    }
   }
 };
 
@@ -239,9 +204,6 @@ size_t TcpServer::Serve(const volatile std::sig_atomic_t* stop) {
     // 100 ms tick: the latency bound on noticing the stop flag (a signal
     // also EINTRs the poll, so SIGTERM reacts immediately).
     const int ready = ::poll(&pfd, 1, 100);
-    // The idle watchdog rides every tick — timeouts, EINTRs and idle polls
-    // included — so a reap is never deferred by a quiet listener.
-    if (impl_->options.idle_timeout_ms > 0) impl_->ReapIdle();
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;  // listener gone; drain below
@@ -269,16 +231,12 @@ size_t TcpServer::Serve(const volatile std::sig_atomic_t* stop) {
       continue;
     }
     ++admitted;
-    auto state = std::make_shared<Impl::ConnState>();
-    state->last_activity_ms.store(FdStreamBuf::NowMillis(),
-                                  std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(impl_->live_mutex);
-      impl_->live_conns.emplace(fd, state);
+      impl_->live_conns.insert(fd);
     }
     Impl* impl = impl_.get();
-    impl_->pool->Submit(
-        [impl, fd, state]() { impl->HandleConnection(fd, state); });
+    impl_->pool->Submit([impl, fd]() { impl->HandleConnection(fd); });
   }
 
   // Drain: no new clients, half-close the live ones (the in-flight command
@@ -287,10 +245,7 @@ size_t TcpServer::Serve(const volatile std::sig_atomic_t* stop) {
   impl_->listen_fd = -1;
   {
     std::lock_guard<std::mutex> lock(impl_->live_mutex);
-    for (const auto& [fd, state] : impl_->live_conns) {
-      (void)state;
-      ::shutdown(fd, SHUT_RD);
-    }
+    for (const int fd : impl_->live_conns) ::shutdown(fd, SHUT_RD);
   }
   impl_->pool->Wait();
   return admitted;

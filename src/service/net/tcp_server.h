@@ -16,11 +16,12 @@
 // fail fast and visibly, never queue invisibly.
 //
 // Timeouts: io_timeout_ms bounds each read's wait for peer bytes (the
-// poll-based FdStreamBuf timeout); idle_timeout_ms reaps connections that
-// have waited that long for their peer, via a watchdog riding the accept
-// loop's 100 ms tick. Both reaps are orderly — shutdown(SHUT_RD)/EOF, never
-// a mid-command kill — leave every other connection untouched, and count
-// into TransportStats::io_timeouts (the STATS io_timeouts= field).
+// poll-based FdStreamBuf timeout). It is the one reap, for a dead peer, a
+// slow loris and an idle client alike. A running command does not read, so
+// it is never reaped, and the reap is orderly: the connection's next read
+// sees EOF, its partial command line (if any) is dropped unrun, every other
+// connection is untouched, and TransportStats::io_timeouts (the STATS
+// io_timeouts= field) counts it.
 //
 // Graceful drain (SIGTERM with live clients): the stop flag flips, the
 // accept loop notices within one 100 ms poll tick and stops admitting,
@@ -55,16 +56,9 @@ struct TcpServerOptions {
   size_t max_connections = 64;
   /// Longest a connection's read waits for the peer to send anything, in
   /// milliseconds (0 = forever). Expiry ends that connection through the
-  /// ordinary EOF path — the dead-peer/slow-loris reap — and counts one
-  /// TransportStats::io_timeouts.
+  /// ordinary EOF path — the dead-peer/slow-loris/idle reap — drops the
+  /// command line it cut short, and counts one TransportStats::io_timeouts.
   size_t io_timeout_ms = 0;
-  /// Idle-connection reap: a connection that has waited this many
-  /// milliseconds for its peer's next bytes is shutdown(SHUT_RD) by the
-  /// accept-loop watchdog (0 = never). A command still running is never
-  /// idle. Orderly: an in-flight response is delivered; only the next
-  /// read sees EOF. Checked every accept tick (~100 ms), so the reap lands
-  /// within idle_timeout_ms + one tick. Also counts io_timeouts.
-  size_t idle_timeout_ms = 0;
 };
 
 /// A listening attribution server. Move-only; the listener socket is open

@@ -1,5 +1,6 @@
 #include "util/combinatorics.h"
 
+#include <algorithm>
 #include <mutex>
 
 #include "util/check.h"
@@ -71,6 +72,18 @@ BigInt Combinatorics::Binomial(size_t n, size_t k) {
 }
 
 std::vector<BigInt> Combinatorics::BinomialRow(size_t n) {
+  if (n > kMaxCachedRow) {
+    // C(n,k+1) = C(n,k)·(n−k)/(k+1): a one-limb product and an exact
+    // one-limb division per cell, the left half mirrored onto the right.
+    std::vector<BigInt> row(n + 1);
+    row[0] = BigInt(1);
+    for (size_t k = 0; k < n / 2; ++k) {
+      row[k + 1] = row[k] * BigInt(static_cast<int64_t>(n - k)) /
+                   BigInt(static_cast<int64_t>(k + 1));
+    }
+    for (size_t k = n / 2 + 1; k <= n; ++k) row[k] = row[n - k];
+    return row;
+  }
   Caches& caches = GetCaches();
   {
     std::shared_lock<std::shared_mutex> lock(caches.mutex);
@@ -85,7 +98,7 @@ void Combinatorics::Prewarm(size_t n) {
   Caches& caches = GetCaches();
   std::unique_lock<std::shared_mutex> lock(caches.mutex);
   GrowFactorialsLocked(caches, n);
-  GrowRowsLocked(caches, n);
+  GrowRowsLocked(caches, std::min(n, kMaxCachedRow));
 }
 
 }  // namespace shapcq

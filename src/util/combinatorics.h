@@ -27,23 +27,28 @@ namespace shapcq {
 /// n = |Dn|); a cold cache is still correct, just serialized while it grows.
 class Combinatorics {
  public:
+  /// Widest memoized binomial row.
+  static constexpr size_t kMaxCachedRow = 256;
+
   /// n! as an exact integer. Returned by value: the shared cache may be
   /// grown (and reallocated) by another caller at any time, so handing out
   /// references would dangle — the copy is made under the reader lock.
   static BigInt Factorial(size_t n);
   /// C(n, k); zero when k > n.
   static BigInt Binomial(size_t n, size_t k);
-  /// The full row [C(n,0), ..., C(n,n)]. Rows are memoized (lazy Pascal
-  /// triangle, same pattern as the factorial cache): CountVector::All and
-  /// ComplementAgainstAll request the same rows over and over inside the
-  /// CntSat recursion, and building row n from row n-1 is pure additions.
-  /// The cache holds O(n^2) BigInts for the largest n requested — fine for
-  /// the |Dn| ≤ a few hundred this library targets. Returned by value (see
-  /// Factorial).
+  /// The full row [C(n,0), ..., C(n,n)]. Rows up to kMaxCachedRow are
+  /// memoized (lazy Pascal triangle, same pattern as the factorial cache):
+  /// CountVector::All and ComplementAgainstAll request the same rows over
+  /// and over inside the CntSat recursion, and building row n from row n-1
+  /// is pure additions. The triangle holds O(n^2) BigInts, so wider rows
+  /// are built per call from one-limb steps and never kept: the cache
+  /// stays at ~33,000 cells (~1.5 MB) however many facts a session holds.
+  /// Returned by value (see Factorial).
   static std::vector<BigInt> BinomialRow(size_t n);
-  /// Grows both caches to cover Factorial(n) and BinomialRow(n), so that
-  /// subsequent lookups up to n are shared-lock reads. Idempotent; safe to
-  /// call concurrently.
+  /// Grows both caches to cover Factorial(n) and BinomialRow(min(n,
+  /// kMaxCachedRow)), so that subsequent lookups up to n are shared-lock
+  /// reads (rows past the bound take no lock). Idempotent; safe to call
+  /// concurrently.
   static void Prewarm(size_t n);
 
  private:

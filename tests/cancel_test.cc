@@ -320,7 +320,7 @@ TEST(CancelBatteryTest, CancelledSamplingRunNeverPerturbsLaterValues) {
         EXPECT_TRUE(CancelToken::IsCancelled(sampled.error()))
             << sampled.error();
       }
-      // Whatever the cancelled run warmed in the coalition cache, a retry
+      // Whatever the cancelled run warmed in the coalition memo, a retry
       // on the same engine reproduces the oracle rows bit for bit.
       auto retry = engine.EstimateAll(spec, threads);
       ASSERT_TRUE(retry.ok()) << retry.error();

@@ -1,8 +1,8 @@
 // The sampling tier (core/approx_engine.h): interval coverage against the
 // exact engines on generated tractable queries, bit-identical results at
-// every thread count, orbit soundness, the coalition cache, and the spec
+// every thread count, orbit soundness, the coalition memo, and the spec
 // surface. The ApproxEngineParallelTest suite runs under TSan in CI (the
-// shared striped cache and the chunked fan-out are the racy surface).
+// shared memo and the chunked fan-out are the racy surface).
 
 #include "core/approx_engine.h"
 
@@ -327,53 +327,87 @@ TEST(ApproxEngineTest, EstimateAllRejectsInvalidSpec) {
 }
 
 // ---------------------------------------------------------------------------
-// The coalition cache.
+// The coalition memo.
 
-TEST(CoalitionCacheTest, LookupInsertAndCounters) {
-  CoalitionCache cache(1024);
-  const std::vector<uint64_t> a{0b1010}, b{0b0101};
-  EXPECT_EQ(cache.Lookup(a), -1);
-  EXPECT_EQ(cache.misses(), 1u);
-  cache.Insert(a, true);
-  cache.Insert(b, false);
-  EXPECT_EQ(cache.Lookup(a), 1);
-  EXPECT_EQ(cache.Lookup(b), 0);
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.entries(), 2u);
-}
-
-TEST(CoalitionCacheTest, EvictsBeyondBound) {
-  // Cap 16 = one entry per stripe; hammering distinct keys must evict.
-  CoalitionCache cache(16);
-  for (uint64_t i = 0; i < 256; ++i) {
-    cache.Insert({i}, (i & 1) != 0);
+// q() :- R(x,y), S(x), T(y), not hierarchical, over exactly `n` endogenous
+// facts: R(a_i,b_i), S(a_i), T(b_i) for i = 0, 1, ..., cut after n facts.
+Database ChainOfTriangles(size_t n) {
+  std::string text;
+  for (size_t i = 0; 3 * i < n; ++i) {
+    const std::string a = "a" + std::to_string(i);
+    const std::string b = "b" + std::to_string(i);
+    const std::string facts[] = {"R(" + a + "," + b + ")*", "S(" + a + ")*",
+                                 "T(" + b + ")*"};
+    for (size_t j = 0; j < 3 && 3 * i + j < n; ++j) text += facts[j] + " ";
   }
-  EXPECT_LE(cache.entries(), 16u);
-  EXPECT_GT(cache.evictions(), 0u);
+  auto db = ParseDatabase(text);
+  EXPECT_TRUE(db.ok()) << db.error();
+  return std::move(db).value();
 }
 
-TEST(CoalitionCacheTest, ZeroCapDisablesMemoization) {
+// Figure 1's q2 at 4,096 samples per orbit: every draw is one of the 2^8
+// coalitions of its 8 players.
+ApproxRunInfo RunFigure1Q2(size_t threads) {
   UniversityDb u = BuildUniversityDb();
-  const CQ q1 = UniversityQ1();
-  ApproxEngine::Options options;
-  options.cache_entries = 0;
-  auto engine = ApproxEngine::Create(q1, u.db, options);
-  ASSERT_TRUE(engine.ok());
+  EXPECT_EQ(u.db.endogenous_count(), 8u);
+  const CQ q2 = UniversityQ2();
+  auto engine = ApproxEngine::Create(q2, u.db, {});
+  EXPECT_TRUE(engine.ok());
   ApproxEngine approx = std::move(engine).value();
   ApproxSpec spec;
-  spec.epsilon = 0.2;
+  spec.epsilon = 0.01;
   spec.delta = 0.05;
-  spec.max_samples = 128;
-  auto rows = approx.EstimateAll(spec, 1);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(approx.info().cache_hits, 0u);
-  // Every sample evaluates twice (with and without the representative).
-  EXPECT_EQ(approx.info().eval_calls, 2 * approx.info().samples_total);
+  spec.seed = 7;
+  spec.max_samples = 4096;
+  EXPECT_TRUE(approx.EstimateAll(spec, threads).ok());
+  return approx.info();
+}
+
+TEST(ApproxEngineTest, MemoEvaluatesEachCoalitionOnce) {
+  const ApproxRunInfo info = RunFigure1Q2(1);
+  EXPECT_EQ(info.eval_calls, 256u);
+  EXPECT_EQ(info.eval_calls + info.cache_hits, 2 * info.samples_total);
+}
+
+TEST(ApproxEngineTest, MemoOnlyUpToTwentyPlayers) {
+  const CQ q = MustParseCQ("q() :- R(x,y), S(x), T(y)");
+  ApproxSpec spec;
+  spec.epsilon = 0.1;
+  spec.delta = 0.05;
+  spec.seed = 13;
+  spec.max_samples = 64;
+  for (size_t n : {ApproxEngine::kMaxMemoPlayers,
+                   ApproxEngine::kMaxMemoPlayers + 1}) {
+    const Database db = ChainOfTriangles(n);
+    ASSERT_EQ(db.endogenous_count(), n);
+    auto engine = ApproxEngine::Create(q, db, {});
+    ASSERT_TRUE(engine.ok());
+    ApproxEngine approx = std::move(engine).value();
+    ASSERT_TRUE(approx.EstimateAll(spec, 1).ok());
+    const ApproxRunInfo& info = approx.info();
+    ASSERT_GT(info.samples_total, 0u);
+    if (n <= ApproxEngine::kMaxMemoPlayers) {
+      EXPECT_GT(info.cache_hits, 0u) << n;
+      EXPECT_EQ(info.eval_calls + info.cache_hits, 2 * info.samples_total);
+    } else {
+      // No memo: every sample evaluates with and without its player.
+      EXPECT_EQ(info.cache_hits, 0u) << n;
+      EXPECT_EQ(info.eval_calls, 2 * info.samples_total);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Parallel suite (runs under TSan in CI): many threads over the shared
-// striped cache, checked against the serial run for bit-equality.
+// memo, checked against the serial run for bit-equality.
+
+TEST(ApproxEngineParallelTest, MemoCountersAddUpAcrossThreads) {
+  // Threads racing on one cell may both evaluate it, so evaluations can
+  // exceed the 256 coalitions, but every draw is counted exactly once.
+  const ApproxRunInfo info = RunFigure1Q2(4);
+  EXPECT_GE(info.eval_calls, 256u);
+  EXPECT_EQ(info.eval_calls + info.cache_hits, 2 * info.samples_total);
+}
 
 TEST(ApproxEngineParallelTest, SharedCacheParallelMatchesSerial) {
   Rng rng(77);
@@ -390,15 +424,13 @@ TEST(ApproxEngineParallelTest, SharedCacheParallelMatchesSerial) {
   spec.delta = 0.05;
   spec.seed = 31;
 
-  ApproxEngine::Options options;
-  options.chunk_samples = 32;  // many small chunks = maximal interleaving
-  auto serial_engine = ApproxEngine::Create(q, db, options);
+  auto serial_engine = ApproxEngine::Create(q, db, {});
   ASSERT_TRUE(serial_engine.ok());
   ApproxEngine serial = std::move(serial_engine).value();
   auto serial_rows = serial.EstimateAll(spec, 1);
   ASSERT_TRUE(serial_rows.ok());
 
-  auto parallel_engine = ApproxEngine::Create(q, db, options);
+  auto parallel_engine = ApproxEngine::Create(q, db, {});
   ASSERT_TRUE(parallel_engine.ok());
   ApproxEngine parallel = std::move(parallel_engine).value();
   auto parallel_rows = parallel.EstimateAll(spec, 8);

@@ -1,33 +1,37 @@
 #!/usr/bin/env python3
 """Chaos harness for shapcq_server --listen: socket faults and timeouts.
 
-Seven checks against a real server process, driving the transport through
+Eight checks against a real server process, driving the transport through
 its unhappy paths:
 
-  1. Idle-watchdog reap: with --idle-timeout-ms, a client that opens a
-     session and goes silent is half-closed (orderly EOF, no error line)
-     while a concurrent active client is served byte-identically to a
-     serial replay — and the silent client's session survives the reap.
+  1. Idle reap: with --io-timeout-ms, a client that opens a session and
+     goes silent is closed (orderly EOF, no error line) while a concurrent
+     active client is served byte-identically to a serial replay — and the
+     silent client's session survives the reap.
   2. Read-timeout reap: with --io-timeout-ms, a connected-but-mute peer
      (the dead-peer/slow-loris shape) is reaped within the timeout; the
      server stays healthy and counts the reap in its drained io_timeouts=.
-  3. net_short_write: every socket send capped to one byte (the injected
+  3. Half-read line: with --io-timeout-ms, a client that sends "CLOSE s1"
+     and only a second later "2\n" is reaped with its cut-short line
+     dropped: session s1 stays open (the line never ran as CLOSE s1), and
+     so does s12.
+  4. net_short_write: every socket send capped to one byte (the injected
      fault) must still deliver byte-identical transcripts — the flush loop
      handles short writes, not just full ones.
-  4. net_drop_mid_response: the n-th send transmits half its payload and
+  5. net_drop_mid_response: the n-th send transmits half its payload and
      then fails hard (the vanished-client shape). The victim receives a
      clean prefix of the oracle transcript, and the NEXT connection is
      served in full — one dead peer never wedges the server.
-  5. net_eintr_recv: an EINTR storm on recv (the first N reads each take a
+  6. net_eintr_recv: an EINTR storm on recv (the first N reads each take a
      spurious signal) must be fully transparent — byte-identical output.
-  6. Deadline under chaos: with the short-write fault armed for the whole
+  7. Deadline under chaos: with the short-write fault armed for the whole
      run, a REPORT deadline_ms=1 on a session grown until the budget
      reliably expires returns the structured [E_DEADLINE] line, and the
      immediately following undeadlined REPORT on the same connection is
      byte-identical to a fault-free serial oracle — cancellation leaves
      the engine consistent even when every reply dribbles out one byte at
      a time.
-  7. Hostile REPORT keys: on a live server, one client sends numeric keys
+  8. Hostile REPORT keys: on a live server, one client sends numeric keys
      that once ended the process or misfired — approx=1e-10 and
      approx=0.000000001 (sample counts past size_t's range and past the
      per-run ceiling), threads=1000000 (a pool of a million workers) and
@@ -167,7 +171,7 @@ def read_lines(sock_file, count):
 
 
 def check_idle_reap_isolated(server_bin):
-    proc, port = start_listen_server(server_bin, ["--idle-timeout-ms", "200"])
+    proc, port = start_listen_server(server_bin, ["--io-timeout-ms", "200"])
 
     # The victim: one command, then silence with the connection held open.
     silent = socket.create_connection(("127.0.0.1", port), timeout=30)
@@ -179,14 +183,14 @@ def check_idle_reap_isolated(server_bin):
         fail("silent client's OPEN not acked: %r" % acks)
 
     # A concurrent active client must be served as if the reap never
-    # happened (its own activity keeps it clear of the watchdog).
+    # happened (its own activity keeps it clear of the read timeout).
     active = roundtrip(port, client_script("busy"))
     expected = serial_replay(server_bin, client_script("busy"))
     if active != expected:
-        fail("active client transcript changed under the idle watchdog")
+        fail("active client transcript changed under the idle reap")
 
-    # The victim sees an orderly EOF (no error line, no reset) within the
-    # timeout plus watchdog slack.
+    # The victim sees an orderly EOF (no error line, no reset) once the
+    # timeout expires.
     silent.settimeout(10)
     leftover = silent_file.read()
     if leftover != b"":
@@ -234,6 +238,51 @@ def check_io_timeout_reap(server_bin):
     if drained_io_timeouts(stderr) < 1:
         fail("read-timeout reap not counted in io_timeouts")
     print("io timeout: dead peer reaped in %.2fs, server healthy" % elapsed)
+
+
+def check_half_line_dropped(server_bin):
+    proc, port = start_listen_server(server_bin, ["--io-timeout-ms", "300"])
+
+    client = socket.create_connection(("127.0.0.1", port), timeout=30)
+    client_file = client.makefile("rwb")
+    client_file.write(b"OPEN s1 %s\nOPEN s12 %s\n"
+                      % (QUERY.encode(), QUERY.encode()))
+    client_file.flush()
+    acks = read_lines(client_file, 4)
+    if len(acks) != 4 or acks[1] != b"ok open s1\n" or \
+            acks[3] != b"ok open s12\n":
+        fail("half-line client's OPENs not acked: %r" % acks)
+
+    # "CLOSE s1" now, "2\n" one second later: the read timeout fires in
+    # between, and the server must drop the cut-short line, not run it.
+    client_file.write(b"CLOSE s1")
+    client_file.flush()
+    time.sleep(1.0)
+    try:
+        client.sendall(b"2\n")
+    except OSError:
+        pass  # the reap already closed the connection
+    client.settimeout(10)
+    try:
+        leftover = client_file.read()
+    except OSError:
+        leftover = b""  # the late bytes reset the closed connection
+    if leftover != b"":
+        fail("half-read line got a reply: %r" % leftover)
+    client.close()
+
+    probe = roundtrip(port, "STATS s1\nSTATS s12\n")
+    for session in [b"s1", b"s12"]:
+        if b"stats %s " % session not in probe:
+            fail("session %r did not survive a half-read CLOSE: %r"
+                 % (session, probe))
+
+    code, stderr = finish_server(proc)
+    if code != 0:
+        fail("half-line server exited %d" % code)
+    if drained_io_timeouts(stderr) != 1:
+        fail("half-line reap not counted once in io_timeouts")
+    print("half-read line: dropped at the read timeout, s1 and s12 open")
 
 
 def check_short_write_identity(server_bin):
@@ -439,6 +488,7 @@ def main():
 
     check_idle_reap_isolated(args.server)
     check_io_timeout_reap(args.server)
+    check_half_line_dropped(args.server)
     check_short_write_identity(args.server)
     check_drop_mid_response(args.server)
     check_eintr_storm_transparent(args.server)

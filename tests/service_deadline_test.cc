@@ -3,10 +3,11 @@
 // [E_DEADLINE], or an on_deadline=approx degradation), and the SAME session
 // then serves an undeadlined REPORT bit-identical to a fresh serial oracle
 // — over ExecuteLine (the stdin/script transport) and over a real TCP
-// connection. Plus the socket reaps: the idle watchdog ends a silent client
-// without touching its session or its neighbors, and the read-poll timeout
-// reaps a stalled reader; both count into TransportStats::io_timeouts. A
-// connection whose own command is still running is never idle-reaped.
+// connection. Plus the socket reap: the read timeout ends a silent client
+// without touching its session or its neighbors and reaps a stalled
+// reader, counting into TransportStats::io_timeouts. A connection whose own
+// command is still running is never reaped, and a command line the timeout
+// cut short never runs.
 //
 // Deadline expiry here is genuinely timing-based (the protocol carries
 // milliseconds, not check ordinals), so the session is GROWN until the 1 ms
@@ -294,14 +295,14 @@ TEST(DeadlineSocketTest, ExpiredReportOverSocketThenRetryBitIdentical) {
   EXPECT_EQ(transcript.substr(retry_at), want);
 }
 
-TEST(DeadlineSocketTest, IdleWatchdogReapsSilentClientWithoutCollateral) {
+TEST(DeadlineSocketTest, ReadTimeoutReapsSilentClientWithoutCollateral) {
   TransportStats transport;
   CommandLoopOptions loop_options;
   loop_options.registry.num_stripes = 8;
   loop_options.transport_stats = &transport;
   EngineRegistry registry(loop_options.registry);
   TcpServerOptions net_options;
-  net_options.idle_timeout_ms = 150;
+  net_options.io_timeout_ms = 150;
   auto listening =
       TcpServer::Listen(net_options, loop_options, &registry, nullptr);
   ASSERT_TRUE(listening.ok()) << listening.error();
@@ -315,7 +316,7 @@ TEST(DeadlineSocketTest, IdleWatchdogReapsSilentClientWithoutCollateral) {
   EXPECT_EQ(silent.ReadLine(), "> OPEN a q() :- R(x)");
   EXPECT_EQ(silent.ReadLine(), "ok open a");
 
-  // The watchdog reaps it within idle_timeout_ms + one accept tick; the
+  // The read timeout reaps it after io_timeout_ms of silence; the
   // client observes an orderly EOF — no error line, no reset.
   EXPECT_EQ(silent.ReadToEof(), "");
   EXPECT_GE(transport.io_timeouts.load(), 1u);
@@ -339,17 +340,17 @@ TEST(DeadlineSocketTest, IdleWatchdogReapsSilentClientWithoutCollateral) {
   EXPECT_EQ(server.total_errors(), 0u);
 }
 
-TEST(DeadlineSocketTest, IdleWatchdogSparesTheConnectionOfARunningCommand) {
-  // The idle clock means "waiting for the peer since": a connection whose
-  // own command computes for several idle limits is busy, not idle, so the
-  // next command on it must still be answered.
+TEST(DeadlineSocketTest, ReadTimeoutSparesTheConnectionOfARunningCommand) {
+  // The read timeout runs only while the connection waits for its peer: a
+  // connection whose own command computes for several limits is busy, not
+  // idle, so the next command on it must still be answered.
   TransportStats transport;
   CommandLoopOptions loop_options;
   loop_options.registry.num_stripes = 8;
   loop_options.transport_stats = &transport;
   EngineRegistry registry(loop_options.registry);
   TcpServerOptions net_options;
-  net_options.idle_timeout_ms = 100;
+  net_options.io_timeout_ms = 100;
   auto listening =
       TcpServer::Listen(net_options, loop_options, &registry, nullptr);
   ASSERT_TRUE(listening.ok()) << listening.error();
@@ -357,7 +358,7 @@ TEST(DeadlineSocketTest, IdleWatchdogSparesTheConnectionOfARunningCommand) {
   std::thread serve_thread([&server]() { server.Serve(nullptr); });
 
   // An approx-only session: its sampling cost grows as 1/eps^2, so eps is
-  // halved until one REPORT outlasts the idle limit four times over — the
+  // halved until one REPORT outlasts the limit four times over — the
   // workload is grown, not sized for a machine speed.
   Client client(server.port());
   ASSERT_TRUE(client.connected());
@@ -378,7 +379,7 @@ TEST(DeadlineSocketTest, IdleWatchdogSparesTheConnectionOfARunningCommand) {
     }
     return false;  // EOF
   };
-  const auto limit = std::chrono::milliseconds(net_options.idle_timeout_ms);
+  const auto limit = std::chrono::milliseconds(net_options.io_timeout_ms);
   bool answered = true;
   bool outlasted = false;
   for (double eps = 0.2; eps > 1e-3 && answered && !outlasted; eps /= 2) {
@@ -388,7 +389,7 @@ TEST(DeadlineSocketTest, IdleWatchdogSparesTheConnectionOfARunningCommand) {
     outlasted = std::chrono::steady_clock::now() - start >= 4 * limit;
   }
   EXPECT_TRUE(answered) << "a REPORT after a long one got no answer";
-  EXPECT_TRUE(outlasted) << "no REPORT outlasted the idle limit";
+  EXPECT_TRUE(outlasted) << "no REPORT outlasted the read timeout";
 
   // The next command, after a pause shorter than the limit, is answered.
   std::this_thread::sleep_for(limit / 5);
@@ -433,6 +434,41 @@ TEST(DeadlineSocketTest, IoTimeoutReapsStalledReaderAfterReply) {
 
   server.Shutdown();
   serve_thread.join();
+}
+
+TEST(DeadlineSocketTest, ReadTimeoutDropsAHalfReadCommandLine) {
+  // A client stalls mid-line past the read timeout: it has sent "CLOSE s1"
+  // and would send "2\n" too late. The line the timeout cut short must not
+  // run as CLOSE s1: the connection ends with no reply, and both sessions
+  // stay open.
+  TransportStats transport;
+  CommandLoopOptions loop_options;
+  loop_options.registry.num_stripes = 8;
+  loop_options.transport_stats = &transport;
+  EngineRegistry registry(loop_options.registry);
+  TcpServerOptions net_options;
+  net_options.io_timeout_ms = 150;
+  auto listening =
+      TcpServer::Listen(net_options, loop_options, &registry, nullptr);
+  ASSERT_TRUE(listening.ok()) << listening.error();
+  TcpServer server = std::move(listening).value();
+  std::thread serve_thread([&server]() { server.Serve(nullptr); });
+
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+  client.Send("OPEN s1 q() :- R(x)\nOPEN s12 q() :- R(x)\nCLOSE s1");
+  EXPECT_EQ(client.ReadLine(), "> OPEN s1 q() :- R(x)");
+  EXPECT_EQ(client.ReadLine(), "ok open s1");
+  EXPECT_EQ(client.ReadLine(), "> OPEN s12 q() :- R(x)");
+  EXPECT_EQ(client.ReadLine(), "ok open s12");
+  EXPECT_EQ(client.ReadToEof(), "");
+  EXPECT_TRUE(registry.Has("s1"));
+  EXPECT_TRUE(registry.Has("s12"));
+  EXPECT_EQ(transport.io_timeouts.load(), 1u);
+
+  server.Shutdown();
+  serve_thread.join();
+  EXPECT_EQ(server.total_errors(), 0u);
 }
 
 }  // namespace

@@ -29,7 +29,8 @@ TEST(CombinatoricsTest, BinomialValues) {
 }
 
 TEST(CombinatoricsTest, BinomialRowMatchesPointwise) {
-  for (size_t n : {0u, 1u, 5u, 17u}) {
+  // 256 is the widest cached row; 257 and up are built per call.
+  for (size_t n : {0u, 1u, 5u, 17u, 256u, 257u, 300u, 600u}) {
     const auto row = Combinatorics::BinomialRow(n);
     ASSERT_EQ(row.size(), n + 1);
     for (size_t k = 0; k <= n; ++k) {

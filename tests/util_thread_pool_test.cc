@@ -106,11 +106,12 @@ std::vector<BigInt> ReferenceBinomialRow(size_t n) {
 
 TEST(CombinatoricsConcurrencyTest, ConcurrentGrowthServesExactValues) {
   // Past the range other tests touch, so workers race on cache GROWTH, not
-  // only on warmed reads. Each worker walks the n-range in a different
+  // only on warmed reads, and past the widest cached row, so they also race
+  // on rows built per call. Each worker walks the n-range in a different
   // stride order and keeps copies of everything it was served; the copies
   // are differential-checked against the references afterwards.
   constexpr size_t kThreads = 8;
-  constexpr size_t kMaxN = 160;
+  constexpr size_t kMaxN = 300;
   struct Served {
     std::vector<std::pair<size_t, BigInt>> factorials;
     std::vector<std::pair<size_t, std::vector<BigInt>>> rows;

@@ -41,7 +41,6 @@ void PrintUsage() {
       "                     [--max-facts N] [--max-conns N] [--stripes N]\n"
       "                     [--queue-bound N] [--stats-bytes={exact,off}]\n"
       "                     [--default-deadline-ms N] [--io-timeout-ms N]\n"
-      "                     [--idle-timeout-ms N]\n"
       "\n"
       "Long-lived attribution server: one incremental Shapley engine per\n"
       "open session, byte-budgeted LRU eviction, rebuild-on-readmission,\n"
@@ -167,14 +166,11 @@ void PrintUsage() {
       "  --io-timeout-ms N  listen mode: longest a connection's read waits\n"
       "                     for the peer to send anything before the\n"
       "                     connection is closed (0 = forever, the\n"
-      "                     default); reaps dead peers and slow-loris\n"
-      "                     clients, counted as io_timeouts= in STATS\n"
-      "  --idle-timeout-ms N\n"
-      "                     listen mode: connections that have waited\n"
-      "                     N ms for the peer's next command are\n"
-      "                     half-closed by the watchdog (a running\n"
-      "                     command is never idle; 0 = never, the\n"
-      "                     default); also counted as io_timeouts=\n"
+      "                     default); reaps dead peers, slow-loris and\n"
+      "                     idle clients (a running command is never\n"
+      "                     reaped, and a command line the timeout cuts\n"
+      "                     short is dropped), counted as io_timeouts=\n"
+      "                     in STATS\n"
       "  --stats-bytes=MODE 'exact' (default) includes the platform-\n"
       "                     dependent bytes= engine-size estimate in the\n"
       "                     global STATS line; 'off' omits it so\n"
@@ -250,8 +246,6 @@ int main(int argc, char** argv) {
       options.default_deadline_ms = next_size("--default-deadline-ms");
     } else if (arg == "--io-timeout-ms") {
       net_options.io_timeout_ms = next_size("--io-timeout-ms");
-    } else if (arg == "--idle-timeout-ms") {
-      net_options.idle_timeout_ms = next_size("--idle-timeout-ms");
     } else if (arg.rfind("--stats-bytes=", 0) == 0) {
       const std::string mode = arg.substr(std::strlen("--stats-bytes="));
       if (mode == "exact") {
