@@ -29,7 +29,21 @@ size_t EndoCount(const AtomLists& lists) {
   return count;
 }
 
-// Ground base case, reduced to the shared leaf-state table.
+// Lemma 3.2 with the negation extension. A positive ground atom must be
+// present (a forced pick if endogenous, free if exogenous, impossible if
+// absent); a negative one must be absent (the mirror image).
+CountVector GroundLeafSat(bool negated, GroundFactState state) {
+  if (!negated) {
+    if (state == GroundFactState::kAbsent) return CountVector::Zero(0);
+    if (state == GroundFactState::kExogenous) return CountVector::All(0);
+    return CountVector::FromCounts({BigInt(0), BigInt(1)});  // forced pick
+  }
+  if (state == GroundFactState::kAbsent) return CountVector::All(0);
+  if (state == GroundFactState::kExogenous) return CountVector::Zero(0);
+  return CountVector::FromCounts({BigInt(1), BigInt(0)});  // forced non-pick
+}
+
+// Ground base case, reduced to the leaf-state table.
 CountVector GroundAtomCount(const Atom& atom, const std::vector<FactInfo>& list) {
   SHAPCQ_CHECK_MSG(list.size() <= 1,
                    "ground atom with more than one matching fact");
@@ -117,20 +131,6 @@ CountVector CoreCount(const CQ& q, const AtomLists& lists) {
 }
 
 }  // namespace
-
-// Lemma 3.2 with the negation extension. A positive ground atom must be
-// present (a forced pick if endogenous, free if exogenous, impossible if
-// absent); a negative one must be absent (the mirror image).
-CountVector GroundLeafSat(bool negated, GroundFactState state) {
-  if (!negated) {
-    if (state == GroundFactState::kAbsent) return CountVector::Zero(0);
-    if (state == GroundFactState::kExogenous) return CountVector::All(0);
-    return CountVector::FromCounts({BigInt(0), BigInt(1)});  // forced pick
-  }
-  if (state == GroundFactState::kAbsent) return CountVector::All(0);
-  if (state == GroundFactState::kExogenous) return CountVector::Zero(0);
-  return CountVector::FromCounts({BigInt(1), BigInt(0)});  // forced non-pick
-}
 
 Result<CountVector> CountSat(const CQ& q, const Database& db) {
   if (!IsSafe(q)) {

@@ -36,12 +36,6 @@ enum class GroundFactState {
   kEndogenous = 2,  ///< matched by an endogenous fact
 };
 
-/// |Sat| vector of a ground-atom leaf (the Lemma 3.2 base case with the
-/// negation extension). Shared by the CntSat recursion and by ShapleyEngine,
-/// whose incremental patches re-derive a leaf's vector whenever a fact
-/// insert/delete flips the leaf's state.
-CountVector GroundLeafSat(bool negated, GroundFactState state);
-
 /// |Sat(D,q,k)| for all k, in time polynomial in |D|. Requires q safe,
 /// self-join-free and hierarchical (returns an error otherwise).
 Result<CountVector> CountSat(const CQ& q, const Database& db);

@@ -6,20 +6,32 @@
 //  * Node structure lives in index-linked parallel arrays (kind, parent,
 //    child ranges into one concatenated child-id array, leaf polarity) — no
 //    per-node objects, no virtual dispatch.
-//  * Every count-vector cell lives in ONE flat cell buffer. A logical vector
-//    is a slot (offset, length, capacity) into that buffer; with 64-bit
-//    limbs and |Dn| <= 192 every cell's magnitude is stored inline in its
-//    40-byte BigInt slot, so a bottom-up sweep walks contiguous memory.
-//    Replacing a vector reuses its range in place when the new length fits
-//    and appends a fresh range otherwise; CompactCells() packs the buffer
-//    once stranded cells outnumber live ones (likewise relocated child ids).
+//  * Every count-vector cell lives in ONE flat buffer of 64-bit limbs. A
+//    vector of len cells is a slot {offset, len, cap} into that buffer, and
+//    each of its cells takes width = ⌈len/64⌉ limbs: cell k counts k-subsets
+//    of at most len − 1 facts, so it is at most C(len − 1, k) < 2^len, and
+//    the width is fixed the moment the slot is made. A bottom-up sweep thus
+//    walks contiguous fixed-width cells with no per-cell header or heap
+//    spill. Replacing a vector reuses its range in place when its len·width
+//    limbs fit the slot's capacity and appends a fresh range otherwise (so
+//    a store whose length crosses a multiple of 64 moves, as a longer one
+//    does); CompactCells() packs the buffer once stranded limbs outnumber
+//    live ones (likewise relocated child ids).
+//  * Three fixed-width kernels do all the counting: convolution, the
+//    complement against the cached Pascal row C(u, ·), and exact division.
+//    BigInt enters only where a value leaves the arena (SatOf, the
+//    numerators and values of Numerators) and in the rare division by a
+//    cell wider than one limb.
 //  * ShapleyEngine::Build appends each node the moment its recursion step
 //    finishes, children before parents, and the node's |Sat| cells are
-//    written straight into the buffer. Each inner node combines its
-//    children's combine vectors — child sat under a component, All − child
-//    sat under a root-variable node — and stores their product, leaving out
-//    the all-zero ones, which it only counts. The combine rules are
-//    implemented once, below, and shared by Build and every mutation patch:
+//    written straight into the buffer. A ground leaf's one or two cells come
+//    from its polarity and presence state (the Lemma 3.2 base case, kept
+//    here rather than shared with the CntSat oracle). Each inner node
+//    combines its children's combine vectors — child sat under a component,
+//    All − child sat under a root-variable node — and stores their product,
+//    leaving out the all-zero ones, which it only counts. The combine rules
+//    are implemented once, below, and shared by Build and every mutation
+//    patch:
 //
 //      component:  sat = Π child sat                (0 if a factor is zero)
 //      root var:   sat = All − Π (All − child sat)  (All if a factor is zero)
@@ -45,8 +57,10 @@
 // when another child is zero.
 //
 // One call, Numerators, fills r along the requested leaves' paths level by
-// level (inline at one thread, over a pool at more) in a buffer that dies
-// with the call: the arena keeps no evaluation state between calls.
+// level (inline at one thread, over a pool at more) in a limb buffer that
+// dies with the call: the arena keeps no evaluation state between calls. An
+// r cell j counts j-subsets of the len − 1 other players in r's universe,
+// so ⌈len/64⌉ limbs hold it too.
 //
 // Incremental maintenance patches the same storage: a leaf store or a
 // new-child splice walks the dirtied path to the root, dividing each
@@ -71,7 +85,8 @@
 
 namespace shapcq {
 
-class CancelToken;  // util/cancel.h
+class CancelToken;            // util/cancel.h
+enum class GroundFactState;  // core/count_sat.h
 
 /// The Shapley weight row of n players over its common factor. Every weight
 /// w_k = k!(n−1−k)! (k = 0..n−1) shares G = gcd_k w_k, which depends on n
@@ -87,9 +102,17 @@ struct WeightRow {
   /// (w_k/G)·(k+1)/(n−1−k) by checked one-limb steps; D = n·(w_0/G).
   static WeightRow For(size_t n);
 
-  std::vector<BigInt> reduced;  // w_k / G
-  BigInt common;                // G
-  BigInt denominator;           // D = n!/G
+  /// w_k/G for any k < n.
+  BigInt Reduced(size_t k) const;
+
+  size_t n = 0;
+  /// Limbs per weight: those of the largest, w_0/G.
+  size_t width = 0;
+  /// w_k/G for k = 0..⌊(n−1)/2⌋, `width` limbs each. The row is a
+  /// palindrome (w_k = w_{n−1−k}), so the upper half is not stored.
+  std::vector<BigInt::Limb> reduced;
+  BigInt common;       // G
+  BigInt denominator;  // D = n!/G
 };
 
 /// The CntSat recursion as flat arrays plus one cell buffer. See the file
@@ -113,8 +136,9 @@ class EngineArena {
   // -------------------------------------------------------------------------
 
   void Reserve(size_t node_count);
-  /// A ground leaf whose |Sat| vector is `sat` (GroundLeafSat of its state).
-  int AddGround(bool negated, CountVector sat);
+  /// A ground leaf of the given polarity over the (at most one) fact that
+  /// matches it, in `state`.
+  int AddGround(bool negated, GroundFactState state);
   /// A component node (sat = Π child sat) or a root-var node
   /// (sat = All − Π (All − child sat)) over already-added children.
   int AddInner(NodeKind kind, const std::vector<int>& children);
@@ -166,8 +190,8 @@ class EngineArena {
   // the stored product and the new one multiplied in.
   // -------------------------------------------------------------------------
 
-  /// Replaces a ground leaf's |Sat| after its presence state flipped.
-  void SetLeafSat(int leaf, CountVector sat);
+  /// Re-derives a ground leaf's |Sat| after its presence state flipped.
+  void SetLeafSat(int leaf, GroundFactState state);
 
   /// Attaches the freshly added subtree root `child` as the last child of
   /// the root-var node `parent` and multiplies its unsat factor into the
@@ -186,8 +210,10 @@ class EngineArena {
   /// for every node on the leaves' root paths in a call-local buffer and
   /// fills it level by level from the root, inline on the caller when
   /// num_threads <= 1 and over a worker pool otherwise (0 = hardware
-  /// concurrency). Each leaf then assembles S = Σ_k (w_k/G)·r_k against the
-  /// WeightRow of n, built once per n, and hands out G·S; a non-null
+  /// concurrency). Each leaf then assembles S = Σ_k (w_k/G)·r_k on limbs
+  /// against the WeightRow of n, built once per n, adding r_k + r_{n−1−k}
+  /// before one multiply by their shared weight, and hands out G·S; a
+  /// non-null
   /// `values` also receives its Shapley value Rational(S, D), reduced by a
   /// gcd against D = n!/G instead of n!. Results are bit-identical at every
   /// thread count (each r cell is written once, by the same exact-integer
@@ -204,17 +230,16 @@ class EngineArena {
   // Accounting and invariants.
   // -------------------------------------------------------------------------
 
-  /// Heap footprint of the arena: a handful of buffer-capacity sums (plus
-  /// the heap spill of any cell wider than BigInt's inline storage, i.e.
-  /// only for |Dn| > 192). O(cells) integer reads.
+  /// Heap footprint of the arena: a handful of buffer-capacity sums. After
+  /// SetRoot the limb buffer's capacity equals its size. O(1).
   size_t ApproxMemoryBytes() const;
 
-  /// Cells stranded by out-of-place vector replacements, in units of cells.
-  size_t SlackCells() const { return slack_cells_; }
+  /// Limbs stranded by out-of-place vector replacements.
+  size_t SlackLimbs() const { return slack_limbs_; }
 
-  /// Rewrites the cell buffer and the child-id array dense (every live slot
+  /// Rewrites the limb buffer and the child-id array dense (every live slot
   /// and child list packed back to back, stranded entries dropped). Values
-  /// are untouched. Slot stores run it once stranded cells outnumber live
+  /// are untouched. Slot stores run it once stranded limbs outnumber live
   /// ones.
   void CompactCells();
 
@@ -222,26 +247,48 @@ class EngineArena {
   /// arrays equal-sized, child ranges well-formed and mutually consistent
   /// with parent/child_index, topological order covering every node with
   /// parents before children, every live slot range inside the buffer with
-  /// len <= cap, live ranges disjoint, the live caps plus SlackCells()
-  /// accounting for every cell, and the live child lists plus the stranded
+  /// len·width <= cap, live ranges disjoint, the live caps plus SlackLimbs()
+  /// accounting for every limb, and the live child lists plus the stranded
   /// ids accounting for every child id. Test hook; O(nodes + slots).
   void CheckInvariants() const;
 
  private:
+  using Limb = BigInt::Limb;
+
+  // offset and cap in limbs; len in cells of ⌈len/64⌉ limbs each.
   struct Slot {
     uint32_t offset = 0;
     uint32_t len = 0;
     uint32_t cap = 0;
   };
+  // A count vector read in place: len cells of ⌈len/64⌉ limbs each.
+  struct CellSpan {
+    const Limb* limbs = nullptr;
+    size_t len = 0;
+  };
+  // A count vector outside the buffer, in the same layout.
+  struct Cells {
+    size_t len = 0;
+    std::vector<Limb> limbs;
+
+    Cells() = default;
+    explicit Cells(size_t n);  // n zero cells
+    CellSpan span() const { return {limbs.data(), len}; }
+  };
 
   // --- cell store ---
-  int NewSlot(std::vector<BigInt> cells);
-  // Moves `cells` into the slot: in place whenever the new length fits its
-  // capacity, out of place (stranding the old range) otherwise.
-  void StoreSlotAt(int32_t slot, std::vector<BigInt> cells);
+  int NewSlot(const Cells& cells);
+  // Writes `cells` into the slot: in place whenever its limbs fit the
+  // slot's capacity, out of place (stranding the old range) otherwise.
+  void StoreSlotAt(int32_t slot, const Cells& cells);
   size_t SlotLen(int32_t slot) const { return slots_[slot].len; }
   // A copy of the slot's cells.
-  std::vector<BigInt> CellsOf(int32_t slot) const;
+  Cells CellsOf(int32_t slot) const;
+  CellSpan SlotSpan(int32_t slot) const {
+    return {limbs_.data() + slots_[slot].offset, slots_[slot].len};
+  }
+  // The cells as BigInt counts (SatOf, BaselineSat).
+  static CountVector ToCountVector(CellSpan cells);
   // Packs children_ dense (part of CompactCells; splices run it once
   // stranded ids outnumber live ones).
   void CompactChildren();
@@ -252,22 +299,27 @@ class EngineArena {
   int AppendNode(NodeKind kind, const std::vector<int>& children,
                  bool negated);
 
-  // --- the combine rules (used by Build and the patch path alike) ---
-  // Child j's combine vector: its sat for component parents, its complement
-  // against All for root-var parents.
-  std::vector<BigInt> CombineOf(int parent, size_t j) const;
-  // The parent's stored product divided exactly by `combine`, one of its
-  // nonzero factors.
-  std::vector<BigInt> ProductWithout(int parent,
-                                     const std::vector<BigInt>& combine) const;
-  // Child j's sibling context: the product of every other child's combine
-  // vector. Const, so the sweep's fill may run it on pool workers.
-  std::vector<BigInt> ContextOf(int parent, size_t j) const;
+  // --- the combine rules (used by Build, the patch path and the sweep) ---
+  // A ground leaf's |Sat|: one or two one-limb cells.
+  static Cells LeafSat(bool negated, GroundFactState state);
+  // Multiplies a child's combine vector into its parent's running product,
+  // or, when the vector is zero, counts it in `zero_count` instead.
+  static void MultiplyIn(Cells& product, uint32_t& zero_count,
+                         CellSpan combine);
+  // Child j's combine vector: its sat slot for component parents; for
+  // root-var parents its complement against All, written to `scratch`
+  // (which holds the child's sat len·width limbs).
+  CellSpan CombineOf(int parent, size_t j, Limb* scratch) const;
+  CellSpan CombineOf(int parent, size_t j, Cells* scratch) const;
+  // Child j's sibling context, the product of every other child's combine
+  // vector, written to `out`; returns its length. `scratch` is CombineOf's.
+  // Const, so the sweep's fill may run it on pool workers.
+  size_t ContextInto(int parent, size_t j, Limb* scratch, Limb* out) const;
   // The inner node's sat over `universe` players, from its stored product
   // and zero count.
-  std::vector<BigInt> SatFromProduct(int node, size_t universe) const;
+  Cells SatFromProduct(int node, size_t universe) const;
   // Stores `sat` as the node's |Sat| and re-derives every ancestor.
-  void StoreSatUpward(int node, std::vector<BigInt> sat);
+  void StoreSatUpward(int node, Cells sat);
 
   // --- evaluation (the sweep itself is Numerators) ---
   void EnsureTopo();
@@ -289,10 +341,10 @@ class EngineArena {
   bool topo_dirty_ = false;
   int32_t root_ = -1;
 
-  // --- flat cell buffer and per-node slots ---
-  std::vector<BigInt> cells_;
+  // --- flat limb buffer and per-node slots ---
+  std::vector<Limb> limbs_;
   std::vector<Slot> slots_;
-  size_t slack_cells_ = 0;
+  size_t slack_limbs_ = 0;
   std::vector<int32_t> sat_slot_;
   // Inner nodes: the product of the children's nonzero combine vectors
   // (-1 for ground leaves) and the number of children whose combine vector
@@ -301,7 +353,7 @@ class EngineArena {
   std::vector<uint32_t> zero_count_;
 
   // The Shapley weight row w_k/G with G and D = n!/G, for the n =
-  // weights_.reduced.size() it was last built for.
+  // weights_.n it was last built for.
   WeightRow weights_;
 };
 

@@ -145,8 +145,7 @@ int ShapleyEngine::Impl::BuildNode(const SafePlan& step,
   // is ever served from a cancelled build.
   if (build_cancel != nullptr && (build_cancelled || build_cancel->Expired())) {
     build_cancelled = true;
-    CountVector inert = GroundLeafSat(false, GroundFactState::kAbsent);
-    return AddNode(arena.AddGround(false, std::move(inert)), Node());
+    return AddNode(arena.AddGround(false, GroundFactState::kAbsent), Node());
   }
 
   Node node;
@@ -170,9 +169,8 @@ int ShapleyEngine::Impl::BuildNode(const SafePlan& step,
                        "ground atom with more than one matching fact");
       const bool negated = query.atom(step.atom_ids[0]).negated;
       if (!list.empty()) node.leaf_state = PresentState(*db, list[0]);
-      CountVector sat = GroundLeafSat(negated, node.leaf_state);
-      const int id = AddNode(arena.AddGround(negated, std::move(sat)),
-                             std::move(node));
+      const int id =
+          AddNode(arena.AddGround(negated, node.leaf_state), std::move(node));
       if (nodes[id].leaf_state == GroundFactState::kEndogenous) {
         leaf_of_endo[db->endo_index(list[0])] = id;
       }
@@ -372,7 +370,7 @@ void ShapleyEngine::Impl::ApplyInsert(FactId fact) {
                          leaf.leaf_state == GroundFactState::kAbsent,
                      "insert routed to an occupied ground leaf");
     leaf.leaf_state = PresentState(*db, fact);
-    arena.SetLeafSat(node, GroundLeafSat(arena.negated(node), leaf.leaf_state));
+    arena.SetLeafSat(node, leaf.leaf_state);
     if (endo) leaf_of_endo[db->endo_index(fact)] = node;
   } else {
     // Unseen root value: build the new slice's subtree (just this fact in
@@ -411,7 +409,7 @@ void ShapleyEngine::Impl::ApplyDelete(FactId fact, bool endo, size_t endo_idx) {
                        nodes[leaf].leaf_state != absent,
                    "delete routed to an empty ground leaf");
   nodes[leaf].leaf_state = absent;
-  arena.SetLeafSat(leaf, GroundLeafSat(arena.negated(leaf), absent));
+  arena.SetLeafSat(leaf, absent);
   orbits_dirty = true;
 }
 

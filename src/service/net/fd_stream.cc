@@ -17,9 +17,10 @@
 
 namespace shapcq {
 
-FdStreamBuf::FdStreamBuf(int fd, int io_timeout_ms)
-    : fd_(fd), io_timeout_ms_(io_timeout_ms), in_buf_(kBufferBytes),
-      out_buf_(kBufferBytes) {
+FdStreamBuf::FdStreamBuf(int fd, int io_timeout_ms,
+                         const std::atomic<bool>* draining)
+    : fd_(fd), io_timeout_ms_(io_timeout_ms), draining_(draining),
+      in_buf_(kBufferBytes), out_buf_(kBufferBytes) {
   // Empty get area (first read underflows); full put area.
   setg(in_buf_.data(), in_buf_.data(), in_buf_.data());
   setp(out_buf_.data(), out_buf_.data() + out_buf_.size());
@@ -44,10 +45,11 @@ FdStreamBuf::int_type FdStreamBuf::underflow() {
       const int ready = ::poll(&pfd, 1, io_timeout_ms_);
       if (ready < 0) {
         if (errno == EINTR) continue;
-        return traits_type::eof();
+        return EndOfStream();
       }
       if (ready == 0) {
-        timed_out_ = 1;
+        timed_out_ = true;
+        stopped_ = 1;
         return traits_type::eof();
       }
     }
@@ -62,10 +64,17 @@ FdStreamBuf::int_type FdStreamBuf::underflow() {
       setg(in_buf_.data(), in_buf_.data(), in_buf_.data() + n);
       return traits_type::to_int_type(*gptr());
     }
-    if (n == 0) return traits_type::eof();  // orderly close (or SHUT_RD)
+    if (n == 0) return EndOfStream();  // orderly close (or SHUT_RD)
     if (errno == EINTR) continue;
-    return traits_type::eof();  // reset/teardown: same as EOF to the loop
+    return EndOfStream();  // reset/teardown: same as EOF to the loop
   }
+}
+
+FdStreamBuf::int_type FdStreamBuf::EndOfStream() {
+  if (draining_ != nullptr && draining_->load(std::memory_order_acquire)) {
+    stopped_ = 1;
+  }
+  return traits_type::eof();
 }
 
 bool FdStreamBuf::FlushOut() {

@@ -14,9 +14,11 @@
 // bytes (poll(POLLIN) before recv); expiry latches timed_out() and surfaces
 // as EOF, so the connection loop unwinds through its ordinary
 // end-of-stream path — the dead-peer/slow-loris reap is just "the stream
-// ended". The latch tells the server to count the reap, and doubles as
-// the command loop's stop flag: a line the timeout cut short is dropped,
-// never run, where an orderly EOF still runs an unterminated last line.
+// ended". The server counts the reap. A timeout also latches stopped(),
+// the command loop's stop flag, and so does the EOF a server drain causes
+// (its SHUT_RD, once the drain flag is set): a line either one cut short
+// is dropped, never run, where the peer's own orderly EOF still runs an
+// unterminated last line.
 //
 // Chaos: both syscalls consult the process-wide FaultInjector
 // (util/fault_injector.h) — net_short_write caps sends at one byte,
@@ -31,6 +33,7 @@
 #ifndef SHAPCQ_SERVICE_NET_FD_STREAM_H_
 #define SHAPCQ_SERVICE_NET_FD_STREAM_H_
 
+#include <atomic>
 #include <csignal>
 #include <cstddef>
 #include <streambuf>
@@ -42,8 +45,11 @@ class FdStreamBuf : public std::streambuf {
  public:
   /// Wraps a connected socket fd (borrowed, not owned). io_timeout_ms is
   /// the longest a read will wait for the peer to send anything; < 0
-  /// waits forever (the default, and the pre-timeout behavior).
-  explicit FdStreamBuf(int fd, int io_timeout_ms = -1);
+  /// waits forever (the default, and the pre-timeout behavior). A non-null
+  /// `draining` is the server's drain flag: EOF read while it is set ends
+  /// the stream like a timeout does.
+  explicit FdStreamBuf(int fd, int io_timeout_ms = -1,
+                       const std::atomic<bool>* draining = nullptr);
   ~FdStreamBuf() override;
   FdStreamBuf(const FdStreamBuf&) = delete;
   FdStreamBuf& operator=(const FdStreamBuf&) = delete;
@@ -51,10 +57,14 @@ class FdStreamBuf : public std::streambuf {
   /// True once any send() failed (peer gone); later writes are dropped.
   bool write_failed() const { return write_failed_; }
 
-  /// Set once a read waited io_timeout_ms without the peer sending a byte
-  /// (that read returned EOF and ended the connection loop). Shaped as a
-  /// stop flag for CommandLoop::Run, which then drops a partial line.
-  const volatile std::sig_atomic_t* timed_out() const { return &timed_out_; }
+  /// True once a read waited io_timeout_ms without the peer sending a byte
+  /// (that read returned EOF and ended the connection loop).
+  bool timed_out() const { return timed_out_; }
+
+  /// Set once a read ended the stream on a timeout or on a drain's EOF,
+  /// not on the peer's own close. Shaped as a stop flag for
+  /// CommandLoop::Run, which then drops a partial line.
+  const volatile std::sig_atomic_t* stopped() const { return &stopped_; }
 
  protected:
   int_type underflow() override;
@@ -68,12 +78,17 @@ class FdStreamBuf : public std::streambuf {
 
   static constexpr size_t kBufferBytes = 8192;
 
+  // EOF for the loop; latches stopped_ when a drain caused it.
+  int_type EndOfStream();
+
   int fd_;
   int io_timeout_ms_;
+  const std::atomic<bool>* draining_;
   std::vector<char> in_buf_;
   std::vector<char> out_buf_;
   bool write_failed_ = false;
-  volatile std::sig_atomic_t timed_out_ = 0;
+  bool timed_out_ = false;
+  volatile std::sig_atomic_t stopped_ = 0;
 };
 
 }  // namespace shapcq

@@ -11,7 +11,8 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
-#include <iostream>
+#include <istream>
+#include <ostream>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -75,6 +76,8 @@ struct TcpServer::Impl {
   std::atomic<size_t> total_errors{0};
   std::atomic<size_t> rejected{0};
   std::atomic<bool> shutdown_requested{false};
+  // Set by the drain before it half-closes the live connections.
+  std::atomic<bool> draining{false};
 
   ~Impl() {
     if (listen_fd >= 0) ::close(listen_fd);
@@ -92,16 +95,19 @@ struct TcpServer::Impl {
       const int io_timeout = options.io_timeout_ms > 0
                                  ? static_cast<int>(options.io_timeout_ms)
                                  : -1;
-      FdStreamBuf buf(fd, io_timeout);
-      std::iostream stream(&buf);
+      FdStreamBuf buf(fd, io_timeout, &draining);
+      // One stream per direction over the one buffer: the read side's
+      // eofbit must not silence the reply to an unterminated last line.
+      std::istream in(&buf);
+      std::ostream out(&buf);
       // Shared mode: this connection's loop borrows the server's registry
-      // and log manager. Its stop flag is the read-timeout latch, so a line
-      // the timeout cut short never runs; drain reaches the loop as EOF via
-      // SHUT_RD, after the in-flight command completed.
+      // and log manager. Its stop flag latches on a read timeout and on a
+      // drain's EOF (SHUT_RD, after the in-flight command completed), so a
+      // line either one cut short never runs.
       CommandLoop loop(loop_options, registry, log);
-      loop.Run(stream, stream, buf.timed_out());
+      loop.Run(in, out, buf.stopped());
       total_errors.fetch_add(loop.error_count(), std::memory_order_relaxed);
-      if (*buf.timed_out()) CountIoTimeout();
+      if (buf.timed_out()) CountIoTimeout();
     }
     {
       std::lock_guard<std::mutex> lock(live_mutex);
@@ -240,9 +246,11 @@ size_t TcpServer::Serve(const volatile std::sig_atomic_t* stop) {
   }
 
   // Drain: no new clients, half-close the live ones (the in-flight command
-  // finishes, the next read is EOF), join the workers.
+  // finishes, the next read is EOF and drops a partial line), join the
+  // workers.
   ::close(impl_->listen_fd);
   impl_->listen_fd = -1;
+  impl_->draining.store(true, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(impl_->live_mutex);
     for (const int fd : impl_->live_conns) ::shutdown(fd, SHUT_RD);

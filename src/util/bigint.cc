@@ -8,37 +8,20 @@
 #include <vector>
 
 #include "util/check.h"
-
-// 128-bit intermediates: unsigned __int128 where the compiler provides it,
-// a 32-bit-split portable fallback otherwise. Every kernel below is written
-// against the MulWide / Div2By1 primitives so the two paths share one
-// algorithm. Compile with -DSHAPCQ_BIGINT_FORCE_PORTABLE to exercise the
-// fallback on an __int128-capable toolchain — the portable-fallback CI job
-// runs the whole differential battery that way, so both shapes stay tested.
-#if !defined(SHAPCQ_BIGINT_FORCE_PORTABLE) && defined(__SIZEOF_INT128__)
-#define SHAPCQ_BIGINT_HAS_INT128 1
-#else
-#define SHAPCQ_BIGINT_HAS_INT128 0
-#endif
+#include "util/limb_arith.h"
 
 namespace shapcq {
 
 namespace {
 
 using Limb = BigInt::Limb;
-
-inline int CountLeadingZeros(Limb x) {
-#if defined(__GNUC__) || defined(__clang__)
-  return __builtin_clzll(x);
-#else
-  int n = 0;
-  while (!(x >> 63)) {
-    x <<= 1;
-    ++n;
-  }
-  return n;
-#endif
-}
+using limb::CountLeadingZeros;
+using limb::Div2By1;
+using limb::MulAddRow;
+using limb::MulRowTo;
+using limb::MulSubRow;
+using limb::MulWide;
+using limb::SignificantLimbs;
 
 inline int CountTrailingZeros(Limb x) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -50,63 +33,6 @@ inline int CountTrailingZeros(Limb x) {
     ++n;
   }
   return n;
-#endif
-}
-
-// hi:lo = a * b.
-inline void MulWide(Limb a, Limb b, Limb* hi, Limb* lo) {
-#if SHAPCQ_BIGINT_HAS_INT128
-  const unsigned __int128 product = static_cast<unsigned __int128>(a) * b;
-  *lo = static_cast<Limb>(product);
-  *hi = static_cast<Limb>(product >> 64);
-#else
-  const Limb a_lo = a & 0xffffffffu, a_hi = a >> 32;
-  const Limb b_lo = b & 0xffffffffu, b_hi = b >> 32;
-  const Limb p0 = a_lo * b_lo;
-  const Limb p1 = a_lo * b_hi;
-  const Limb p2 = a_hi * b_lo;
-  const Limb p3 = a_hi * b_hi;
-  const Limb mid = (p0 >> 32) + (p1 & 0xffffffffu) + (p2 & 0xffffffffu);
-  *lo = (mid << 32) | (p0 & 0xffffffffu);
-  *hi = p3 + (p1 >> 32) + (p2 >> 32) + (mid >> 32);
-#endif
-}
-
-// Divides u1:u0 by d (requires u1 < d); returns the quotient, stores the
-// remainder. The portable branch is the classic base-2^32 two-digit long
-// division (Hacker's Delight divlu2).
-inline Limb Div2By1(Limb u1, Limb u0, Limb d, Limb* r) {
-#if SHAPCQ_BIGINT_HAS_INT128
-  const unsigned __int128 n =
-      (static_cast<unsigned __int128>(u1) << 64) | u0;
-  *r = static_cast<Limb>(n % d);
-  return static_cast<Limb>(n / d);
-#else
-  const Limb base = Limb{1} << 32;
-  const int s = CountLeadingZeros(d);
-  d <<= s;
-  if (s != 0) {
-    u1 = (u1 << s) | (u0 >> (64 - s));
-    u0 <<= s;
-  }
-  const Limb dh = d >> 32, dl = d & 0xffffffffu;
-  const Limb un1 = u0 >> 32, un0 = u0 & 0xffffffffu;
-  Limb q1 = u1 / dh, rhat = u1 % dh;
-  while (q1 >= base || q1 * dl > ((rhat << 32) | un1)) {
-    --q1;
-    rhat += dh;
-    if (rhat >= base) break;
-  }
-  const Limb un21 = (u1 << 32) + un1 - q1 * d;
-  Limb q0 = un21 / dh;
-  rhat = un21 % dh;
-  while (q0 >= base || q0 * dl > ((rhat << 32) | un0)) {
-    --q0;
-    rhat += dh;
-    if (rhat >= base) break;
-  }
-  *r = ((un21 << 32) + un0 - q0 * d) >> s;
-  return (q1 << 32) | q0;
 #endif
 }
 
@@ -242,23 +168,10 @@ int CompareLimbs(const Limb* a, size_t an, const Limb* b, size_t bn) {
   return 0;
 }
 
-size_t SignificantLimbs(const Limb* a, size_t n) {
-  while (n > 0 && a[n - 1] == 0) --n;
-  return n;
-}
-
 // a[0..an) -= b[0..bn) in place; requires |a| >= |b| (final borrow is zero).
 void SubLimbsInPlace(Limb* a, size_t an, const Limb* b, size_t bn) {
-  Limb borrow = 0;
-  size_t i = 0;
-  for (; i < bn; ++i) {
-    const Limb t = a[i] - borrow;
-    const Limb borrow1 = static_cast<Limb>(t > a[i]);
-    const Limb result = t - b[i];
-    borrow = borrow1 | static_cast<Limb>(result > t);
-    a[i] = result;
-  }
-  for (; borrow != 0 && i < an; ++i) {
+  Limb borrow = limb::SubRow(a, b, bn);
+  for (size_t i = bn; borrow != 0 && i < an; ++i) {
     const Limb t = a[i] - borrow;
     borrow = static_cast<Limb>(t > a[i]);
     a[i] = t;
@@ -270,87 +183,9 @@ void SubLimbsInPlace(Limb* a, size_t an, const Limb* b, size_t bn) {
 // res + res_len.
 void AddLimbsAt(Limb* res, size_t res_len, size_t off, const Limb* add,
                 size_t n) {
-  Limb carry = 0;
-  size_t i = 0;
-  for (; i < n; ++i) {
-    const Limb sum1 = res[off + i] + add[i];
-    const Limb carry1 = static_cast<Limb>(sum1 < add[i]);
-    const Limb sum2 = sum1 + carry;
-    carry = carry1 | static_cast<Limb>(sum2 < carry);
-    res[off + i] = sum2;
-  }
-  for (; carry != 0; ++i) {
-    SHAPCQ_CHECK_MSG(off + i < res_len, "magnitude addition overflow");
-    const Limb sum = res[off + i] + carry;
-    carry = static_cast<Limb>(sum < carry);
-    res[off + i] = sum;
-  }
-}
-
-// out[0..n) = a[0..n) * m; returns the carry limb.
-Limb MulRowTo(Limb* out, const Limb* a, size_t n, Limb m) {
-#if SHAPCQ_BIGINT_HAS_INT128
-  unsigned __int128 carry = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const unsigned __int128 cur =
-        static_cast<unsigned __int128>(a[i]) * m + static_cast<Limb>(carry);
-    out[i] = static_cast<Limb>(cur);
-    carry = cur >> 64;
-  }
-  return static_cast<Limb>(carry);
-#else
-  Limb carry = 0;
-  for (size_t i = 0; i < n; ++i) {
-    Limb hi, lo;
-    MulWide(a[i], m, &hi, &lo);
-    const Limb sum = lo + carry;
-    carry = hi + static_cast<Limb>(sum < lo);
-    out[i] = sum;
-  }
-  return carry;
-#endif
-}
-
-// acc[0..n) += a[0..n) * m; returns the carry limb.
-Limb MulAddRow(Limb* acc, const Limb* a, size_t n, Limb m) {
-#if SHAPCQ_BIGINT_HAS_INT128
-  unsigned __int128 carry = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const unsigned __int128 cur = static_cast<unsigned __int128>(a[i]) * m +
-                                  acc[i] + static_cast<Limb>(carry);
-    acc[i] = static_cast<Limb>(cur);
-    carry = cur >> 64;
-  }
-  return static_cast<Limb>(carry);
-#else
-  Limb carry = 0;
-  for (size_t i = 0; i < n; ++i) {
-    Limb hi, lo;
-    MulWide(a[i], m, &hi, &lo);
-    Limb sum = lo + carry;
-    Limb carry_out = hi + static_cast<Limb>(sum < lo);
-    const Limb with_acc = sum + acc[i];
-    carry_out += static_cast<Limb>(with_acc < sum);
-    acc[i] = with_acc;
-    carry = carry_out;
-  }
-  return carry;
-#endif
-}
-
-// acc[0..n) -= a[0..n) * m; returns the borrow limb.
-Limb MulSubRow(Limb* acc, const Limb* a, size_t n, Limb m) {
-  Limb borrow = 0;
-  for (size_t i = 0; i < n; ++i) {
-    Limb hi, lo;
-    MulWide(m, a[i], &hi, &lo);
-    lo += borrow;
-    hi += static_cast<Limb>(lo < borrow);
-    const Limb t = acc[i];
-    acc[i] = t - lo;
-    borrow = hi + static_cast<Limb>(t < lo);
-  }
-  return borrow;
+  const Limb carry = limb::PropagateCarry(res + off + n, res_len - off - n,
+                                          limb::AddRow(res + off, add, n));
+  SHAPCQ_CHECK_MSG(carry == 0, "magnitude addition overflow");
 }
 
 void MulMagnitudeTo(const Limb* a, size_t an, const Limb* b, size_t bn,
@@ -610,6 +445,12 @@ bool BigInt::TryParse(const std::string& text, BigInt* out) {
   return true;
 }
 
+BigInt BigInt::FromLimbs(const Limb* limbs, size_t count) {
+  BigInt result;
+  result.AssignMagnitude(limbs, count, 1);
+  return result;
+}
+
 BigInt BigInt::FromString(const std::string& text) {
   BigInt result;
   SHAPCQ_CHECK_MSG(TryParse(text, &result), "malformed decimal BigInt literal");
@@ -700,20 +541,9 @@ BigInt& BigInt::AccumulateSigned(const BigInt& other, int sign_multiplier) {
     }
     Limb* mine = limbs();
     const Limb* theirs = other.limbs();
-    Limb carry = 0;
-    size_t i = 0;
-    for (; i < other.size_; ++i) {
-      const Limb sum1 = mine[i] + theirs[i];
-      const Limb carry1 = static_cast<Limb>(sum1 < theirs[i]);
-      const Limb sum2 = sum1 + carry;
-      carry = carry1 | static_cast<Limb>(sum2 < carry);
-      mine[i] = sum2;
-    }
-    for (; carry != 0 && i < size_; ++i) {
-      const Limb sum = mine[i] + carry;
-      carry = static_cast<Limb>(sum < carry);
-      mine[i] = sum;
-    }
+    Limb carry = limb::AddRow(mine, theirs, other.size_);
+    carry = limb::PropagateCarry(mine + other.size_, size_ - other.size_,
+                                 carry);
     if (carry != 0) {
       EnsureCapacity(size_ + 1);
       limbs()[size_++] = carry;
@@ -736,12 +566,7 @@ BigInt& BigInt::AccumulateSigned(const BigInt& other, int sign_multiplier) {
     const Limb* theirs = other.limbs();
     Limb borrow = 0;
     for (size_t i = 0; i < other.size_; ++i) {
-      const Limb subtrahend = i < size_ ? mine[i] : 0;
-      const Limb t = theirs[i] - borrow;
-      const Limb borrow1 = static_cast<Limb>(t > theirs[i]);
-      const Limb result = t - subtrahend;
-      borrow = borrow1 | static_cast<Limb>(result > t);
-      mine[i] = result;
+      mine[i] = limb::SubBorrow(theirs[i], i < size_ ? mine[i] : 0, &borrow);
     }
     SHAPCQ_CHECK_MSG(borrow == 0, "magnitude subtraction underflow");
     size_ = other.size_;
@@ -978,15 +803,7 @@ void BigInt::DivMod(const BigInt& dividend, const BigInt& divisor,
       if (top < borrow) {
         // qhat was one too large: add the divisor back.
         --qhat;
-        Limb carry = 0;
-        for (size_t i = 0; i < bn; ++i) {
-          const Limb sum1 = u[j + i] + v[i];
-          const Limb carry1 = static_cast<Limb>(sum1 < v[i]);
-          const Limb sum2 = sum1 + carry;
-          carry = carry1 | static_cast<Limb>(sum2 < carry);
-          u[j + i] = sum2;
-        }
-        u[j + bn] += carry;
+        u[j + bn] += limb::AddRow(u + j, v, bn);
       }
       q[j] = qhat;
     }

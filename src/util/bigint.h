@@ -7,8 +7,10 @@
 // every engine in this library:
 //
 //   * 64-bit limbs with 128-bit intermediates (`unsigned __int128` where the
-//     compiler provides it, a portable 32-bit-split fallback otherwise) —
-//     half the limb traffic of the seed 32-bit kernel for the same values.
+//     compiler provides it, a portable 32-bit-split fallback otherwise; the
+//     primitives live in util/limb_arith.h, shared with the engine arena's
+//     fixed-width kernels) — half the limb traffic of the seed 32-bit
+//     kernel for the same values.
 //   * Small-value inline storage: magnitudes of up to kInlineLimbs (3) limbs
 //     — 192 bits, which covers the overwhelming majority of count-vector
 //     cells early in every cascade — live inside the object with no heap
@@ -77,6 +79,17 @@ class BigInt {
 
   /// Number of significant bits of the magnitude (0 for zero).
   size_t BitLength() const;
+
+  /// A read-only view of the magnitude: `size` little-endian limbs with no
+  /// leading zero limb (none for zero). Valid while the value is unchanged.
+  struct Magnitude {
+    const Limb* limbs;
+    size_t size;
+  };
+  Magnitude magnitude() const { return {limbs(), size_}; }
+  /// The non-negative value of `count` little-endian limbs (leading zero
+  /// limbs allowed).
+  static BigInt FromLimbs(const Limb* limbs, size_t count);
 
   /// Approximate memory footprint in bytes (object plus owned limb storage).
   /// Inline magnitudes cost exactly sizeof(BigInt) — the inline limbs are

@@ -37,29 +37,17 @@ size_t CountVector::ApproxMemoryBytes() const {
   return bytes;
 }
 
-void ConvolveCounts(const BigInt* a, size_t a_len, const BigInt* b,
-                    size_t b_len, BigInt* out) {
-  SHAPCQ_CHECK(a_len > 0 && b_len > 0);
-  for (size_t k = 0; k + 1 < a_len + b_len; ++k) out[k] = BigInt();
-  for (size_t i = 0; i < a_len; ++i) {
-    if (a[i].IsZero()) continue;
-    for (size_t j = 0; j < b_len; ++j) {
-      if (b[j].IsZero()) continue;
-      out[i + j].AddProductOf(a[i], b[j]);
+CountVector CountVector::Convolve(const CountVector& other) const {
+  // Skip-zero outer and inner loops, partial products accumulated in place,
+  // so no temporary BigInt is allocated per (i, j) pair.
+  std::vector<BigInt> result(counts_.size() + other.counts_.size() - 1);
+  for (size_t i = 0; i < counts_.size(); ++i) {
+    if (counts_[i].IsZero()) continue;
+    for (size_t j = 0; j < other.counts_.size(); ++j) {
+      if (other.counts_[j].IsZero()) continue;
+      result[i + j].AddProductOf(counts_[i], other.counts_[j]);
     }
   }
-}
-
-std::vector<BigInt> ComplementCounts(const BigInt* a, size_t a_len) {
-  std::vector<BigInt> row = Combinatorics::BinomialRow(a_len - 1);
-  for (size_t k = 0; k < a_len; ++k) row[k] -= a[k];
-  return row;
-}
-
-CountVector CountVector::Convolve(const CountVector& other) const {
-  std::vector<BigInt> result(counts_.size() + other.counts_.size() - 1);
-  ConvolveCounts(counts_.data(), counts_.size(), other.counts_.data(),
-                 other.counts_.size(), result.data());
   return CountVector(std::move(result));
 }
 
@@ -69,7 +57,9 @@ CountVector& CountVector::ConvolveWith(const CountVector& other) {
 }
 
 CountVector CountVector::ComplementAgainstAll() const {
-  return CountVector(ComplementCounts(counts_.data(), counts_.size()));
+  std::vector<BigInt> row = Combinatorics::BinomialRow(universe_size());
+  for (size_t k = 0; k < row.size(); ++k) row[k] -= counts_[k];
+  return CountVector(std::move(row));
 }
 
 CountVector CountVector::operator+(const CountVector& other) const {

@@ -34,12 +34,6 @@ class CountVector {
   /// Takes explicit counts; counts.size() must be universe_size + 1.
   static CountVector FromCounts(std::vector<BigInt> counts);
 
-  /// Moves the raw cells out (the engine arena moves a ground leaf's cells
-  /// into its cell buffer). Leaves this vector empty (hollow) — only
-  /// destruction, reassignment and ApproxMemoryBytes are valid afterwards,
-  /// hence rvalue-only.
-  std::vector<BigInt> TakeCounts() && { return std::move(counts_); }
-
   size_t universe_size() const { return counts_.size() - 1; }
   /// Number of qualifying k-subsets.
   const BigInt& at(size_t k) const { return counts_[k]; }
@@ -51,7 +45,7 @@ class CountVector {
   size_t ApproxMemoryBytes() const;
 
   /// Counts of subsets of the combined (disjoint) universe whose restriction
-  /// to each part qualifies in that part (ConvolveCounts, below).
+  /// to each part qualifies in that part.
   CountVector Convolve(const CountVector& other) const;
   /// *this = *this ⊛ other. Convolution needs a fresh output buffer, but the
   /// assignment is a move — use this form in convolution cascades to make
@@ -77,18 +71,6 @@ class CountVector {
 
   std::vector<BigInt> counts_;  // counts_[k] for k = 0..universe_size
 };
-
-/// The library's one convolution kernel, on raw cell ranges (the engine
-/// arena keeps its vectors in one flat cell buffer): writes the
-/// a_len + b_len - 1 cells of a ⊛ b to `out`, which must not overlap either
-/// input. Skip-zero outer and inner loops, partial products accumulated in
-/// place, so no temporary BigInt is allocated per (i, j) pair.
-void ConvolveCounts(const BigInt* a, size_t a_len, const BigInt* b,
-                    size_t b_len, BigInt* out);
-
-/// The library's one complement loop: C(n, k) - a[k] for k = 0..n, over the
-/// universe n = a_len - 1.
-std::vector<BigInt> ComplementCounts(const BigInt* a, size_t a_len);
 
 }  // namespace shapcq
 

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,15 +55,20 @@ CountVector Counts(std::vector<int> values) {
   return CountVector::FromCounts(std::move(cells));
 }
 
+constexpr GroundFactState kAbsent = GroundFactState::kAbsent;
+constexpr GroundFactState kExo = GroundFactState::kExogenous;
+constexpr GroundFactState kEndo = GroundFactState::kEndogenous;
+
 // A three-node arena built by hand (a component root over two ground
 // leaves), bypassing ShapleyEngine: the unit tests below exercise the
-// combine rules and the cell store directly. The root's sat is the product
-// of the leaves': [1,2,1] ⊛ [1,1] = [1,3,3,1].
-EngineArena MakeSmallArena() {
+// combine rules and the cell store directly. The left leaf is positive over
+// a fact in `left`; the right one negated over an endogenous fact, [1,0].
+// With both endogenous the root's sat is [0,1] ⊛ [1,0] = [0,1,0].
+EngineArena MakeSmallArena(GroundFactState left = kEndo) {
   EngineArena arena;
-  const int left = arena.AddGround(/*negated=*/false, Counts({1, 2, 1}));
-  const int right = arena.AddGround(/*negated=*/true, Counts({1, 1}));
-  const int root = arena.AddInner(kComponent, {left, right});
+  const int left_leaf = arena.AddGround(/*negated=*/false, left);
+  const int right_leaf = arena.AddGround(/*negated=*/true, kEndo);
+  const int root = arena.AddInner(kComponent, {left_leaf, right_leaf});
   arena.SetRoot(root);
   return arena;
 }
@@ -82,17 +88,34 @@ TEST(EngineArenaTest, StructureAndSatRoundTrip) {
   EXPECT_EQ(arena.child_index(1), 1u);
   EXPECT_TRUE(arena.negated(1));
   arena.CheckInvariants();
-  EXPECT_EQ(arena.SatOf(0), Counts({1, 2, 1}));
-  EXPECT_EQ(arena.SatOf(1), Counts({1, 1}));
-  EXPECT_EQ(arena.SatOf(2), CountVector::All(3));
-  EXPECT_EQ(arena.BaselineSat(2), CountVector::All(5));
-  EXPECT_EQ(arena.SlackCells(), 0u);
+  EXPECT_EQ(arena.SatOf(0), Counts({0, 1}));
+  EXPECT_EQ(arena.SatOf(1), Counts({1, 0}));
+  EXPECT_EQ(arena.SatOf(2), Counts({0, 1, 0}));
+  EXPECT_EQ(arena.BaselineSat(2), Counts({0, 1, 2, 1, 0}));
+  EXPECT_EQ(arena.SlackLimbs(), 0u);
+}
+
+// The Lemma 3.2 base case, as the leaf stores it: a positive ground atom
+// must be present (forced pick if endogenous, free if exogenous), a
+// negated one absent (the mirror image).
+TEST(EngineArenaTest, GroundLeavesFollowTheBaseCase) {
+  EngineArena arena;
+  const std::pair<GroundFactState, std::vector<int>> plain[] = {
+      {kAbsent, {0}}, {kExo, {1}}, {kEndo, {0, 1}}};
+  const std::pair<GroundFactState, std::vector<int>> negated[] = {
+      {kAbsent, {1}}, {kExo, {0}}, {kEndo, {1, 0}}};
+  for (const auto& [state, sat] : plain) {
+    EXPECT_EQ(arena.SatOf(arena.AddGround(false, state)), Counts(sat));
+  }
+  for (const auto& [state, sat] : negated) {
+    EXPECT_EQ(arena.SatOf(arena.AddGround(true, state)), Counts(sat));
+  }
 }
 
 TEST(EngineArenaTest, RootVarRuleComplementsTheUnsatProduct) {
   EngineArena arena;
-  const int a = arena.AddGround(/*negated=*/false, Counts({0, 1}));
-  const int b = arena.AddGround(/*negated=*/false, Counts({0, 1}));
+  const int a = arena.AddGround(/*negated=*/false, kEndo);
+  const int b = arena.AddGround(/*negated=*/false, kEndo);
   const int root = arena.AddInner(kRootVar, {a, b});
   arena.SetRoot(root);
   arena.CheckInvariants();
@@ -100,10 +123,11 @@ TEST(EngineArenaTest, RootVarRuleComplementsTheUnsatProduct) {
   EXPECT_EQ(arena.SatOf(root), Counts({0, 2, 1}));
 }
 
-// One leaf of the hand-built tree below: its polarity and its |Sat| vector.
+// One leaf of the hand-built tree below: its polarity and the presence
+// state of its fact.
 struct HandLeaf {
   bool negated = false;
-  CountVector sat;
+  GroundFactState state = kAbsent;
 };
 
 // root = Component(V, X, W), V = RootVar(a, b), X = Component(c, g),
@@ -113,7 +137,7 @@ std::vector<int> BuildHandTree(EngineArena& arena,
                                const std::vector<HandLeaf>& leaves) {
   std::vector<int> ids;
   for (const HandLeaf& leaf : leaves) {
-    ids.push_back(arena.AddGround(leaf.negated, leaf.sat));
+    ids.push_back(arena.AddGround(leaf.negated, leaf.state));
   }
   const int v = arena.AddInner(kRootVar, {ids[0], ids[1]});
   const int x = arena.AddInner(kComponent, {ids[2], ids[3]});
@@ -153,33 +177,33 @@ BigInt ExpectedNumerator(const CountVector& r, bool negated) {
 
 TEST(EngineArenaTest, PatchAndSpliceMatchAFreshBuild) {
   EngineArena arena;
-  const int a = arena.AddGround(/*negated=*/false, Counts({0, 1}));
-  const int b = arena.AddGround(/*negated=*/true, Counts({1, 0}));
+  const int a = arena.AddGround(/*negated=*/false, kEndo);
+  const int b = arena.AddGround(/*negated=*/true, kEndo);
   const int root = arena.AddInner(kRootVar, {a, b});
   arena.SetRoot(root);
 
-  // The same root-var node built from scratch over the given leaf vectors.
-  auto fresh_sat = [](const std::vector<CountVector>& leaves) {
+  // The same root-var node built from scratch over the given leaves.
+  auto fresh_sat = [](const std::vector<HandLeaf>& leaves) {
     EngineArena fresh;
     std::vector<int> children;
-    for (const CountVector& leaf : leaves) {
-      children.push_back(fresh.AddGround(/*negated=*/false, leaf));
+    for (const HandLeaf& leaf : leaves) {
+      children.push_back(fresh.AddGround(leaf.negated, leaf.state));
     }
     return fresh.SatOf(fresh.AddInner(kRootVar, children));
   };
 
   // A leaf flip re-derives its parent as a fresh build would.
-  arena.SetLeafSat(b, Counts({1}));
-  EXPECT_EQ(arena.SatOf(root), fresh_sat({Counts({0, 1}), Counts({1})}));
+  arena.SetLeafSat(b, kAbsent);
+  EXPECT_EQ(arena.SatOf(root), fresh_sat({{false, kEndo}, {true, kAbsent}}));
 
   // So does a spliced-in slice.
-  const int c = arena.AddGround(/*negated=*/false, Counts({0, 1}));
+  const int c = arena.AddGround(/*negated=*/false, kEndo);
   arena.SpliceNewChild(root, c);
   arena.CheckInvariants();
   EXPECT_EQ(arena.parent(c), root);
   EXPECT_EQ(arena.child_index(c), 2u);
   EXPECT_EQ(arena.SatOf(root),
-            fresh_sat({Counts({0, 1}), Counts({1}), Counts({0, 1})}));
+            fresh_sat({{false, kEndo}, {true, kAbsent}, {false, kEndo}}));
 
   // Zero combine vectors and a non-unit divisor: V's sat [0,2,1] is a factor
   // of the root's product whose lowest nonzero cell is 2; W's exogenous e1
@@ -189,10 +213,10 @@ TEST(EngineArenaTest, PatchAndSpliceMatchAFreshBuild) {
   // fresh build's and every leaf's numerator, serial and level-parallel,
   // equals the one assembled from its definition.
   std::vector<HandLeaf> leaves = {
-      {false, Counts({0, 1})}, {false, Counts({0, 1})},  // a, b
-      {false, Counts({0})},    {true, Counts({1, 0})},   // c, g
-      {false, Counts({0, 1})}, {false, Counts({1})},     // d, e1
-      {false, Counts({1})}};                             // e2
+      {false, kEndo},   {false, kEndo},  // a, b
+      {false, kAbsent}, {true, kEndo},   // c, g
+      {false, kEndo},   {false, kExo},   // d, e1
+      {false, kExo}};                    // e2
   EngineArena tree;
   const std::vector<int> ids = BuildHandTree(tree, leaves);
   constexpr size_t kGlobalFree = 1;
@@ -217,11 +241,66 @@ TEST(EngineArenaTest, PatchAndSpliceMatchAFreshBuild) {
     }
   };
   expect_fresh("built");
-  for (const CountVector& sat : {Counts({0, 1}), Counts({0})}) {
-    leaves[2].sat = sat;
-    tree.SetLeafSat(ids[2], sat);
-    expect_fresh("c = " + sat.ToString());
+  for (GroundFactState state : {kEndo, kAbsent}) {
+    leaves[2].state = state;
+    tree.SetLeafSat(ids[2], state);
+    expect_fresh("c = " + tree.SatOf(ids[2]).ToString());
   }
+}
+
+// Every branch of the exact division that the contexts and the patch path
+// run: X = Component(R_1..R_20), each R_i a root-var node over ten
+// endogenous leaves, so sat(R_i) = [0,10,45,...] and sat(X) starts at
+// cell 20 with 10^20 > 2^64. Under the root component, z's context divides
+// by sat(z) = [0,1] (d_s = 1), X's by sat(X) (a two-limb d_s, the one
+// cell-by-cell BigInt division), and each R_i's context within X by
+// sat(R_i) (d_s = 10, one limb). Every leaf's numerator, before and after
+// a leaf patch, must equal the one assembled from its definition.
+TEST(EngineArenaTest, ContextsDivideByOneLimbAndWiderLowestCells) {
+  constexpr size_t kGroups = 20;
+  constexpr size_t kLeaves = 10;
+  EngineArena arena;
+  std::vector<int> leaves;
+  std::vector<int> groups;
+  for (size_t g = 0; g < kGroups; ++g) {
+    std::vector<int> children;
+    for (size_t i = 0; i < kLeaves; ++i) {
+      children.push_back(arena.AddGround(false, kEndo));
+      leaves.push_back(children.back());
+    }
+    groups.push_back(arena.AddInner(kRootVar, children));
+  }
+  const int x = arena.AddInner(kComponent, groups);
+  const int z = arena.AddGround(false, kEndo);
+  leaves.push_back(z);
+  arena.SetRoot(arena.AddInner(kComponent, {x, z}));
+  arena.CheckInvariants();
+  BigInt lowest(1);
+  for (size_t g = 0; g < kGroups; ++g) lowest *= BigInt(10);
+  EXPECT_EQ(arena.SatOf(x).at(kGroups), lowest);
+  EXPECT_GT(lowest.BitLength(), 64u);
+  EXPECT_EQ(arena.SatOf(groups[0]).at(1), BigInt(10));
+
+  // One representative leaf per orbit: a leaf of R_1 and z.
+  auto expect_definition = [&](const std::string& step) {
+    arena.CheckInvariants();
+    for (int leaf : {leaves[0], leaves[1], z}) {
+      const CountVector r = ExpectedR(arena, leaf, 0);
+      for (size_t threads : {1, 4}) {
+        std::vector<BigInt> got;
+        ASSERT_TRUE(arena.Numerators({leaf}, r.universe_size() + 1, 0,
+                                     threads, nullptr, &got));
+        ASSERT_EQ(got.size(), 1u);
+        EXPECT_EQ(got[0], ExpectedNumerator(r, false))
+            << step << ", leaf " << leaf << ", t=" << threads;
+      }
+    }
+  };
+  expect_definition("built");
+  // The patch divides sat(X) out of the root's product too.
+  arena.SetLeafSat(leaves[0], kAbsent);
+  EXPECT_EQ(arena.SatOf(x).at(kGroups), lowest / BigInt(10) * BigInt(9));
+  expect_definition("after a patch");
 }
 
 // The weight row over its common factor, against the row it replaces: the
@@ -234,17 +313,18 @@ TEST(EngineArenaTest, WeightRowMatchesAGcdOracle) {
   for (size_t n = 1; n <= 80; ++n) sizes.push_back(n);
   for (size_t n : sizes) {
     const WeightRow row = WeightRow::For(n);
-    ASSERT_EQ(row.reduced.size(), n) << "n=" << n;
+    ASSERT_EQ(row.n, n) << "n=" << n;
     BigInt gcd;
     BigInt reduced_gcd;
     size_t max_reduced_bits = 0;
     for (size_t k = 0; k < n; ++k) {
       const BigInt weight =
           Combinatorics::Factorial(k) * Combinatorics::Factorial(n - 1 - k);
-      EXPECT_EQ(row.common * row.reduced[k], weight) << "n=" << n << " k=" << k;
+      const BigInt reduced = row.Reduced(k);
+      EXPECT_EQ(row.common * reduced, weight) << "n=" << n << " k=" << k;
       gcd = BigInt::Gcd(gcd, weight);
-      reduced_gcd = BigInt::Gcd(reduced_gcd, row.reduced[k]);
-      max_reduced_bits = std::max(max_reduced_bits, row.reduced[k].BitLength());
+      reduced_gcd = BigInt::Gcd(reduced_gcd, reduced);
+      max_reduced_bits = std::max(max_reduced_bits, reduced.BitLength());
     }
     EXPECT_EQ(row.common, gcd) << "n=" << n;
     EXPECT_TRUE(reduced_gcd.IsOne()) << "n=" << n;
@@ -265,55 +345,68 @@ TEST(EngineArenaTest, WeightRowMatchesAGcdOracle) {
 
 TEST(EngineArenaTest, LeafStoreReusesCapacityInPlace) {
   EngineArena arena = MakeSmallArena();
-  // Same length as the stored vector: the slot is rewritten in place, no
-  // cells are stranded.
-  arena.SetLeafSat(0, Counts({3, 1, 4}));
-  EXPECT_EQ(arena.SlackCells(), 0u);
-  EXPECT_EQ(arena.SatOf(0), Counts({3, 1, 4}));
-  // Shorter also fits the capacity in place.
-  arena.SetLeafSat(0, Counts({7, 7}));
-  EXPECT_EQ(arena.SlackCells(), 0u);
-  EXPECT_EQ(arena.SatOf(0), Counts({7, 7}));
+  // Shorter than the stored vector: the leaf and, above it, the root's
+  // product and sat are rewritten in place; no limbs are stranded.
+  arena.SetLeafSat(0, kExo);
+  EXPECT_EQ(arena.SlackLimbs(), 0u);
+  EXPECT_EQ(arena.SatOf(0), Counts({1}));
+  EXPECT_EQ(arena.SatOf(2), Counts({1, 0}));
+  // The same length also fits in place.
+  arena.SetLeafSat(0, kAbsent);
+  EXPECT_EQ(arena.SlackLimbs(), 0u);
+  EXPECT_EQ(arena.SatOf(0), Counts({0}));
+  EXPECT_EQ(arena.SatOf(2), Counts({0, 0}));
+  // And so does growing back into the capacity the slots were built with.
+  arena.SetLeafSat(0, kEndo);
+  EXPECT_EQ(arena.SlackLimbs(), 0u);
+  EXPECT_EQ(arena.SatOf(2), Counts({0, 1, 0}));
   arena.CheckInvariants();
 }
 
 TEST(EngineArenaTest, WideningStoreStrandsSlackAndCompactReclaims) {
-  EngineArena arena = MakeSmallArena();
+  EngineArena arena = MakeSmallArena(kAbsent);
   const size_t bytes_before = arena.ApproxMemoryBytes();
-  // Universe grew past the slot's capacity (3 cells): the vector moves to a
-  // fresh range and the old one becomes slack, and so do the root's product
-  // and sat (4 cells each), which the store re-derives as All(6).
-  arena.SetLeafSat(0, CountVector::All(5));
-  EXPECT_EQ(arena.SlackCells(), 11u);
-  EXPECT_EQ(arena.SatOf(0), CountVector::All(5));
+  // The leaf's universe grew past its slot's capacity (1 limb): the vector
+  // moves to a fresh range and the old one becomes slack, and so do the
+  // root's product and sat (2 limbs each), which the store re-derives as
+  // [0,1,0].
+  arena.SetLeafSat(0, kEndo);
+  EXPECT_EQ(arena.SlackLimbs(), 5u);
+  EXPECT_EQ(arena.SatOf(0), Counts({0, 1}));
   EXPECT_GT(arena.ApproxMemoryBytes(), bytes_before);
   arena.CheckInvariants();
 
   const size_t bytes_slack = arena.ApproxMemoryBytes();
   arena.CompactCells();
-  EXPECT_EQ(arena.SlackCells(), 0u);
+  EXPECT_EQ(arena.SlackLimbs(), 0u);
   EXPECT_LE(arena.ApproxMemoryBytes(), bytes_slack);
   // Values are untouched by compaction.
-  EXPECT_EQ(arena.SatOf(0), CountVector::All(5));
-  EXPECT_EQ(arena.SatOf(1), Counts({1, 1}));
-  EXPECT_EQ(arena.SatOf(2), CountVector::All(6));
+  EXPECT_EQ(arena.SatOf(0), Counts({0, 1}));
+  EXPECT_EQ(arena.SatOf(1), Counts({1, 0}));
+  EXPECT_EQ(arena.SatOf(2), Counts({0, 1, 0}));
   arena.CheckInvariants();
 }
 
-TEST(EngineArenaTest, WideningStoresCompactOnceSlackOutnumbersLiveCells) {
-  EngineArena arena = MakeSmallArena();
+TEST(EngineArenaTest, WideningStoresCompactOnceSlackOutnumbersLiveLimbs) {
+  // Each splice into the root-var node widens its product and sat by one
+  // cell, so both move out of place every time.
+  EngineArena arena;
+  const int root = arena.AddInner(kRootVar, {arena.AddGround(false, kEndo)});
+  arena.SetRoot(root);
   bool compacted = false;
-  for (size_t w = 3; w <= 40; ++w) {
-    const size_t slack_before = arena.SlackCells();
-    arena.SetLeafSat(0, CountVector::All(w));
+  for (size_t m = 2; m <= 40; ++m) {
+    const size_t slack_before = arena.SlackLimbs();
+    arena.SpliceNewChild(root, arena.AddGround(false, kEndo));
     arena.CheckInvariants();
-    compacted = compacted || arena.SlackCells() < slack_before;
-    // The live cells: leaf 0's w + 1, leaf 1's 2, and the root's product
-    // and sat, w + 2 each.
-    EXPECT_LE(arena.SlackCells(), 3 * w + 7) << "w=" << w;
-    EXPECT_EQ(arena.SatOf(0), CountVector::All(w)) << "w=" << w;
-    EXPECT_EQ(arena.SatOf(1), Counts({1, 1})) << "w=" << w;
-    EXPECT_EQ(arena.SatOf(2), CountVector::All(w + 1)) << "w=" << w;
+    compacted = compacted || arena.SlackLimbs() < slack_before;
+    // The live limbs: m two-cell leaves, and the root's product and sat,
+    // m + 1 one-limb cells each.
+    EXPECT_LE(arena.SlackLimbs(), 4 * m + 2) << "m=" << m;
+    EXPECT_EQ(arena.SatOf(arena.child(root, 0)), Counts({0, 1})) << "m=" << m;
+    std::vector<BigInt> sat = Combinatorics::BinomialRow(m);
+    sat[0] = BigInt(0);
+    EXPECT_EQ(arena.SatOf(root), CountVector::FromCounts(std::move(sat)))
+        << "m=" << m;
   }
   EXPECT_TRUE(compacted);
 }
@@ -322,11 +415,11 @@ TEST(EngineArenaTest, RepeatedSplicesIntoOneNodeKeepEveryIdAccounted) {
   // Each splice relocates the node's whole child list, so without packing
   // the stranded ids would grow quadratically in its child count.
   EngineArena arena;
-  std::vector<int> children = {arena.AddGround(false, Counts({0, 1}))};
+  std::vector<int> children = {arena.AddGround(false, kEndo)};
   const int root = arena.AddInner(kRootVar, children);
   arena.SetRoot(root);
   for (size_t m = 2; m <= 40; ++m) {
-    children.push_back(arena.AddGround(false, Counts({0, 1})));
+    children.push_back(arena.AddGround(false, kEndo));
     arena.SpliceNewChild(root, children.back());
     arena.CheckInvariants();
     ASSERT_EQ(arena.child_count(root), m);
@@ -341,12 +434,11 @@ TEST(EngineArenaTest, RepeatedSplicesIntoOneNodeKeepEveryIdAccounted) {
   }
 }
 
-TEST(EngineArenaTest, ApproxMemoryBytesCoversTheCellBuffer) {
+TEST(EngineArenaTest, ApproxMemoryBytesCoversTheLimbBuffer) {
   EngineArena arena = MakeSmallArena();
-  // 3 + 2 leaf cells plus the root's 4-cell product and 4-cell sat, at 40
-  // bytes of inline BigInt each, is a hard floor for the buffer term of the
-  // estimate.
-  EXPECT_GE(arena.ApproxMemoryBytes(), 13 * sizeof(BigInt));
+  // 2 + 2 leaf cells plus the root's 3-cell product and 3-cell sat, at one
+  // 8-byte limb each, is a hard floor for the buffer term of the estimate.
+  EXPECT_GE(arena.ApproxMemoryBytes(), 10 * sizeof(uint64_t));
 }
 
 // ---------------------------------------------------------------------------
@@ -625,6 +717,125 @@ TEST(EngineArenaParallelTest, ThreadCountsBitIdenticalOnScalingDb) {
 
 
 // ---------------------------------------------------------------------------
+// Limb-width boundaries: a vector of len cells takes ⌈len/64⌉ limbs per
+// cell, so the root's sat changes width as its universe u crosses 64, 128
+// and 192 facts (len 65, 129, 193), and so do the root-scale contexts and
+// every leaf's r.
+// ---------------------------------------------------------------------------
+
+// A q1 database with exactly `endo` endogenous facts, all seen by q1.
+// Student i's Stud fact is endogenous for i % 4 == 1; its TA fact is
+// endogenous for i % 5 == 0, exogenous (the student can never satisfy q1)
+// for i % 5 == 3, and absent otherwise; it holds 1 + i % 3 endogenous
+// registrations, and one exogenous one for i % 7 == 0. Facts are added in
+// that order until the count is reached.
+Database WidthBoundaryDb(size_t endo) {
+  Database db;
+  for (size_t i = 0; db.endogenous_count() < endo; ++i) {
+    const Value student = V("s" + std::to_string(i));
+    db.AddFact("Stud", {student}, i % 4 == 1);
+    if (db.endogenous_count() < endo && (i % 5 == 0 || i % 5 == 3)) {
+      db.AddFact("TA", {student}, i % 5 == 0);
+    }
+    if (i % 7 == 0) db.AddExo("Reg", {student, V("x")});
+    for (size_t t = 0; t <= i % 3 && db.endogenous_count() < endo; ++t) {
+      db.AddEndo("Reg", {student, V("c" + std::to_string(t))});
+    }
+  }
+  return db;
+}
+
+// n!·Shapley of every endogenous fact (endo-index order) from the per-fact
+// CntSat oracle, run once per symmetry class. q1 sees a student only
+// through the states of its Stud and TA facts and its numbers of
+// endogenous and exogenous registrations, and a course only inside one
+// registration, so facts of one relation whose students agree on those
+// are images of each other under a renaming of students and courses.
+std::vector<BigInt> Q1OracleNumerators(const Database& db) {
+  const CQ q = UniversityQ1();
+  auto state = [&](const std::string& relation, const Value& student) {
+    const FactId fact = db.FindFact(relation, {student});
+    return fact == kNoFact ? 0 : db.is_endogenous(fact) ? 2 : 1;
+  };
+  std::map<Value, std::pair<int, int>> regs;  // student -> (endo, exo)
+  for (FactId fact : db.facts_of(db.schema().Find("Reg"))) {
+    auto& [endo, exo] = regs[db.tuple_of(fact)[0]];
+    ++(db.is_endogenous(fact) ? endo : exo);
+  }
+  const Rational factorial(Combinatorics::Factorial(db.endogenous_count()));
+  std::map<std::vector<int>, BigInt> by_class;
+  std::vector<BigInt> numerators;
+  for (FactId fact : db.endogenous_facts()) {
+    const std::string& relation = db.schema().name(db.relation_of(fact));
+    const Value& student = db.tuple_of(fact)[0];
+    const int atom = relation == "Stud" ? 0 : (relation == "TA" ? 1 : 2);
+    const std::vector<int> key = {atom, state("Stud", student),
+                                  state("TA", student), regs[student].first,
+                                  regs[student].second};
+    auto it = by_class.find(key);
+    if (it == by_class.end()) {
+      auto value = ShapleyViaCountSat(q, db, fact);
+      EXPECT_TRUE(value.ok()) << value.error();
+      const Rational scaled = value.value() * factorial;
+      EXPECT_TRUE(scaled.denominator().IsOne());
+      it = by_class.emplace(key, scaled.numerator()).first;
+    }
+    numerators.push_back(it->second);
+  }
+  return numerators;
+}
+
+void ExpectReplicaNumeratorsMatchOracle(std::vector<Replica>& replicas,
+                                        const std::string& label) {
+  const std::vector<BigInt> oracle = Q1OracleNumerators(replicas.front().db);
+  for (Replica& replica : replicas) {
+    ASSERT_EQ(replica.db.endogenous_count(), oracle.size()) << label;
+    auto numerators = replica.engine.AllNumerators(Threads(replica.threads));
+    ASSERT_TRUE(numerators.ok()) << numerators.error();
+    EXPECT_EQ(numerators.value(), oracle)
+        << label << ", t=" << replica.threads;
+  }
+}
+
+TEST(EngineArenaWidthTest, NumeratorsHoldAcrossLimbWidthBoundaries) {
+  const CQ q = UniversityQ1();
+  for (size_t boundary : {64, 128, 192}) {
+    // Built at u = boundary − 1; two inserts grow the root across the
+    // boundary (an insert into a student's registrations, then one that
+    // opens a new student's slice), and deleting them shrinks it back.
+    std::vector<Replica> replicas =
+        MakeReplicas(q, WidthBoundaryDb(boundary - 1));
+    const std::string b = "boundary " + std::to_string(boundary);
+    auto check = [&](const std::string& step) {
+      const size_t u = replicas.front().db.endogenous_count();
+      ExpectReplicaNumeratorsMatchOracle(
+          replicas, b + ", " + step + " u=" + std::to_string(u));
+    };
+    check("built at");
+    const std::vector<std::pair<std::string, std::string>> inserts = {
+        {"s0", "extra"}, {"newcomer", "c0"}};
+    std::vector<FactId> added;
+    for (const auto& [student, course] : inserts) {
+      FactId id = kNoFact;
+      for (Replica& replica : replicas) {
+        auto inserted = replica.engine.InsertFact(
+            replica.db, "Reg", {V(student), V(course)}, true);
+        ASSERT_TRUE(inserted.ok()) << inserted.error();
+        id = inserted.value();
+      }
+      added.push_back(id);
+      check("grown to");
+    }
+    for (auto it = added.rbegin(); it != added.rend(); ++it) {
+      for (Replica& replica : replicas) {
+        ASSERT_TRUE(replica.engine.DeleteFact(replica.db, *it).ok());
+      }
+      check("shrunk to");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Footprint over long sessions: state that outlives its use would grow the
 // engine while the database's shape stays put.
 // ---------------------------------------------------------------------------
@@ -703,8 +914,9 @@ TEST(EngineArenaTest, EngineBytesStayFlatUnderStationarySwaps) {
 
 TEST(EngineArenaTest, EngineGrownByInsertsStaysNearAFreshBuild) {
   // {students, bound on grown / fresh bytes}. 80 students hold 211
-  // endogenous facts: the widest counts pass BigInt's 192 inline bits, so
-  // the compactions move heap limbs too. 200 students hold 529.
+  // endogenous facts: growing, the root-scale vectors cross the 64-, 128-
+  // and 192-cell width boundaries, so their stores move out of place and
+  // the compactions run. 200 students hold 529.
   const std::pair<size_t, double> cases[] = {{80, 2.0}, {200, 1.2}};
   for (const auto& [student_count, bound] : cases) {
     SCOPED_TRACE(student_count);

@@ -215,6 +215,27 @@ TEST(ServiceNetTest, ConnectionCapRejectsWithStructuredOverload) {
   serve_thread.join();
 }
 
+TEST(ServiceNetTest, UnterminatedLastLineIsAnsweredBeforeClose) {
+  CommandLoopOptions loop_options = ConcurrentOptions();
+  EngineRegistry registry(loop_options.registry);
+  auto listening = TcpServer::Listen(TcpServerOptions{}, loop_options,
+                                     &registry, nullptr);
+  ASSERT_TRUE(listening.ok()) << listening.error();
+  TcpServer server = std::move(listening).value();
+  std::thread serve_thread([&server]() { server.Serve(nullptr); });
+
+  // The client's orderly EOF ends the last line: it runs, and its reply
+  // still reaches the client before the close.
+  const std::string reply =
+      Roundtrip(server.port(), "OPEN a q() :- R(x)\nOPEN b q() :- R(x)");
+  EXPECT_NE(reply.find("ok open a"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("ok open b"), std::string::npos) << reply;
+  EXPECT_TRUE(registry.Has("b"));
+
+  server.Shutdown();
+  serve_thread.join();
+}
+
 TEST(ServiceNetTest, ShutdownDrainsLiveConnectionsCleanly) {
   CommandLoopOptions loop_options = ConcurrentOptions();
   EngineRegistry registry(loop_options.registry);
@@ -231,6 +252,11 @@ TEST(ServiceNetTest, ShutdownDrainsLiveConnectionsCleanly) {
   EXPECT_EQ(client.ReadLine(), "ok open s");
   EXPECT_EQ(client.ReadLine(), "> DELTA s + R(a)*");
   EXPECT_EQ(client.ReadLine(), "ok delta s facts=1 endo=1");
+
+  // A command line the drain cuts short is dropped, not run: give the
+  // server time to read the unterminated CLOSE first.
+  client.Send("CLOSE s");
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
   // Shutdown with the client still attached: the server half-closes the
   // connection, the handler sees EOF, Serve joins its workers, and the
